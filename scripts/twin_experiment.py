@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from morphoctl.config import build_problem, load_config
-from morphoctl.control import OptConfig, pgd_optimize
+from morphoctl.control import pgd_optimize
 from morphoctl.forward import control_space_time_norm
 
 
@@ -28,13 +28,9 @@ def main() -> int:
         print("config target is not a twin:<spec> target", file=sys.stderr)
         return 2
 
-    opt = OptConfig(
-        max_iters=cfg.max_iters, step0=cfg.step0, shrink=cfg.shrink,
-        c1=cfg.c1, tol=cfg.tol,
-    )
     res = pgd_optimize(
         problem.init, problem.control(), problem.phi_d, problem.params,
-        cfg.delta, opt,
+        cfg.delta, problem.opt,
     )
 
     p = problem.params

@@ -68,11 +68,8 @@ def cmd_simulate(args) -> int:
     )
     stride = cfg.snapshot_stride
     if stride > 0:
-        for n in range(0, problem.params.nt + 1, stride):
-            write_snapshot(os.path.join(out, f"m_{n:06d}.mcf"), g, float(traj.times[n]), traj.m[n])
-            write_snapshot(os.path.join(out, f"phi_{n:06d}.mcf"), g, float(traj.times[n]), traj.phi[n])
-        if problem.params.nt % stride != 0:
-            n = problem.params.nt
+        nt = problem.params.nt
+        for n in sorted({*range(0, nt + 1, stride), nt}):
             write_snapshot(os.path.join(out, f"m_{n:06d}.mcf"), g, float(traj.times[n]), traj.m[n])
             write_snapshot(os.path.join(out, f"phi_{n:06d}.mcf"), g, float(traj.times[n]), traj.phi[n])
     print(f"simulate: {problem.params.nt} steps written to {out}")
@@ -84,12 +81,8 @@ def cmd_optimize(args) -> int:
     problem = build_problem(cfg, need_target=True)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    opt = ctl.OptConfig(
-        max_iters=cfg.max_iters, step0=cfg.step0, shrink=cfg.shrink,
-        c1=cfg.c1, tol=cfg.tol,
-    )
     res = ctl.pgd_optimize(
-        problem.init, problem.control(), problem.phi_d, problem.params, cfg.delta, opt
+        problem.init, problem.control(), problem.phi_d, problem.params, cfg.delta, problem.opt
     )
     steps = res.step_history + [float("nan")]
     write_csv(

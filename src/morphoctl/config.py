@@ -22,15 +22,16 @@ seed is bit-reproducible.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .control import ControlField
-from .errors import FormatError, ParseError, SupportTooLarge, SupportUnresolved, ValidationError
+from .control import ControlField, OptConfig
+from .errors import FormatError, ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
 from .forward import InitData, ModelParams, solve_state
-from .grid import Grid
+from .grid import Grid, smooth_periodic
 from .kernel import Kernel, build_kernel
 
 _ROLE_STREAMS = {
@@ -97,6 +98,7 @@ _SCHEMA: dict[str, tuple] = {
     "io.out_dir": ("out_dir", str, False, "out"),
     "seed": ("seed", int, False, 0),
 }
+_ATTR_KEYS = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -133,58 +135,69 @@ def parse_config_text(text: str) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.nx < 4 or cfg.ny < 4:
-        raise ValidationError("grid.nx", "grid needs nx >= 4 and ny >= 4")
-    if cfg.Lx <= 0 or cfg.Ly <= 0:
-        raise ValidationError("grid.Lx", "edge lengths must be positive")
-    if cfg.beta < 0:
-        raise ValidationError("model.beta", "requires beta >= 0")
-    if cfg.alpha < 0:
-        raise ValidationError("model.alpha", "requires alpha >= 0")
-    if cfg.T <= 0 or cfg.dt <= 0:
-        raise ValidationError("time.dt", "T and dt must be positive")
-    nt = round(cfg.T / cfg.dt)
-    if nt < 1 or abs(nt * cfg.dt - cfg.T) > 1e-12 * max(1.0, cfg.T):
-        raise ValidationError("time.dt", "T must be an integer multiple of dt")
-    if cfg.theta_min > cfg.theta_max:
-        raise ValidationError("control.theta_min", "requires theta_min <= theta_max")
+@contextmanager
+def _reported_as(key: str):
+    """Turn a constructor's ValueError into a ValidationError under ``key``.
+
+    A :class:`ParameterError` names the argument it rejects, and that
+    argument's own key is reported instead.
+    """
+    try:
+        yield
+    except ParameterError as exc:
+        raise ValidationError(_ATTR_KEYS[exc.name], str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationError(key, str(exc)) from exc
+
+
+def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptConfig]:
+    """Build the objects a config describes; the one place its rules are checked.
+
+    Each rule lives in the constructor that owns the value; this step only
+    maps their errors to config keys.
+    """
+    with _reported_as("grid.nx"):
+        grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
+    with _reported_as("kernel.radius"):
+        kernel = build_kernel(grid, cfg.radius)
+    with _reported_as("time.dt"):
+        params = ModelParams(
+            grid=grid, kernel=kernel, beta=cfg.beta, alpha=cfg.alpha, T=cfg.T, dt=cfg.dt
+        )
+    m0 = realize_field(grid, cfg.m0_spec, cfg.seed, "init.m0")
+    phi0 = realize_field(grid, cfg.phi0_spec, cfg.seed, "init.phi0")
+    with _reported_as("init.m0"):
+        init = InitData(m0=m0, phi0=phi0)
+    # Only the bounds are checked here; build_problem realizes the control.
+    with _reported_as("control.theta_min"):
+        ControlField(np.empty((0, *grid.shape)), cfg.theta_min, cfg.theta_max)
+    # delta is an argument of pgd_optimize, not a field of any object.
     if cfg.delta < 0:
         raise ValidationError("control.delta", "requires delta >= 0")
-    grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    if 2.0 * cfg.radius >= min(cfg.Lx, cfg.Ly):
-        raise ValidationError("kernel.radius", "support must satisfy 2 r < min(Lx, Ly)")
-    if cfg.radius < 3.0 * max(grid.hx, grid.hy):
-        raise ValidationError("kernel.radius", "support must span at least 3 cells")
-    if cfg.max_iters < 0 or cfg.step0 <= 0 or not (0 < cfg.shrink < 1) or cfg.c1 <= 0:
-        raise ValidationError("opt.step0", "bad optimizer settings")
+    with _reported_as("opt.step0"):
+        opt = OptConfig(
+            max_iters=cfg.max_iters, step0=cfg.step0, shrink=cfg.shrink, c1=cfg.c1, tol=cfg.tol
+        )
+    return grid, kernel, params, init, opt
 
 
 def load_config(path) -> RunConfig:
-    """Parse, validate, and check the realized initial data for admissibility."""
+    """Parse a config file and check it by building the objects it describes."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = parse_config_text(fh.read())
-    _validate(cfg)
-    grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    m0 = realize_field(grid, cfg.m0_spec, cfg.seed, "init.m0")
-    phi0 = realize_field(grid, cfg.phi0_spec, cfg.seed, "init.phi0")
-    try:
-        InitData(m0=m0, phi0=phi0)
-    except ValueError as exc:
-        raise ValidationError("init.m0", str(exc))
+    _assemble(cfg)
     return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; load(serialize(load(p))) == load(p)."""
-    attr_to_key = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}
     lines = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if value is None:
             continue
-        lines.append(f"{attr_to_key[f.name]} = {value!r}" if isinstance(value, float)
-                     else f"{attr_to_key[f.name]} = {value}")
+        lines.append(f"{_ATTR_KEYS[f.name]} = {value!r}" if isinstance(value, float)
+                     else f"{_ATTR_KEYS[f.name]} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,14 +230,7 @@ def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
         if kind == "noise":
             amp_s, passes_s = rest.split(",")
             amp, passes = float(amp_s), int(passes_s)
-            f = _rng_for(seed, role).uniform(-amp, amp, size=grid.shape)
-            for _ in range(passes):
-                acc = np.zeros_like(f)
-                for sy in (-1, 0, 1):
-                    for sx in (-1, 0, 1):
-                        acc += np.roll(f, (sy, sx), axis=(0, 1))
-                f = acc / 9.0
-            return f
+            return smooth_periodic(_rng_for(seed, role).uniform(-amp, amp, size=grid.shape), passes)
         if kind == "file":
             nx, ny, _t, values = read_snapshot(rest)
             if (ny, nx) != grid.shape:
@@ -249,6 +255,7 @@ class Problem:
     theta: np.ndarray               # (nt, ny, nx) control from the config
     phi_d: np.ndarray | None        # (nt, ny, nx) target slices, or None
     theta_star: np.ndarray | None   # twin-experiment ground truth, if any
+    opt: OptConfig                  # optimizer settings from the config
 
     def control(self, theta: np.ndarray | None = None) -> ControlField:
         return ControlField(
@@ -259,17 +266,8 @@ class Problem:
 
 
 def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
-    grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    try:
-        kernel = build_kernel(grid, cfg.radius)
-    except (SupportTooLarge, SupportUnresolved) as exc:
-        raise ValidationError("kernel.radius", str(exc))
-    params = ModelParams(
-        grid=grid, kernel=kernel, beta=cfg.beta, alpha=cfg.alpha, T=cfg.T, dt=cfg.dt
-    )
-    m0 = realize_field(grid, cfg.m0_spec, cfg.seed, "init.m0")
-    phi0 = realize_field(grid, cfg.phi0_spec, cfg.seed, "init.phi0")
-    init = InitData(m0=m0, phi0=phi0)
+    """Check and realize a config, including any overrides applied after loading."""
+    grid, kernel, params, init, opt = _assemble(cfg)
 
     theta0 = realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta")
     theta = np.broadcast_to(theta0, (params.nt, *grid.shape)).copy()
@@ -298,6 +296,7 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
         theta=theta,
         phi_d=phi_d,
         theta_star=theta_star,
+        opt=opt,
     )
 
 

@@ -21,6 +21,11 @@ backward-in-time PDE system written with the coefficients outside the
 convolutions; it exists as a cross-check and the gap between the two at
 beta > 0 is reported, never asserted, because the two operator orderings
 genuinely differ.  At beta = 0 both solvers perform identical arithmetic.
+
+Both solvers run one shared backward sweep, ``_backward_sweep``: the zero
+terminal slice, the quadrature alignment above, the -alpha gamma2
+reaction and misfit source, the two symmetric implicit solves and the
+blow-up check.  Each solver supplies only its explicit drift terms.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeltaZero, NonFinite, ShapeMismatch
+from .errors import DeltaZero, NonFinite
 from .forward import (
     InitData,
     ModelParams,
@@ -78,6 +83,14 @@ class OptConfig:
     s_min: float = 1e-12
     tol: float | None = None
 
+    def __post_init__(self):
+        if (self.max_iters < 0 or self.step0 <= 0 or not (0 < self.shrink < 1)
+                or self.c1 <= 0):
+            raise ValueError(
+                "bad optimizer settings: need max_iters >= 0, step0 > 0, "
+                "0 < shrink < 1 and c1 > 0"
+            )
+
     def resolved_tol(self, params: ModelParams) -> float:
         if self.tol is not None:
             return self.tol
@@ -96,25 +109,12 @@ class OptResult:
     termination: str = ""
 
 
-def _target_slices(phi_d: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Broadcast a target to (nt, ny, nx); slice k pairs with state index k+1."""
-    arr = np.asarray(phi_d, dtype=float)
-    ny, nx = params.grid.shape
-    if arr.shape == (ny, nx):
-        arr = arr[None, :, :]
-    if arr.shape not in {(1, ny, nx), (params.nt, ny, nx)}:
-        raise ShapeMismatch(
-            f"target must have shape (1|{params.nt}, {ny}, {nx}), got {arr.shape}"
-        )
-    return np.broadcast_to(arr, (params.nt, ny, nx))
-
-
 def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, float]:
     """(misfit, regularization) halves of the tracking functional."""
     p = traj.params
     g = p.grid
     th = control_array(theta, p)
-    pd = _target_slices(phi_d, p)
+    pd = control_array(phi_d, p)
     misfit = 0.0
     for n in range(1, p.nt + 1):
         misfit += l2(g, traj.phi[n] - pd[n - 1]) ** 2
@@ -127,6 +127,49 @@ def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, flo
 def cost(traj: Trajectory, theta, phi_d, delta: float) -> float:
     misfit, reg = cost_parts(traj, theta, phi_d, delta)
     return misfit + reg
+
+
+def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> AdjointTrajectory:
+    """March the adjoint pair from the zero terminal slice back to index 0.
+
+    At state index n the explicit part applied to the incoming (g1, g2)
+    before the symmetric implicit solve is
+
+        p1 = g1 + dt e1
+        p2 = g2 + dt (e2 - alpha g2 + source_sign (phi_n - phi_d,n))
+
+    with (e1, e2) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
+    terms, where d1 = grad g1, d2 = grad g2, adv_k = Gm . d_k and
+    Gm = gradJ * m at the stored state.  Slice nt - 1 is driven by the
+    misfit source alone.
+    """
+    p = traj.params
+    g = p.grid
+    dt = p.dt
+    pd = control_array(phi_d, p)
+    nt = p.nt
+    g1 = np.zeros((nt + 1, *g.shape))
+    g2 = np.zeros_like(g1)
+    for n in range(nt, 0, -1):
+        s_n = source_sign * (traj.phi[n] - pd[n - 1])
+        if n == nt:
+            p1 = np.zeros(g.shape)
+            p2 = dt * s_n
+        else:
+            m, phi = traj.m[n], traj.phi[n]
+            gmx, gmy = p.kernel.grad_conv(m)
+            d1 = grad(g, g1[n])
+            d2 = grad(g, g2[n])
+            adv1 = gmx * d1[0] + gmy * d1[1]
+            adv2 = gmx * d2[0] + gmy * d2[1]
+            e1, e2 = drift(m, phi, d1, d2, adv1, adv2)
+            p1 = g1[n] + dt * e1
+            p2 = g2[n] + dt * (e2 - p.alpha * g2[n] + s_n)
+        g1[n - 1] = solve_implicit_diffusion(g, p1, dt)
+        g2[n - 1] = solve_implicit_diffusion(g, p2, dt)
+        if not (np.isfinite(g1[n - 1]).all() and np.isfinite(g2[n - 1]).all()):
+            raise NonFinite(f"adjoint blow-up at step {n}", step=n)
+    return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
 
 
 def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
@@ -148,41 +191,18 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
 
     hold exactly, which is what the reduced gradient needs.
     """
-    p = traj.params
-    g = p.grid
-    dt = p.dt
-    b2 = 2.0 * p.beta
-    pd = _target_slices(phi_d, p)
-    nt = p.nt
-    g1 = np.zeros((nt + 1, *g.shape))
-    g2 = np.zeros_like(g1)
-    for n in range(nt, 0, -1):
-        s_n = _MISFIT_SOURCE_SIGN * (traj.phi[n] - pd[n - 1])
-        if n == nt:
-            p1 = np.zeros(g.shape)
-            p2 = dt * s_n
-        else:
-            m, phi = traj.m[n], traj.phi[n]
-            gmx, gmy = p.kernel.grad_conv(m)
-            d1x, d1y = grad(g, g1[n])
-            d2x, d2y = grad(g, g2[n])
-            adv1 = gmx * d1x + gmy * d1y
-            adv2 = gmx * d2x + gmy * d2y
-            cm = b2 * (phi - m * m)
-            cp = b2 * (m * (1.0 - phi))
-            conv1 = p.kernel.grad_conv_sum(cm * d1x, cm * d1y)
-            conv2 = p.kernel.grad_conv_sum(cp * d2x, cp * d2y)
-            p1 = g1[n] + dt * (
-                -2.0 * b2 * m * adv1 - conv1 + b2 * (1.0 - phi) * adv2 - conv2
-            )
-            p2 = g2[n] + dt * (
-                b2 * adv1 - b2 * m * adv2 - p.alpha * g2[n] + s_n
-            )
-        g1[n - 1] = solve_implicit_diffusion(g, p1, dt)
-        g2[n - 1] = solve_implicit_diffusion(g, p2, dt)
-        if not (np.isfinite(g1[n - 1]).all() and np.isfinite(g2[n - 1]).all()):
-            raise NonFinite(f"adjoint blow-up at step {n}", step=n)
-    return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
+    b2 = 2.0 * traj.params.beta
+    kernel = traj.params.kernel
+
+    def drift(m, phi, d1, d2, adv1, adv2):
+        cm = b2 * (phi - m * m)
+        cp = b2 * (m * (1.0 - phi))
+        conv1 = kernel.grad_conv_sum(cm * d1[0], cm * d1[1])
+        conv2 = kernel.grad_conv_sum(cp * d2[0], cp * d2[1])
+        e1 = -2.0 * b2 * m * adv1 - conv1 + b2 * (1.0 - phi) * adv2 - conv2
+        return e1, b2 * adv1 - b2 * m * adv2
+
+    return _backward_sweep(traj, phi_d, _MISFIT_SOURCE_SIGN, drift)
 
 
 def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
@@ -204,42 +224,21 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
     this solver coincides with the exact transpose when beta = 0.  Used
     for cross-validation only; the optimizer never calls it.
     """
-    p = traj.params
-    g = p.grid
-    dt = p.dt
-    b2 = 2.0 * p.beta
-    pd = _target_slices(phi_d, p)
-    nt = p.nt
-    g1 = np.zeros((nt + 1, *g.shape))
-    g2 = np.zeros_like(g1)
-    for n in range(nt, 0, -1):
-        s_n = traj.phi[n] - pd[n - 1]
-        if n == nt:
-            p1 = np.zeros(g.shape)
-            p2 = dt * s_n
-        else:
-            m, phi = traj.m[n], traj.phi[n]
-            gmx, gmy = p.kernel.grad_conv(m)
-            d1x, d1y = grad(g, g1[n])
-            d2x, d2y = grad(g, g2[n])
-            adv1 = gmx * d1x + gmy * d1y
-            adv2 = gmx * d2x + gmy * d2y
-            k1 = p.kernel.grad_conv_sum(d1x, d1y)
-            k2 = p.kernel.grad_conv_sum(d2x, d2y)
-            p1 = g1[n] + dt * (
-                -2.0 * b2 * m * adv1
-                + b2 * (phi - m * m) * k1
-                + b2 * (1.0 - phi) * adv2
-                + b2 * (m * (1.0 - phi)) * k2
-            )
-            p2 = g2[n] + dt * (
-                -b2 * adv1 - b2 * m * adv2 - p.alpha * g2[n] + s_n
-            )
-        g1[n - 1] = solve_implicit_diffusion(g, p1, dt)
-        g2[n - 1] = solve_implicit_diffusion(g, p2, dt)
-        if not (np.isfinite(g1[n - 1]).all() and np.isfinite(g2[n - 1]).all()):
-            raise NonFinite(f"adjoint blow-up at step {n}", step=n)
-    return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
+    b2 = 2.0 * traj.params.beta
+    kernel = traj.params.kernel
+
+    def drift(m, phi, d1, d2, adv1, adv2):
+        k1 = kernel.grad_conv_sum(*d1)
+        k2 = kernel.grad_conv_sum(*d2)
+        e1 = (
+            -2.0 * b2 * m * adv1
+            + b2 * (phi - m * m) * k1
+            + b2 * (1.0 - phi) * adv2
+            + b2 * (m * (1.0 - phi)) * k2
+        )
+        return e1, -b2 * adv1 - b2 * m * adv2
+
+    return _backward_sweep(traj, phi_d, 1.0, drift)
 
 
 def reduced_gradient(adj: AdjointTrajectory, theta, delta: float) -> np.ndarray:
@@ -277,7 +276,7 @@ def duality_gap(
 ) -> float:
     """Relative defect of <DS h, misfit source> = <h, gamma2>."""
     p = traj.params
-    pd = _target_slices(phi_d, p)
+    pd = control_array(phi_d, p)
     lhs = (
         sum(
             inner(p.grid, tan_phi2[n], traj.phi[n] - pd[n - 1])

@@ -1,6 +1,14 @@
 """Exception types shared across the package."""
 
 
+class ParameterError(ValueError):
+    """A constructor argument broke its rule; ``name`` is that argument."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 class GridMismatch(ValueError):
     """Two fields that must live on the same grid do not."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProbe, NonFinite, ShapeMismatch
+from .errors import DegenerateProbe, NonFinite, ParameterError, ShapeMismatch
 from .grid import (
     Grid,
     div,
@@ -68,14 +68,14 @@ class ModelParams:
         # beta = 0 is accepted as a degenerate diagnostic limit (pure heat
         # flow); the model analysis itself assumes beta > 0.
         if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+            raise ParameterError("beta", "beta must be >= 0")
         if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+            raise ParameterError("alpha", "alpha must be >= 0")
         if not (self.T > 0.0 and self.dt > 0.0):
-            raise ValueError("T and dt must be positive")
+            raise ParameterError("dt", "T and dt must be positive")
         nt = round(self.T / self.dt)
         if nt < 1 or abs(nt * self.dt - self.T) > 1e-12 * max(1.0, self.T):
-            raise ValueError("T must be an integer multiple of dt")
+            raise ParameterError("dt", "T must be an integer multiple of dt")
         if self.dt > self.dt_stability_bound():
             warnings.warn(
                 f"dt={self.dt} exceeds the conservative drift bound "
@@ -151,14 +151,18 @@ def step_state(
 
 
 def control_array(theta, params: ModelParams) -> np.ndarray:
-    """Normalize a control argument to an (nt, ny, nx) array."""
+    """Normalize a control or target series to an (nt, ny, nx) array.
+
+    A single ``(ny, nx)`` field or a ``(1, ny, nx)`` series is held
+    constant in time.  Slice k of a target pairs with state index k+1.
+    """
     arr = np.asarray(getattr(theta, "theta", theta), dtype=float)
     ny, nx = params.grid.shape
-    if arr.shape == (ny, nx):
+    if arr.shape in {(ny, nx), (1, ny, nx)}:
         arr = np.broadcast_to(arr, (params.nt, ny, nx))
     if arr.shape != (params.nt, ny, nx):
         raise ShapeMismatch(
-            f"control must have shape ({params.nt}, {ny}, {nx}), got {arr.shape}"
+            f"series must have shape (1|{params.nt}, {ny}, {nx}), got {arr.shape}"
         )
     return arr
 
@@ -236,12 +240,6 @@ def weak_residual(traj: Trajectory, psi: np.ndarray, eta: np.ndarray) -> dict[st
         res_m += abs(rm) * p.dt
         res_p += abs(rp) * p.dt
     return {"res_m": res_m, "res_phi": res_p}
-
-
-def state_space_time_norm(params: ModelParams, series: np.ndarray) -> float:
-    """L2(S x Omega) norm of a state-aligned series, quadrature over n = 1..nt."""
-    acc = sum(l2(params.grid, series[n]) ** 2 for n in range(1, params.nt + 1))
-    return float(np.sqrt(acc * params.dt))
 
 
 def control_space_time_norm(params: ModelParams, series: np.ndarray) -> float:

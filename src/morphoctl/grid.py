@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, ParameterError
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class Grid:
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
-            raise ValueError("grid needs nx >= 4 and ny >= 4")
+            raise ParameterError("nx", "grid needs nx >= 4 and ny >= 4")
         if not (self.Lx > 0.0 and self.Ly > 0.0):
-            raise ValueError("grid needs positive edge lengths")
+            raise ParameterError("Lx", "grid needs positive edge lengths")
 
     @property
     def hx(self) -> float:
@@ -86,9 +86,6 @@ class Grid:
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
         return np.meshgrid(x, y)
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
 
     def check(self, *fields: np.ndarray) -> None:
         for f in fields:
@@ -138,6 +135,17 @@ def solve_implicit_diffusion(grid: Grid, rhs: np.ndarray, dt: float) -> np.ndarr
     """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis."""
     uh = np.fft.rfft2(rhs) / (1.0 - dt * grid._lam_rfft)
     return np.fft.irfft2(uh, s=grid.shape)
+
+
+def smooth_periodic(f: np.ndarray, passes: int) -> np.ndarray:
+    """``passes`` rounds of periodic 3x3 box averaging."""
+    for _ in range(passes):
+        acc = np.zeros_like(f)
+        for sy in (-1, 0, 1):
+            for sx in (-1, 0, 1):
+                acc += np.roll(f, (sy, sx), axis=(0, 1))
+        f = acc / 9.0
+    return f
 
 
 def integral(grid: Grid, f: np.ndarray) -> float:

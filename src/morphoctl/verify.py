@@ -18,7 +18,8 @@ The suite is deterministic for a fixed config seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from . import forward as fwd
 from . import linearized as lin
 from .config import Problem, RunConfig, build_problem, coarsened
 from .fieldio import write_csv
-from .grid import Grid
+from .grid import smooth_periodic
+
+_DT_BOUND_WARNING = r"dt=.*exceeds the conservative drift bound"
 
 
 @dataclass
@@ -61,33 +64,23 @@ class VerifyReport:
             yield f"{status}  {r.name}: measured={r.measured:.3e} threshold={r.threshold:.3e}{note}"
 
 
-def _smooth(rng: np.random.Generator, grid: Grid, passes: int = 2) -> np.ndarray:
-    f = rng.standard_normal(grid.shape)
-    for _ in range(passes):
-        acc = np.zeros_like(f)
-        for sy in (-1, 0, 1):
-            for sx in (-1, 0, 1):
-                acc += np.roll(f, (sy, sx), axis=(0, 1))
-        f = acc / 9.0
-    return f
-
-
 def _random_admissible(rng, problem: Problem) -> np.ndarray:
     cfg = problem.cfg
-    u = rng.uniform(cfg.theta_min, cfg.theta_max, size=problem.grid.shape)
-    for _ in range(2):
-        acc = np.zeros_like(u)
-        for sy in (-1, 0, 1):
-            for sx in (-1, 0, 1):
-                acc += np.roll(u, (sy, sx), axis=(0, 1))
-        u = acc / 9.0
+    u = smooth_periodic(rng.uniform(cfg.theta_min, cfg.theta_max, size=problem.grid.shape), 2)
     return np.broadcast_to(u, (problem.params.nt, *problem.grid.shape)).copy()
 
 
 def _direction(rng, problem: Problem) -> np.ndarray:
-    h = _smooth(rng, problem.grid)
+    h = smooth_periodic(rng.standard_normal(problem.grid.shape), 2)
     h /= max(np.max(np.abs(h)), 1e-300)
     return np.broadcast_to(h, (problem.params.nt, *problem.grid.shape)).copy()
+
+
+def _build(cfg: RunConfig) -> Problem:
+    """build_problem without the advisory dt-bound warning, which verify runs past."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=_DT_BOUND_WARNING, category=RuntimeWarning)
+        return build_problem(cfg)
 
 
 def _target_for(problem: Problem) -> np.ndarray:
@@ -110,11 +103,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
         except Exception as exc:  # any sub-failure is a failing row, never a crash
             rows.append(VerifyRow(name, float("nan"), threshold, False, f"{type(exc).__name__}: {exc}"))
 
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        problem = build_problem(cfg)
+    problem = _build(cfg)
     params = problem.params
     base_seed = cfg.seed
 
@@ -201,17 +190,10 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     # Converged projected-gradient run on the coarsened problem, then the
     # pointwise projection characterization of the optimum.
     def projection_row():
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore", RuntimeWarning)
-            sub = build_problem(coarsened(cfg), need_target=False)
+        sub = _build(coarsened(cfg))
         delta = cfg.delta if cfg.delta > 0 else 1e-3
         phi_d = _target_for(sub)
-        opt = ctl.OptConfig(
-            max_iters=min(cfg.max_iters, 40), step0=cfg.step0,
-            shrink=cfg.shrink, c1=cfg.c1, tol=cfg.tol,
-        )
+        opt = replace(sub.opt, max_iters=min(sub.opt.max_iters, 40))
         res = ctl.pgd_optimize(sub.init, sub.control(), phi_d, sub.params, delta, opt)
         traj = fwd.solve_state(sub.init, res.theta_opt, sub.params)
         adj = ctl.solve_adjoint_discrete(traj, phi_d)

@@ -2,19 +2,13 @@ import numpy as np
 import pytest
 
 from morphoctl.forward import InitData, ModelParams
-from morphoctl.grid import Grid
+from morphoctl.grid import Grid, smooth_periodic
 from morphoctl.kernel import build_kernel
 
 
 def smooth_random(rng, grid, passes=2, scale=1.0):
     """Seeded smooth random field, O(scale) amplitude."""
-    f = rng.standard_normal(grid.shape)
-    for _ in range(passes):
-        acc = np.zeros_like(f)
-        for sy in (-1, 0, 1):
-            for sx in (-1, 0, 1):
-                acc += np.roll(f, (sy, sx), axis=(0, 1))
-        f = acc / 9.0
+    f = smooth_periodic(rng.standard_normal(grid.shape), passes)
     m = np.max(np.abs(f))
     return f * (scale / m) if m > 0 else f
 

@@ -111,6 +111,19 @@ def test_missing_config_key_exit_code(tmp_path, capsys):
     assert "model.beta" in capsys.readouterr().err
 
 
+def test_seed_override_is_validated(tmp_path, capsys):
+    from morphoctl.config import load_config
+
+    # |m0| <= |phi0| holds at the file's seed 0 and fails at seed 25.
+    text = SMALL.replace("init.m0 = cosine:0.15,1,1,0.1", "init.m0 = noise:0.9,1")
+    path = tmp_path / "seeded.cfg"
+    path.write_text(text)
+    load_config(str(path))
+    out = tmp_path / "s25"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out), "--seed", "25"]) == 2
+    assert "config error: init.m0: " in capsys.readouterr().err
+
+
 def test_seed_override_changes_noise(tmp_path):
     text = SMALL.replace("init.m0 = cosine:0.15,1,1,0.1", "init.m0 = noise:0.2,2")
     path = tmp_path / "seeded.cfg"

@@ -4,6 +4,7 @@ import pytest
 from morphoctl.config import (
     build_problem,
     load_config,
+    parse_config_text,
     realize_field,
     serialize_config,
 )
@@ -79,11 +80,30 @@ def test_comments_and_blank_lines(tmp_path):
     assert cfg.seed == 7
 
 
-def test_nonmultiple_dt_rejected(tmp_path):
-    text = MINIMAL.replace("time.dt = 1e-3", "time.dt = 3e-3")
-    with pytest.raises(ValidationError) as exc:
-        load_config(write_cfg(tmp_path, text))
-    assert exc.value.key == "time.dt"
+def test_rule_keys_match_at_load_and_build(tmp_path):
+    # One case per owning constructor, plus the delta rule config keeps.
+    # build_problem also runs on configs changed after loading (CLI
+    # overrides), so it must report the same key as load_config.
+    cases = [
+        ("grid.nx", "grid.nx = 16", "grid.nx = 3"),
+        ("grid.Lx", "grid.Ly = 1.0", "grid.Ly = -1.0"),
+        ("kernel.radius", "kernel.radius = 0.25", "kernel.radius = 0.6"),
+        ("model.beta", "model.beta = 1.0", "model.beta = -1.0"),
+        ("model.alpha", "model.alpha = 1.0", "model.alpha = -0.5"),
+        ("time.dt", "time.dt = 1e-3", "time.dt = 3e-3"),
+        ("init.m0", "init.m0 = constant:0.2", "init.m0 = constant:0.8"),
+        ("control.theta_min", "seed = 0", "control.theta_min = 2.0"),
+        ("control.delta", "seed = 0", "control.delta = -1.0"),
+        ("opt.step0", "seed = 0", "opt.shrink = 1.0"),
+    ]
+    for key, old, new in cases:
+        text = (MINIMAL + "seed = 0\n").replace(old, new)
+        assert text != MINIMAL + "seed = 0\n", key
+        with pytest.raises(ValidationError) as at_load:
+            load_config(write_cfg(tmp_path, text))
+        with pytest.raises(ValidationError) as at_build:
+            build_problem(parse_config_text(text))
+        assert at_load.value.key == at_build.value.key == key, at_load.value
 
 
 def test_config_roundtrip(tmp_path):

@@ -216,6 +216,13 @@ def test_pgd_terminates_immediately_at_manufactured_optimum(grid16):
     assert res.stationarity_history[0] <= 1e-12
 
 
+def test_opt_config_rejects_bad_settings():
+    # shrink = 1 would retry the same line-search trial forever.
+    for bad in ({"shrink": 1.0}, {"shrink": 0.0}, {"step0": 0.0}, {"c1": 0.0}, {"max_iters": -1}):
+        with pytest.raises(ValueError):
+            OptConfig(**bad)
+
+
 def test_pgd_small_twin_recovery(grid16):
     p = make_params(grid16, beta=0.5, alpha=1.0, T=0.004, dt=1e-4)
     init = make_init(grid16)
