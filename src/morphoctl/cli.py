@@ -20,7 +20,7 @@ from . import linearized as lin
 from .config import build_problem, load_config, realize_field
 from .errors import NonFinite, ParseError, ValidationError
 from .fieldio import write_csv, write_snapshot
-from .grid import h1, l2
+from .grid import h1, integral, l2
 from .kernel import kernel_report
 from .verify import gradient_check_table, run_verify
 
@@ -46,25 +46,20 @@ def cmd_simulate(args) -> int:
         return 1
 
     g = problem.grid
-    rows = []
-    for n in range(problem.params.nt + 1):
-        m, phi = traj.m[n], traj.phi[n]
-        rows.append((
-            n,
-            float(traj.times[n]),
-            float(np.sum(m)) * g.cell_area,
-            float(np.sum(phi)) * g.cell_area,
-            l2(g, m),
-            l2(g, phi),
-            h1(g, m),
-            h1(g, phi),
-            max(float(np.max(np.abs(m) - np.abs(phi))), 0.0),
-            max(float(np.max(np.abs(phi) - 1.0)), 0.0),
-        ))
+    m, phi = traj.m, traj.phi
+    columns = (
+        range(problem.params.nt + 1),
+        traj.times.tolist(),
+        integral(g, m).tolist(), integral(g, phi).tolist(),
+        l2(g, m).tolist(), l2(g, phi).tolist(),
+        h1(g, m).tolist(), h1(g, phi).tolist(),
+        np.maximum(np.max(np.abs(m) - np.abs(phi), axis=(-2, -1)), 0.0).tolist(),
+        np.maximum(np.max(np.abs(phi) - 1.0, axis=(-2, -1)), 0.0).tolist(),
+    )
     write_csv(
         os.path.join(out, "series.csv"),
         "n,t,mass_m,mass_phi,l2_m,l2_phi,h1_m,h1_phi,viol_m,viol_phi",
-        rows,
+        zip(*columns),
     )
     stride = cfg.snapshot_stride
     if stride > 0:
@@ -111,6 +106,7 @@ def cmd_optimize(args) -> int:
     )
     if res.termination == "line_search_failed":
         print("optimize: line search failed before reaching tolerance", file=sys.stderr)
+        return 1
     return 0
 
 

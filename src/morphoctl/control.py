@@ -2,14 +2,17 @@
 
 Quadrature alignment (fixed here and used identically everywhere):
 
-* misfit is summed over state indices n = 1..nt,
-* the control / regularization term over control indices n = 0..nt-1,
+* misfit is summed over state indices n = 1..nt (the stack ``phi[1:]``),
+* the control / regularization term over control indices n = 0..nt-1
+  (the stacks ``theta[:nt]`` and ``gamma2[:nt]``),
 * the backward sweep injects the misfit defect at state index n while
   producing the adjoint slice stored at index n-1, so the gradient slice
   at control index n pairs with theta_n without any off-by-one.
 
-Misaligning any of these is the classic silent gradient bug; the
-finite-difference oracle in the tests pins the alignment down.
+Each reduction is one grid pairing or norm of such a stack, one value
+per slice, summed over time in time order.  Misaligning any of these is
+the classic silent gradient bug; the finite-difference oracle in the
+tests pins the alignment down.
 
 Two backward solvers are provided.  ``solve_adjoint_discrete`` is the
 exact transpose of the tangent sweep (transpose of div is -grad, of a
@@ -39,6 +42,7 @@ from .forward import (
     InitData,
     ModelParams,
     Trajectory,
+    _sum_sq,
     control_array,
     control_space_time_norm,
     solve_state,
@@ -115,12 +119,8 @@ def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, flo
     g = p.grid
     th = control_array(theta, p)
     pd = control_array(phi_d, p)
-    misfit = 0.0
-    for n in range(1, p.nt + 1):
-        misfit += l2(g, traj.phi[n] - pd[n - 1]) ** 2
-    reg = 0.0
-    for n in range(p.nt):
-        reg += l2(g, th[n]) ** 2
+    misfit = _sum_sq(l2(g, traj.phi[1:] - pd))
+    reg = _sum_sq(l2(g, th))
     return 0.5 * misfit * p.dt, 0.5 * delta * reg * p.dt
 
 
@@ -268,7 +268,7 @@ def stationarity_residual(
 
 def control_inner(params: ModelParams, a: np.ndarray, b: np.ndarray) -> float:
     """Space-time pairing on control-aligned series."""
-    return sum(inner(params.grid, a[n], b[n]) for n in range(params.nt)) * params.dt
+    return sum(inner(params.grid, a[: params.nt], b[: params.nt]).tolist()) * params.dt
 
 
 def duality_gap(
@@ -277,6 +277,7 @@ def duality_gap(
     """Relative defect of <DS h, misfit source> = <h, gamma2>."""
     p = traj.params
     pd = control_array(phi_d, p)
+    # Slice by slice: a check on long histories allocates no history-sized temporaries.
     lhs = (
         sum(
             inner(p.grid, tan_phi2[n], traj.phi[n] - pd[n - 1])
@@ -284,7 +285,7 @@ def duality_gap(
         )
         * p.dt
     )
-    rhs = control_inner(p, h, adj.gamma2[: p.nt])
+    rhs = sum(inner(p.grid, h[n], adj.gamma2[n]) for n in range(p.nt)) * p.dt
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 

@@ -33,6 +33,7 @@ from .errors import DegenerateProbe, NonFinite, ParameterError, ShapeMismatch
 from .grid import (
     Grid,
     div,
+    grad,
     h1,
     h_minus_1,
     inner,
@@ -81,7 +82,7 @@ class ModelParams:
                 f"dt={self.dt} exceeds the conservative drift bound "
                 f"{self.dt_stability_bound():.3e}; blow-up is detected at runtime",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the ModelParams(...) call, past the dataclass __init__
             )
 
     @property
@@ -187,8 +188,8 @@ def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
 
 def _fwd_diff(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided differences; their pairing composes to the 5-point Laplacian."""
-    fx = (np.roll(f, -1, axis=1) - f) / grid.hx
-    fy = (np.roll(f, -1, axis=0) - f) / grid.hy
+    fx = (np.roll(f, -1, axis=-1) - f) / grid.hx
+    fy = (np.roll(f, -1, axis=-2) - f) / grid.hy
     return fx, fy
 
 
@@ -207,8 +208,6 @@ def weak_residual(traj: Trajectory, psi: np.ndarray, eta: np.ndarray) -> dict[st
     Laplacian), the drift pairing the centered gradient (the transpose of
     the centered divergence).
     """
-    from .grid import grad  # local import keeps module top uncluttered
-
     p = traj.params
     g = p.grid
     b2 = 2.0 * p.beta
@@ -242,25 +241,25 @@ def weak_residual(traj: Trajectory, psi: np.ndarray, eta: np.ndarray) -> dict[st
     return {"res_m": res_m, "res_phi": res_p}
 
 
+def _sum_sq(*per_slice: np.ndarray) -> float:
+    """sum_n (a_n^2 + b_n^2 + ...) over per-slice vectors, in time order on Python floats."""
+    return sum(sum(v ** 2 for v in row) for row in zip(*(s.tolist() for s in per_slice)))
+
+
 def control_space_time_norm(params: ModelParams, series: np.ndarray) -> float:
     """L2(S x Omega) norm of a control-aligned series, quadrature over n = 0..nt-1."""
-    acc = sum(l2(params.grid, series[n]) ** 2 for n in range(params.nt))
-    return float(np.sqrt(acc * params.dt))
+    return float(np.sqrt(_sum_sq(l2(params.grid, series[: params.nt])) * params.dt))
 
 
 def l2_h1_norm(params: ModelParams, series: np.ndarray) -> float:
     """L2(S; H1) trajectory norm, quadrature over n = 1..nt."""
-    acc = sum(h1(params.grid, series[n]) ** 2 for n in range(1, params.nt + 1))
-    return float(np.sqrt(acc * params.dt))
+    return float(np.sqrt(_sum_sq(h1(params.grid, series[1 : params.nt + 1])) * params.dt))
 
 
 def dt_h_minus_1_norm(params: ModelParams, series: np.ndarray) -> float:
     """L2(S; H^-1) norm of the backward time difference quotient."""
-    acc = sum(
-        h_minus_1(params.grid, (series[n] - series[n - 1]) / params.dt) ** 2
-        for n in range(1, params.nt + 1)
-    )
-    return float(np.sqrt(acc * params.dt))
+    quotient = (series[1 : params.nt + 1] - series[: params.nt]) / params.dt
+    return float(np.sqrt(_sum_sq(h_minus_1(params.grid, quotient)) * params.dt))
 
 
 def apriori_norms(traj: Trajectory) -> dict[str, float]:
@@ -308,8 +307,7 @@ def bounds_check(traj: Trajectory) -> dict[str, float]:
 
 def mass_series(traj: Trajectory) -> np.ndarray:
     """Total mass of m at every stored time."""
-    g = traj.params.grid
-    return np.array([integral(g, traj.m[n]) for n in range(traj.m.shape[0])])
+    return integral(traj.params.grid, traj.m)
 
 
 def phi_balance_defect(traj: Trajectory) -> float:
@@ -318,6 +316,7 @@ def phi_balance_defect(traj: Trajectory) -> float:
     g = p.grid
     worst = 0.0
     scale = max(1.0, abs(integral(g, traj.phi[0])))
+    # Slice by slice: a check on a long history allocates no history-sized temporary.
     for n in range(p.nt):
         lhs = integral(g, traj.phi[n + 1])
         rhs = integral(g, traj.phi[n]) + p.dt * integral(

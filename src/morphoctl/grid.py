@@ -7,9 +7,15 @@ Conventions used by every module in this package:
   ``x_i = (i + 0.5) hx`` and ``y_j = (j + 0.5) hy``.  Flattening in C order
   therefore yields rows of x values, y-major, which is also the snapshot
   file layout.
+* Operators, pairings and norms act on the trailing ``(ny, nx)`` axes (x
+  is axis -1).  A ``(k, ny, nx)`` stack of time slices gives ``k``
+  per-slice values, bit-identical to slice-by-slice calls; a field gives
+  a Python ``float``.
 * All reductions run over that fixed C-order layout (numpy pairwise
   summation on contiguous float64 arrays), so every reported number is
-  deterministic for a given input.
+  deterministic for a given input.  Time sums run in time order with the
+  built-in ``sum`` on Python floats, so space-time numbers are too
+  (``np.sum`` sums pairwise, and numpy squares by ``x * x``, not ``pow``).
 * The discrete pairing is ``<f, g> = hx hy sum(f g)`` and all norms derive
   from it.  ``h1`` uses the sum convention ``|f|_L2 + |grad f|_L2``.
 * Differential operators are centered second-order differences with
@@ -112,22 +118,22 @@ class Grid:
 
 def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered periodic gradient, (gx, gy)."""
-    gx = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * grid.hx)
-    gy = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2.0 * grid.hy)
+    gx = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * grid.hx)
+    gy = (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * grid.hy)
     return gx, gy
 
 
 def div(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Centered periodic divergence of the vector field (vx, vy)."""
-    dx = (np.roll(vx, -1, axis=1) - np.roll(vx, 1, axis=1)) / (2.0 * grid.hx)
-    dy = (np.roll(vy, -1, axis=0) - np.roll(vy, 1, axis=0)) / (2.0 * grid.hy)
+    dx = (np.roll(vx, -1, axis=-1) - np.roll(vx, 1, axis=-1)) / (2.0 * grid.hx)
+    dy = (np.roll(vy, -1, axis=-2) - np.roll(vy, 1, axis=-2)) / (2.0 * grid.hy)
     return dx + dy
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Periodic five-point Laplacian."""
-    lx = (np.roll(f, -1, axis=1) + np.roll(f, 1, axis=1) - 2.0 * f) / grid.hx**2
-    ly = (np.roll(f, -1, axis=0) + np.roll(f, 1, axis=0) - 2.0 * f) / grid.hy**2
+    lx = (np.roll(f, -1, axis=-1) + np.roll(f, 1, axis=-1) - 2.0 * f) / grid.hx**2
+    ly = (np.roll(f, -1, axis=-2) + np.roll(f, 1, axis=-2) - 2.0 * f) / grid.hy**2
     return lx + ly
 
 
@@ -148,35 +154,36 @@ def smooth_periodic(f: np.ndarray, passes: int) -> np.ndarray:
     return f
 
 
-def integral(grid: Grid, f: np.ndarray) -> float:
+def _per_slice(x) -> float | np.ndarray:
+    """A field's reduction as a Python float; a stack's as its array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def integral(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     """Discrete integral sum(f) hx hy, fixed C-order summation."""
-    return float(np.sum(f)) * grid.cell_area
+    return _per_slice(np.sum(f, axis=(-2, -1)) * grid.cell_area)
 
 
-def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
+def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float | np.ndarray:
     """Discrete L2 pairing <f, g> = hx hy sum(f g)."""
-    return float(np.sum(f * g)) * grid.cell_area
+    return integral(grid, f * g)
 
 
-def l2(grid: Grid, f: np.ndarray) -> float:
-    return float(np.sqrt(inner(grid, f, f)))
+def l2(grid: Grid, f: np.ndarray) -> float | np.ndarray:
+    return _per_slice(np.sqrt(inner(grid, f, f)))
 
 
-def l2_vec(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> float:
-    return float(np.sqrt(inner(grid, vx, vx) + inner(grid, vy, vy)))
-
-
-def h1(grid: Grid, f: np.ndarray) -> float:
+def h1(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     """H1 norm with the sum convention |f|_L2 + |grad f|_L2."""
     gx, gy = grad(grid, f)
-    return l2(grid, f) + l2_vec(grid, gx, gy)
+    return _per_slice(l2(grid, f) + np.sqrt(inner(grid, gx, gx) + inner(grid, gy, gy)))
 
 
-def h_minus_1(grid: Grid, f: np.ndarray) -> float:
+def h_minus_1(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     """Dual-space norm via the DFT multiplier (1 + |kappa|^2)^(-1/2)."""
     fh = np.fft.fft2(f)
-    total = np.sum((fh.real**2 + fh.imag**2) * grid._hminus1_mult)
-    return float(np.sqrt(grid.cell_area / (grid.nx * grid.ny) * total))
+    total = np.sum((fh.real**2 + fh.imag**2) * grid._hminus1_mult, axis=(-2, -1))
+    return _per_slice(np.sqrt(grid.cell_area / (grid.nx * grid.ny) * total))
 
 
 def norms(grid: Grid, f: np.ndarray) -> dict[str, float]:

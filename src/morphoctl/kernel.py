@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
-from .grid import Grid, circ_conv, periodic_reverse
+from .grid import Grid, circ_conv, integral, periodic_reverse
 
 
 def _signed_offsets(n: int, h: float) -> np.ndarray:
@@ -71,8 +71,7 @@ class Kernel:
 
     def grad_l1(self) -> float:
         """Discrete L1 norm of the gradient samples, sum |gj| hx hy."""
-        mag = np.hypot(self.gjx, self.gjy)
-        return float(np.sum(mag)) * self.grid.cell_area
+        return integral(self.grid, np.hypot(self.gjx, self.gjy))
 
 
 def build_kernel(grid: Grid, radius: float, kind: str = "bump") -> Kernel:
@@ -98,9 +97,6 @@ def build_kernel(grid: Grid, radius: float, kind: str = "bump") -> Kernel:
     rho2 = (px**2 + py**2) / radius**2
 
     inside = rho2 < 1.0
-    j = np.zeros(grid.shape)
-    gx = np.zeros(grid.shape)
-    gy = np.zeros(grid.shape)
     u = np.where(inside, 1.0 - rho2, 1.0)
     bump = np.where(inside, np.exp(-1.0 / u), 0.0)
     # Closed-form derivative of exp(-1/(1 - |p|^2/r^2)):
@@ -108,14 +104,10 @@ def build_kernel(grid: Grid, radius: float, kind: str = "bump") -> Kernel:
     # bump underflows to zero long before 1/u^2 can overflow, so the
     # product stays finite all the way to the support edge.
     fac = np.where(inside, -2.0 / radius**2 / u**2, 0.0) * bump
-    j[:] = bump
-    gx[:] = fac * px
-    gy[:] = fac * py
-
-    norm = 1.0 / (float(np.sum(j)) * grid.cell_area)
-    j *= norm
-    gx *= norm
-    gy *= norm
+    norm = 1.0 / integral(grid, bump)
+    j = bump * norm
+    gx = fac * px * norm
+    gy = fac * py * norm
 
     # Enforce exact odd symmetry; the exchange identities of the backward
     # solvers need it bit-exact, not just to round-off.
@@ -135,13 +127,13 @@ def kernel_report(k: Kernel) -> dict[str, float]:
     )
     ones = np.ones(g.shape)
     return {
-        "integral": float(np.sum(k.j)) * g.cell_area,
+        "integral": integral(g, k.j),
         "max_value": float(np.max(k.j)),
         "support_cells": int(np.count_nonzero(k.j)),
         "even_residual": even_res,
         "odd_residual": odd_res,
-        "grad_integral_x": float(np.sum(k.gjx)) * g.cell_area,
-        "grad_integral_y": float(np.sum(k.gjy)) * g.cell_area,
+        "grad_integral_x": integral(g, k.gjx),
+        "grad_integral_y": integral(g, k.gjy),
         "grad_l1": k.grad_l1(),
         "conv_const_max": float(np.max(np.abs(circ_conv(g, k.gjx, ones)))),
     }

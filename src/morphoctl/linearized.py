@@ -29,6 +29,7 @@ from .forward import (
     InitData,
     ModelParams,
     Trajectory,
+    _sum_sq,
     control_array,
     l2_h1_norm,
     solve_state,
@@ -97,13 +98,14 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2, h=harr)
 
 
+def _pair_norm(params: ModelParams, a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(dt sum_n (|a_n|^2 + |b_n|^2)) over two stacks, summed in time order."""
+    return float(np.sqrt(_sum_sq(l2(params.grid, a), l2(params.grid, b)) * params.dt))
+
+
 def tangent_norm(tan: TangentTrajectory) -> float:
     """Discrete L2(S x Omega)^2 norm of the tangent (state quadrature)."""
-    p = tan.params
-    acc = 0.0
-    for n in range(1, p.nt + 1):
-        acc += l2(p.grid, tan.phi1[n]) ** 2 + l2(p.grid, tan.phi2[n]) ** 2
-    return float(np.sqrt(acc * p.dt))
+    return _pair_norm(tan.params, tan.phi1[1:], tan.phi2[1:])
 
 
 def tangent_stability_norm(tan: TangentTrajectory) -> float:
@@ -140,17 +142,10 @@ def taylor_test(
     fd_norms = []
     for eps in eps_ladder:
         pert = solve_state(init, th + eps * harr, params)
-        acc_r = 0.0
-        acc_f = 0.0
-        for n in range(1, params.nt + 1):
-            dm = pert.m[n] - base.m[n]
-            dp = pert.phi[n] - base.phi[n]
-            acc_f += l2(params.grid, dm) ** 2 + l2(params.grid, dp) ** 2
-            rm = dm - eps * tan.phi1[n]
-            rp = dp - eps * tan.phi2[n]
-            acc_r += l2(params.grid, rm) ** 2 + l2(params.grid, rp) ** 2
-        remainders.append(float(np.sqrt(acc_r * params.dt)))
-        fd_norms.append(float(np.sqrt(acc_f * params.dt)) / eps)
+        dm = pert.m[1:] - base.m[1:]
+        dp = pert.phi[1:] - base.phi[1:]
+        remainders.append(_pair_norm(params, dm - eps * tan.phi1[1:], dp - eps * tan.phi2[1:]))
+        fd_norms.append(_pair_norm(params, dm, dp) / eps)
 
     orders = []
     for i in range(len(eps_ladder) - 1):

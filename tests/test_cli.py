@@ -78,6 +78,16 @@ def test_optimize_writes_history_and_result(cfg_path, tmp_path, capsys):
     assert (out / "theta_000000.mcf").exists()
 
 
+def test_optimize_line_search_failure_exits_nonzero(tmp_path, capsys):
+    # step0 below the fixed s_min = 1e-12: the search fails at iteration 0.
+    path = tmp_path / "tiny_step.cfg"
+    path.write_text(SMALL.replace("opt.step0 = 100.0", "opt.step0 = 1e-13"))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert (out / "result.txt").read_text().startswith("termination: line_search_failed\n")
+    assert "line search failed" in capsys.readouterr().err
+
+
 def test_verify_small_config(cfg_path, tmp_path, capsys):
     out = tmp_path / "verify"
     code = main(["verify", "--config", cfg_path, "--out-dir", str(out)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morphoctl.control import control_inner, cost_parts
 from morphoctl.errors import DegenerateProbe, NonFinite
 from morphoctl.forward import (
     InitData,
@@ -19,6 +20,7 @@ from morphoctl.forward import (
 )
 from morphoctl.grid import Grid, h1, integral, l2
 from morphoctl.kernel import build_kernel
+from morphoctl.linearized import solve_linearized, tangent_norm
 
 from conftest import expand, full_laplacian_symbol, make_init, make_params, smooth_random
 
@@ -39,6 +41,15 @@ def test_dt_bound_warns_but_runs(grid16):
         p = ModelParams(grid=grid16, kernel=k, beta=5.0, alpha=1.0, T=0.01, dt=1e-3)
     traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
     assert np.isfinite(traj.m).all()
+
+
+def test_dt_bound_warning_names_the_caller(grid16):
+    # The location must be this ModelParams(...) call, not the
+    # dataclass-generated __init__ (reported as "<string>").
+    k = build_kernel(grid16, 0.25)
+    with pytest.warns(RuntimeWarning, match="conservative drift bound") as record:
+        ModelParams(grid=grid16, kernel=k, beta=5.0, alpha=1.0, T=0.01, dt=1e-3)
+    assert record[0].filename == __file__
 
 
 def test_init_data_admissibility(grid16):
@@ -296,3 +307,15 @@ def test_trajectory_norm_helpers(grid16):
     assert l2_h1_norm(p, series) == pytest.approx(np.sqrt(p.T), rel=1e-12)
     ctrl = np.ones((p.nt, *grid16.shape))
     assert control_space_time_norm(p, ctrl) == pytest.approx(np.sqrt(p.T), rel=1e-12)
+    # Python floats, not numpy scalars: repr() of these reaches the CLI output.
+    traj = solve_state(make_init(grid16), 0.5 * ctrl, p)
+    tan = solve_linearized(traj, ctrl)
+    values = [
+        control_space_time_norm(p, ctrl),
+        l2_h1_norm(p, series),
+        *cost_parts(traj, 0.5 * ctrl, 0.6 * ctrl, 1e-3),
+        control_inner(p, ctrl, 0.5 * ctrl),
+        tangent_norm(tan),
+        phi_balance_defect(traj),
+    ]
+    assert [type(v) for v in values] == [float] * 7

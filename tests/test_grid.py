@@ -9,8 +9,11 @@ from morphoctl.grid import (
     circ_conv,
     div,
     grad,
+    h1,
+    h_minus_1,
     inner,
     integral,
+    l2,
     laplacian,
     norms,
     periodic_reverse,
@@ -211,3 +214,25 @@ def test_reductions_deterministic(grid32):
     f = smooth_random(rng, grid32)
     vals = {integral(grid32, f) for _ in range(5)}
     assert len(vals) == 1
+
+
+def test_stack_reductions_match_slice_by_slice():
+    g = Grid(24, 20, 1.3, 0.7)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((5, *g.shape))
+    w = rng.standard_normal((5, *g.shape))
+    for name, op in [
+        ("integral", lambda a, b: integral(g, a)),
+        ("inner", lambda a, b: inner(g, a, b)),
+        ("l2", lambda a, b: l2(g, a)),
+        ("h1", lambda a, b: h1(g, a)),
+        ("h_minus_1", lambda a, b: h_minus_1(g, a)),
+    ]:
+        stacked = op(f, w)
+        assert stacked.shape == (5,), name
+        assert np.array_equal(stacked, [op(f[k], w[k]) for k in range(5)]), name
+        assert type(op(f[0], w[0])) is float, name
+    gx, gy = grad(g, f)
+    for k in range(5):
+        sx, sy = grad(g, f[k])
+        assert np.array_equal(gx[k], sx) and np.array_equal(gy[k], sy)
