@@ -37,6 +37,7 @@ def main() -> int:
     rec_err = control_space_time_norm(p, res.theta_opt - problem.theta_star)
     star_norm = control_space_time_norm(p, problem.theta_star)
     print(f"termination        : {res.termination} after {res.iterations} iterations")
+    print(f"forward solves     : {res.forward_solves}")
     print(f"cost               : {res.cost_history[0]:.6e} -> {res.cost_history[-1]:.6e}")
     print(f"misfit reduction   : {1.0 - res.misfit_history[-1] / res.misfit_history[0]:.4%}")
     print(f"stationarity ratio : {res.stationarity_history[-1] / res.stationarity_history[0]:.3e}")

@@ -34,6 +34,27 @@ def _load(args):
     return cfg
 
 
+# Time slices per block of series.csv rows: the stack reductions then hold
+# temporaries of one block, not of the whole history.
+_SERIES_BLOCK = 32
+
+
+def _series_rows(g, traj):
+    """series.csv rows, computed over blocks of _SERIES_BLOCK time slices."""
+    for start in range(0, len(traj.times), _SERIES_BLOCK):
+        block = slice(start, start + _SERIES_BLOCK)
+        m, phi = traj.m[block], traj.phi[block]
+        yield from zip(
+            range(start, start + len(m)),
+            traj.times[block].tolist(),
+            integral(g, m).tolist(), integral(g, phi).tolist(),
+            l2(g, m).tolist(), l2(g, phi).tolist(),
+            h1(g, m).tolist(), h1(g, phi).tolist(),
+            np.maximum(np.max(np.abs(m) - np.abs(phi), axis=(-2, -1)), 0.0).tolist(),
+            np.maximum(np.max(np.abs(phi) - 1.0, axis=(-2, -1)), 0.0).tolist(),
+        )
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
@@ -46,20 +67,10 @@ def cmd_simulate(args) -> int:
         return 1
 
     g = problem.grid
-    m, phi = traj.m, traj.phi
-    columns = (
-        range(problem.params.nt + 1),
-        traj.times.tolist(),
-        integral(g, m).tolist(), integral(g, phi).tolist(),
-        l2(g, m).tolist(), l2(g, phi).tolist(),
-        h1(g, m).tolist(), h1(g, phi).tolist(),
-        np.maximum(np.max(np.abs(m) - np.abs(phi), axis=(-2, -1)), 0.0).tolist(),
-        np.maximum(np.max(np.abs(phi) - 1.0, axis=(-2, -1)), 0.0).tolist(),
-    )
     write_csv(
         os.path.join(out, "series.csv"),
         "n,t,mass_m,mass_phi,l2_m,l2_phi,h1_m,h1_phi,viol_m,viol_phi",
-        zip(*columns),
+        _series_rows(g, traj),
     )
     stride = cfg.snapshot_stride
     if stride > 0:
@@ -97,6 +108,7 @@ def cmd_optimize(args) -> int:
     with open(os.path.join(out, "result.txt"), "w", encoding="ascii") as fh:
         fh.write(f"termination: {res.termination}\n")
         fh.write(f"iterations: {res.iterations}\n")
+        fh.write(f"forward_solves: {res.forward_solves}\n")
         fh.write(f"final_cost: {res.cost_history[-1]!r}\n")
         fh.write(f"final_misfit: {res.misfit_history[-1]!r}\n")
         fh.write(f"final_stationarity: {res.stationarity_history[-1]!r}\n")

@@ -22,6 +22,7 @@ seed is bit-reproducible.
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -30,7 +31,7 @@ import numpy as np
 from .control import ControlField, OptConfig
 from .errors import FormatError, ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
-from .forward import InitData, ModelParams, solve_state
+from .forward import DT_BOUND_WARNING, InitData, ModelParams, solve_state
 from .grid import Grid, smooth_periodic
 from .kernel import Kernel, build_kernel
 
@@ -182,10 +183,16 @@ def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptC
 
 
 def load_config(path) -> RunConfig:
-    """Parse a config file and check it by building the objects it describes."""
+    """Parse a config file and check it by building the objects it describes.
+
+    The advisory dt-bound warning is left to :func:`build_problem`, which
+    every run calls, so a run shows it once.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         cfg = parse_config_text(fh.read())
-    _assemble(cfg)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=DT_BOUND_WARNING, category=RuntimeWarning)
+        _assemble(cfg)
     return cfg
 
 

@@ -78,7 +78,13 @@ class AdjointTrajectory:
 
 @dataclass
 class OptConfig:
-    """Projected-gradient settings; tol=None means 1e-8 * sqrt(T Lx Ly)."""
+    """Projected-gradient settings; tol=None means 1e-8 * sqrt(T Lx Ly).
+
+    ``step0`` is the first trial step of iteration 0 and the upper bound on
+    every later first trial, which is a Barzilai-Borwein step clipped to
+    ``[s_min, step0]``.  Each trial shrinks by ``shrink`` until the Armijo
+    test with constant ``c1`` accepts it or it falls below ``s_min``.
+    """
 
     max_iters: int = 100
     step0: float = 1.0
@@ -111,6 +117,7 @@ class OptResult:
     step_history: list[float] = field(default_factory=list)
     iterations: int = 0
     termination: str = ""
+    forward_solves: int = 0
 
 
 def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, float]:
@@ -290,6 +297,19 @@ def duality_gap(
     return abs(lhs - rhs) / scale
 
 
+def _bb_step(d_theta: np.ndarray, d_g: np.ndarray, params: ModelParams, opt: OptConfig) -> float:
+    """Barzilai-Borwein first trial <d_theta, d_theta> / <d_theta, d_g>.
+
+    d_theta is the last accepted (projected) move and d_g the change of the
+    reduced gradient across it.  The step is clipped to [s_min, step0]; a
+    curvature <d_theta, d_g> that is not positive and finite gives step0.
+    """
+    curv = control_inner(params, d_theta, d_g)
+    if not (np.isfinite(curv) and curv > 0.0):
+        return opt.step0
+    return min(max(control_inner(params, d_theta, d_theta) / curv, opt.s_min), opt.step0)
+
+
 def pgd_optimize(
     init: InitData,
     control0: ControlField,
@@ -298,14 +318,23 @@ def pgd_optimize(
     delta: float,
     opt: OptConfig | None = None,
 ) -> OptResult:
-    """Projected gradient descent with Armijo backtracking on the reduced cost.
+    """Projected gradient descent with monotone Armijo backtracking on the reduced cost.
 
     Accepts a trial step s when
     J(Proj(theta - s g)) <= J(theta) - (c1/s) |Proj(theta - s g) - theta|^2,
-    shrinking s geometrically from step0 each iteration.  Terminates on a
-    small stationarity residual, the iteration cap, or a failed line
-    search (reported in the termination reason; the best iterate so far is
-    still returned).
+    shrinking s geometrically from a first trial: step0 at iteration 0,
+    then the Barzilai-Borwein step of the last accepted move
+    (:func:`_bb_step`).  Terminates with
+
+    * ``converged`` on a stationarity residual at or below tol,
+    * ``max_iters`` at the iteration cap,
+    * ``stalled`` when a trial's cost is within 4 ulps of J(theta): the
+      cost cannot tell the trial from theta at round-off,
+    * ``line_search_failed`` when s falls below s_min or the projected
+      move vanishes.
+
+    The iterate returned is the last accepted one; ``forward_solves``
+    counts every state solve, the initial one included.
     """
     if opt is None:
         opt = OptConfig()
@@ -315,8 +344,10 @@ def pgd_optimize(
 
     result = OptResult(theta_opt=theta)
     traj = solve_state(init, theta, params)
+    result.forward_solves = 1
     misfit, reg = cost_parts(traj, theta, phi_d, delta)
     j_cur = misfit + reg
+    theta_prev = g_prev = None
 
     for it in range(opt.max_iters + 1):
         adj = solve_adjoint_discrete(traj, phi_d)
@@ -337,7 +368,11 @@ def pgd_optimize(
             result.termination = "max_iters"
             return result
 
-        s = opt.step0
+        if theta_prev is None:
+            s = opt.step0
+        else:
+            s = _bb_step(theta - theta_prev, g - g_prev, params, opt)
+        flat = 4.0 * np.spacing(j_cur)  # a cost change round-off cannot resolve
         accepted = False
         while s >= opt.s_min:
             trial = project_admissible(theta - s * g, tmin, tmax)
@@ -345,10 +380,16 @@ def pgd_optimize(
             if move == 0.0:
                 break
             traj_t = solve_state(init, trial, params)
+            result.forward_solves += 1
             m_t, r_t = cost_parts(traj_t, trial, phi_d, delta)
-            if m_t + r_t <= j_cur - (opt.c1 / s) * move**2:
+            j_t = m_t + r_t
+            if abs(j_t - j_cur) <= flat:
+                result.termination = "stalled"
+                return result
+            if j_t <= j_cur - (opt.c1 / s) * move**2:
+                theta_prev, g_prev = theta, g
                 theta, traj = trial, traj_t
-                misfit, reg, j_cur = m_t, r_t, m_t + r_t
+                misfit, reg, j_cur = m_t, r_t, j_t
                 result.step_history.append(s)
                 accepted = True
                 break

@@ -43,6 +43,9 @@ from .grid import (
 )
 from .kernel import Kernel
 
+# Message pattern of the advisory dt-bound RuntimeWarning, for filters.
+DT_BOUND_WARNING = r"dt=.*exceeds the conservative drift bound"
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -30,8 +30,6 @@ from .config import Problem, RunConfig, build_problem, coarsened
 from .fieldio import write_csv
 from .grid import smooth_periodic
 
-_DT_BOUND_WARNING = r"dt=.*exceeds the conservative drift bound"
-
 
 @dataclass
 class VerifyRow:
@@ -79,7 +77,7 @@ def _direction(rng, problem: Problem) -> np.ndarray:
 def _build(cfg: RunConfig) -> Problem:
     """build_problem without the advisory dt-bound warning, which verify runs past."""
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=_DT_BOUND_WARNING, category=RuntimeWarning)
+        warnings.filterwarnings("ignore", message=fwd.DT_BOUND_WARNING, category=RuntimeWarning)
         return build_problem(cfg)
 
 

@@ -43,6 +43,31 @@ def test_simulate_writes_series_and_snapshots(cfg_path, tmp_path, capsys):
     assert (out / "phi_000020.mcf").exists()
 
 
+def test_simulate_series_blocks_match_whole_stack(tmp_path, capsys):
+    from morphoctl import cli
+    from morphoctl.config import build_problem, load_config
+    from morphoctl.forward import solve_state
+    from morphoctl.grid import h1, integral, l2
+
+    path = tmp_path / "long.cfg"
+    path.write_text(SMALL.replace("time.T = 0.02", "time.T = 0.1"))
+    problem = build_problem(load_config(str(path)))
+    slices = problem.params.nt + 1
+    assert slices > 2 * cli._SERIES_BLOCK and slices % cli._SERIES_BLOCK  # last block partial
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "series.csv").read_text().splitlines()[1:]]
+    traj = solve_state(problem.init, problem.theta, problem.params)
+    g = problem.grid
+    assert [int(r[0]) for r in rows] == list(range(problem.params.nt + 1))
+    for col, values in enumerate(
+        (integral(g, traj.m), integral(g, traj.phi), l2(g, traj.m), l2(g, traj.phi),
+         h1(g, traj.m), h1(g, traj.phi)),
+        start=2,
+    ):
+        assert [float(r[col]) for r in rows] == values.tolist()
+
+
 def test_kernel_info_prints_key_values(cfg_path, capsys):
     assert main(["kernel-info", "--config", cfg_path]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -76,6 +101,9 @@ def test_optimize_writes_history_and_result(cfg_path, tmp_path, capsys):
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
     assert (out / "result.txt").read_text().startswith("termination:")
     assert (out / "theta_000000.mcf").exists()
+    result = dict(ln.split(": ", 1) for ln in (out / "result.txt").read_text().splitlines())
+    # One initial solve, then at least one trial per completed iteration.
+    assert int(result["forward_solves"]) >= 1 + int(result["iterations"])
 
 
 def test_optimize_line_search_failure_exits_nonzero(tmp_path, capsys):
@@ -86,6 +114,19 @@ def test_optimize_line_search_failure_exits_nonzero(tmp_path, capsys):
     assert main(["optimize", "--config", str(path), "--out-dir", str(out)]) == 1
     assert (out / "result.txt").read_text().startswith("termination: line_search_failed\n")
     assert "line search failed" in capsys.readouterr().err
+
+
+def test_optimize_stalled_exits_zero(tmp_path, capsys):
+    # tol 1e-16 is below what the cost can resolve: the search stalls at round-off.
+    path = tmp_path / "stall.cfg"
+    path.write_text(
+        SMALL.replace("opt.max_iters = 5", "opt.max_iters = 200").replace(
+            "opt.step0 = 100.0", "opt.step0 = 1e4\nopt.tol = 1e-16"
+        )
+    )
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "result.txt").read_text().startswith("termination: stalled\n")
 
 
 def test_verify_small_config(cfg_path, tmp_path, capsys):

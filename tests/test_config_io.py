@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from morphoctl.config import (
 )
 from morphoctl.errors import FormatError, ParseError, ValidationError
 from morphoctl.fieldio import read_snapshot, write_snapshot
+from morphoctl.forward import DT_BOUND_WARNING
 from morphoctl.grid import Grid
 
 MINIMAL = """
@@ -31,6 +35,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def test_dt_bound_warning_fires_once_per_run(tmp_path):
+    # load_config leaves the advisory warning to build_problem.
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        build_problem(load_config(write_cfg(tmp_path, MINIMAL)))
+    hits = [w for w in record if re.search(DT_BOUND_WARNING, str(w.message))]
+    assert len(hits) == 1
+    assert hits[0].category is RuntimeWarning
 
 
 def test_minimal_config_loads(tmp_path):

@@ -241,6 +241,59 @@ def test_pgd_small_twin_recovery(grid16):
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
 
 
+def _small_twin(grid16):
+    p = make_params(grid16, beta=0.5, alpha=1.0, T=0.004, dt=1e-4)
+    init = make_init(grid16)
+    theta_star = np.full((p.nt, *grid16.shape), 0.5)
+    phi_d = solve_state(init, theta_star, p).phi[1:]
+    control0 = ControlField(theta=np.zeros_like(theta_star), theta_min=0.0, theta_max=1.0)
+    return p, init, control0, phi_d
+
+
+def test_pgd_bb_seed_needs_few_solves_per_iteration(grid16, monkeypatch):
+    p, init, control0, phi_d = _small_twin(grid16)
+    # Log the solves in call order: each adjoint solve opens an iteration.
+    log = []
+    state, adjoint = ctl.solve_state, ctl.solve_adjoint_discrete
+    monkeypatch.setattr(ctl, "solve_state", lambda *a: log.append("F") or state(*a))
+    monkeypatch.setattr(
+        ctl, "solve_adjoint_discrete", lambda *a: log.append("A") or adjoint(*a)
+    )
+    opt = OptConfig(max_iters=40, step0=1e7, tol=1e-9)
+    res = pgd_optimize(init, control0, phi_d, p, delta=1e-6, opt=opt)
+    assert res.termination == "converged"
+    assert res.forward_solves == log.count("F")
+    per_iteration = "".join(log).split("A")[1:]  # solves made by each iteration's search
+    assert len(per_iteration) == res.iterations + 1
+    assert all(trials.count("F") <= 2 for trials in per_iteration[1:])
+    assert all(s <= opt.step0 for s in res.step_history)
+    costs = res.cost_history
+    assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
+
+
+def test_bb_step_falls_back_and_clips(grid16):
+    p = make_params(grid16, T=0.004, dt=1e-3)
+    opt = OptConfig(step0=10.0, s_min=1e-3)
+    d = np.ones((p.nt, *grid16.shape))
+    assert ctl._bb_step(d, 0.5 * d, p, opt) == 2.0  # <d, d> / <d, d/2>
+    assert ctl._bb_step(d, 1e-3 * d, p, opt) == 10.0  # clipped to step0
+    assert ctl._bb_step(d, 1e5 * d, p, opt) == 1e-3  # clipped to s_min
+    for dg in (-d, 0.0 * d, np.full_like(d, np.nan), np.full_like(d, np.inf)):
+        assert ctl._bb_step(d, dg, p, opt) == 10.0  # no positive finite curvature
+
+
+def test_pgd_stalls_at_round_off(grid16):
+    p, init, control0, phi_d = _small_twin(grid16)
+    res = pgd_optimize(
+        init, control0, phi_d, p, delta=1e-6,
+        opt=OptConfig(max_iters=200, step0=1e7, tol=1e-16),
+    )
+    assert res.termination == "stalled"
+    assert res.iterations < 200
+    costs = res.cost_history
+    assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
+
+
 def test_projection_characterization_requires_delta(grid16):
     p = make_params(grid16, T=0.01)
     traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
