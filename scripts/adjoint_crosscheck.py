@@ -11,11 +11,19 @@ Usage: python scripts/adjoint_crosscheck.py [beta] [levels...]
 """
 
 import sys
+import warnings
 
 import numpy as np
 
 from morphoctl.control import solve_adjoint_continuous, solve_adjoint_discrete
-from morphoctl.forward import InitData, ModelParams, control_space_time_norm, solve_state
+from morphoctl.forward import (
+    DT_BOUND_WARNING,
+    InitData,
+    ModelParams,
+    control_array,
+    control_space_time_norm,
+    solve_state,
+)
 from morphoctl.grid import Grid
 from morphoctl.kernel import build_kernel
 
@@ -29,7 +37,7 @@ def gap_at(n: int, beta: float) -> tuple[float, float]:
         m0=0.1 + 0.3 * np.cos(10 * np.pi * X) * np.cos(6 * np.pi * Y),
         phi0=np.full(g.shape, 0.7),
     )
-    theta = np.broadcast_to(0.3 + 0.1 * np.cos(2 * np.pi * X), (p.nt, *g.shape)).copy()
+    theta = control_array(0.3 + 0.1 * np.cos(2 * np.pi * X), p)
     pd = 0.9 * np.ones((1, *g.shape))
     traj = solve_state(init, theta, p)
     a = solve_adjoint_discrete(traj, pd)
@@ -41,16 +49,16 @@ def gap_at(n: int, beta: float) -> tuple[float, float]:
 
 
 def main() -> int:
-    import warnings
-
-    warnings.simplefilter("ignore", RuntimeWarning)
     beta = float(sys.argv[1]) if len(sys.argv) > 1 else 4.0
     levels = [int(v) for v in sys.argv[2:]] or [32, 64, 128]
     print(f"beta = {beta}")
     print("n,gap_L2,relative")
     prev = None
     for n in levels:
-        gap, ref = gap_at(n, beta)
+        # dt = 1e-3 exceeds the advisory drift bound at every level.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=DT_BOUND_WARNING, category=RuntimeWarning)
+            gap, ref = gap_at(n, beta)
         trend = "" if prev is None else ("  (down)" if gap < prev else "  (up)")
         print(f"{n},{gap:.6e},{gap / ref:.3e}{trend}")
         prev = gap

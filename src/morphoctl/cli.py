@@ -90,15 +90,14 @@ def cmd_optimize(args) -> int:
     res = ctl.pgd_optimize(
         problem.init, problem.control(), problem.phi_d, problem.params, cfg.delta, problem.opt
     )
-    steps = res.step_history + [float("nan")]
+    # step_history is one entry shorter: the last iterate takes no step.
     write_csv(
         os.path.join(out, "opt_history.csv"),
         "iter,cost,misfit,reg,stationarity,step",
-        [
-            (i, res.cost_history[i], res.misfit_history[i], res.reg_history[i],
-             res.stationarity_history[i], steps[i] if i < len(steps) else float("nan"))
-            for i in range(len(res.cost_history))
-        ],
+        zip(
+            range(len(res.cost_history)), res.cost_history, res.misfit_history,
+            res.reg_history, res.stationarity_history, res.step_history + [float("nan")],
+        ),
     )
     for n in range(problem.params.nt):
         write_snapshot(
@@ -139,8 +138,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_taylor(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
-    h0 = realize_field(problem.grid, args.direction, cfg.seed, "control.theta")
-    h = np.broadcast_to(h0, (problem.params.nt, *problem.grid.shape)).copy()
+    h = fwd.control_array(
+        realize_field(problem.grid, args.direction, cfg.seed, "control.theta"), problem.params
+    )
     out = lin.taylor_test(problem.init, problem.theta, h, problem.params)
     print("eps,remainder,first_order_quotient")
     for e, r, q in zip(out["eps"], out["remainders"], out["first_order_quotients"]):

@@ -31,7 +31,7 @@ import numpy as np
 from .control import ControlField, OptConfig
 from .errors import FormatError, ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
-from .forward import DT_BOUND_WARNING, InitData, ModelParams, solve_state
+from .forward import DT_BOUND_WARNING, InitData, ModelParams, control_array, solve_state
 from .grid import Grid, smooth_periodic
 from .kernel import Kernel, build_kernel
 
@@ -73,7 +73,7 @@ class RunConfig:
 
 
 _SCHEMA: dict[str, tuple] = {
-    # key: (attr, type, required, default factory taking the raw dict)
+    # key: (attr, type, required, default value)
     "grid.nx": ("nx", int, True, None),
     "grid.ny": ("ny", int, True, None),
     "grid.Lx": ("Lx", float, True, None),
@@ -259,9 +259,10 @@ class Problem:
     kernel: Kernel
     params: ModelParams
     init: InitData
-    theta: np.ndarray               # (nt, ny, nx) control from the config
-    phi_d: np.ndarray | None        # (nt, ny, nx) target slices, or None
-    theta_star: np.ndarray | None   # twin-experiment ground truth, if any
+    theta: np.ndarray               # (nt, ny, nx) read-only view of one control slice
+    phi_d: np.ndarray | None        # (nt, ny, nx) target: read-only view of one slice,
+                                    # a twin's phi history from index 1, or None
+    theta_star: np.ndarray | None   # twin ground truth, read-only view of one slice
     opt: OptConfig                  # optimizer settings from the config
 
     def control(self, theta: np.ndarray | None = None) -> ControlField:
@@ -276,21 +277,18 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     """Check and realize a config, including any overrides applied after loading."""
     grid, kernel, params, init, opt = _assemble(cfg)
 
-    theta0 = realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta")
-    theta = np.broadcast_to(theta0, (params.nt, *grid.shape)).copy()
+    theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
 
     phi_d = None
     theta_star = None
     if cfg.phi_d_spec is not None:
         kind, _, rest = cfg.phi_d_spec.partition(":")
         if kind == "twin":
-            star0 = realize_field(grid, rest, cfg.seed, "twin")
-            theta_star = np.broadcast_to(star0, (params.nt, *grid.shape)).copy()
-            traj = solve_state(init, theta_star, params)
-            phi_d = traj.phi[1:].copy()
+            theta_star = control_array(realize_field(grid, rest, cfg.seed, "twin"), params)
+            phi_d = solve_state(init, theta_star, params).phi[1:]
         else:
-            pd0 = realize_field(grid, cfg.phi_d_spec, cfg.seed, "target.phi_d")
-            phi_d = np.broadcast_to(pd0, (params.nt, *grid.shape)).copy()
+            pd = realize_field(grid, cfg.phi_d_spec, cfg.seed, "target.phi_d")
+            phi_d = control_array(pd, params)
     elif need_target:
         raise ValidationError("target.phi_d", "required for optimization")
 

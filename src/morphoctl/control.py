@@ -266,10 +266,9 @@ def stationarity_residual(
     params: ModelParams,
     theta_min,
     theta_max,
-    s_ref: float = 1.0,
 ) -> float:
-    """|theta - Proj(theta - s_ref g)| in L2(S x Omega); zero iff stationary."""
-    trial = project_admissible(theta - s_ref * grad_theta, theta_min, theta_max)
+    """|theta - Proj(theta - s_ref g)| in L2(S x Omega) with s_ref = 1; zero iff stationary."""
+    trial = project_admissible(theta - grad_theta, theta_min, theta_max)
     return control_space_time_norm(params, theta - trial)
 
 
@@ -397,9 +396,6 @@ def pgd_optimize(
         if not accepted:
             result.termination = "line_search_failed"
             return result
-
-    result.termination = "max_iters"
-    return result
 
 
 def projection_characterization_check(

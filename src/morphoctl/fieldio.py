@@ -11,6 +11,8 @@ array.  The time stamp is written with repr so it round-trips as a double.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import FormatError
@@ -50,9 +52,12 @@ def read_snapshot(path) -> tuple[int, int, float, np.ndarray]:
             nx, ny, t = int(parts[2]), int(parts[3]), float(parts[4])
         except ValueError as exc:
             raise FormatError(f"bad header fields {parts[2:]}") from exc
-        payload = fh.read(nx * ny * 8)
-        if len(payload) != nx * ny * 8:
+        if nx < 1 or ny < 1:
+            raise FormatError(f"bad grid size {nx}x{ny}")
+        # Size the read from the file, not from the header alone.
+        if nx * ny * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError("truncated payload")
+        payload = fh.read(nx * ny * 8)
         values = np.frombuffer(payload, dtype="<f8").reshape(ny, nx).copy()
     return nx, ny, t, values
 

@@ -158,7 +158,9 @@ def control_array(theta, params: ModelParams) -> np.ndarray:
     """Normalize a control or target series to an (nt, ny, nx) array.
 
     A single ``(ny, nx)`` field or a ``(1, ny, nx)`` series is held
-    constant in time.  Slice k of a target pairs with state index k+1.
+    constant in time and comes back as a read-only broadcast view of that
+    one slice, with no copy.  This is the one place a field is expanded
+    over time.  Slice k of a target pairs with state index k+1.
     """
     arr = np.asarray(getattr(theta, "theta", theta), dtype=float)
     ny, nx = params.grid.shape

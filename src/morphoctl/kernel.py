@@ -36,7 +36,6 @@ class Kernel:
 
     grid: Grid
     radius: float
-    kind: str
     j: np.ndarray = field(repr=False)
     gjx: np.ndarray = field(repr=False)
     gjy: np.ndarray = field(repr=False)
@@ -74,14 +73,12 @@ class Kernel:
         return integral(self.grid, np.hypot(self.gjx, self.gjy))
 
 
-def build_kernel(grid: Grid, radius: float, kind: str = "bump") -> Kernel:
+def build_kernel(grid: Grid, radius: float) -> Kernel:
     """Construct the normalized kernel on the given grid.
 
     The support must fit inside half the domain (no self-overlap under
     periodization) and span at least three cells so the bump is resolved.
     """
-    if kind != "bump":
-        raise ValueError(f"unknown kernel kind {kind!r}")
     if 2.0 * radius >= min(grid.Lx, grid.Ly):
         raise SupportTooLarge(
             f"kernel radius {radius} needs 2 r < min(Lx, Ly) = {min(grid.Lx, grid.Ly)}"
@@ -114,7 +111,7 @@ def build_kernel(grid: Grid, radius: float, kind: str = "bump") -> Kernel:
     gx = 0.5 * (gx - periodic_reverse(gx))
     gy = 0.5 * (gy - periodic_reverse(gy))
 
-    return Kernel(grid=grid, radius=radius, kind=kind, j=j, gjx=gx, gjy=gy)
+    return Kernel(grid=grid, radius=radius, j=j, gjx=gx, gjy=gy)
 
 
 def kernel_report(k: Kernel) -> dict[str, float]:

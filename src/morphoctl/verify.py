@@ -65,13 +65,13 @@ class VerifyReport:
 def _random_admissible(rng, problem: Problem) -> np.ndarray:
     cfg = problem.cfg
     u = smooth_periodic(rng.uniform(cfg.theta_min, cfg.theta_max, size=problem.grid.shape), 2)
-    return np.broadcast_to(u, (problem.params.nt, *problem.grid.shape)).copy()
+    return fwd.control_array(u, problem.params)
 
 
 def _direction(rng, problem: Problem) -> np.ndarray:
     h = smooth_periodic(rng.standard_normal(problem.grid.shape), 2)
     h /= max(np.max(np.abs(h)), 1e-300)
-    return np.broadcast_to(h, (problem.params.nt, *problem.grid.shape)).copy()
+    return fwd.control_array(h, problem.params)
 
 
 def _build(cfg: RunConfig) -> Problem:
@@ -88,7 +88,7 @@ def _target_for(problem: Problem) -> np.ndarray:
     pd = 0.6 + 0.2 * np.cos(2 * np.pi * X / problem.grid.Lx) * np.cos(
         2 * np.pi * Y / problem.grid.Ly
     )
-    return pd[None, :, :]
+    return fwd.control_array(pd, problem.params)
 
 
 def run_verify(cfg: RunConfig) -> VerifyReport:
@@ -121,7 +121,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     # Ordering bounds, asserted only for the uncontrolled dynamics.
     def bounds():
         if np.any(problem.theta != 0.0):
-            traj0 = fwd.solve_state(problem.init, np.zeros_like(problem.theta), params)
+            traj0 = fwd.solve_state(problem.init, np.zeros(problem.grid.shape), params)
         else:
             traj0 = state["traj"]
         rep = fwd.bounds_check(traj0)

@@ -114,6 +114,12 @@ def test_optimize_line_search_failure_exits_nonzero(tmp_path, capsys):
     assert main(["optimize", "--config", str(path), "--out-dir", str(out)]) == 1
     assert (out / "result.txt").read_text().startswith("termination: line_search_failed\n")
     assert "line search failed" in capsys.readouterr().err
+    # One step per completed iteration: only the last history row has none.
+    result = dict(ln.split(": ", 1) for ln in (out / "result.txt").read_text().splitlines())
+    iterations = int(result["iterations"])
+    steps = [row.split(",")[-1] for row in (out / "opt_history.csv").read_text().splitlines()[1:]]
+    assert len(steps) == iterations + 1 and steps[-1] == "nan"
+    assert "nan" not in steps[:-1]
 
 
 def test_optimize_stalled_exits_zero(tmp_path, capsys):
@@ -172,6 +178,16 @@ def test_seed_override_is_validated(tmp_path, capsys):
     load_config(str(path))
     out = tmp_path / "s25"
     assert main(["simulate", "--config", str(path), "--out-dir", str(out), "--seed", "25"]) == 2
+    assert "config error: init.m0: " in capsys.readouterr().err
+
+
+def test_oversized_snapshot_header_is_config_error(tmp_path, capsys):
+    # A header this large overflows the read size unless it is checked first.
+    snap = tmp_path / "huge.mcf"
+    snap.write_bytes(b"MCFIELD 1 10000000000 10000000000 0.0\n" + b"\x00" * 128)
+    path = tmp_path / "huge.cfg"
+    path.write_text(SMALL.replace("init.m0 = cosine:0.15,1,1,0.1", f"init.m0 = file:{snap}"))
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error: init.m0: " in capsys.readouterr().err
 
 

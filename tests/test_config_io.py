@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -191,18 +192,48 @@ def test_snapshot_truncated_payload(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("size", [b"-4 -4", b"10000000000 10000000000"])
+def test_snapshot_header_size_checked_before_read(tmp_path, size):
+    path = tmp_path / "bad_size.mcf"
+    path.write_bytes(b"MCFIELD 1 " + size + b" 0.0\n" + b"\x00" * 128)
+    with pytest.raises(FormatError):
+        read_snapshot(path)
+
+
 def test_twin_target_manufactured(tmp_path):
     text = MINIMAL + "target.phi_d = twin:constant:0.4\n"
     cfg = load_config(write_cfg(tmp_path, text))
     problem = build_problem(cfg)
     assert problem.theta_star is not None
     assert np.all(problem.theta_star == 0.4)
+    assert not problem.theta_star.flags.writeable
     assert problem.phi_d.shape == (problem.params.nt, 16, 16)
     # target must be exactly reachable by the manufacturing control
     from morphoctl.forward import solve_state
 
     traj = solve_state(problem.init, problem.theta_star, problem.params)
     assert np.array_equal(traj.phi[1:], problem.phi_d)
+
+
+def test_time_constant_series_stay_one_slice(tmp_path):
+    text = MINIMAL.replace("grid.nx = 16", "grid.nx = 32").replace(
+        "grid.ny = 16", "grid.ny = 32"
+    ).replace("time.T = 0.01", "time.T = 0.2") + (
+        "control.theta = cosine:0.2,2,1,0.3\ntarget.phi_d = constant:0.6\n"
+    )
+    cfg = load_config(write_cfg(tmp_path, text))
+    history = round(cfg.T / cfg.dt) * cfg.ny * cfg.nx * 8
+    tracemalloc.start()
+    try:
+        problem = build_problem(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.params.nt == 200
+    assert problem.theta.shape == problem.phi_d.shape == (200, 32, 32)
+    assert peak < history
+    assert not problem.theta.flags.writeable
+    assert not problem.phi_d.flags.writeable
 
 
 def test_optimize_requires_target(tmp_path):

@@ -213,6 +213,7 @@ def test_pgd_terminates_immediately_at_manufactured_optimum(grid16):
     )
     assert res.iterations == 0
     assert res.termination == "converged"
+    assert len(res.step_history) == res.iterations
     assert res.stationarity_history[0] <= 1e-12
 
 
@@ -262,6 +263,7 @@ def test_pgd_bb_seed_needs_few_solves_per_iteration(grid16, monkeypatch):
     opt = OptConfig(max_iters=40, step0=1e7, tol=1e-9)
     res = pgd_optimize(init, control0, phi_d, p, delta=1e-6, opt=opt)
     assert res.termination == "converged"
+    assert len(res.step_history) == res.iterations
     assert res.forward_solves == log.count("F")
     per_iteration = "".join(log).split("A")[1:]  # solves made by each iteration's search
     assert len(per_iteration) == res.iterations + 1
@@ -290,6 +292,7 @@ def test_pgd_stalls_at_round_off(grid16):
     )
     assert res.termination == "stalled"
     assert res.iterations < 200
+    assert len(res.step_history) == res.iterations
     costs = res.cost_history
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
 

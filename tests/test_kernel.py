@@ -12,8 +12,6 @@ def test_build_rejects_bad_radii():
         build_kernel(g, 0.5)
     with pytest.raises(SupportUnresolved):
         build_kernel(g, 0.04)
-    with pytest.raises(ValueError):
-        build_kernel(g, 0.1, kind="gaussian")
 
 
 def test_normalization_exact():
