@@ -17,7 +17,7 @@ import numpy as np
 from . import control as ctl
 from . import forward as fwd
 from . import linearized as lin
-from .config import build_problem, load_config, realize_field
+from .config import build_problem, parse_config_text, realize_field
 from .errors import NonFinite, ParseError, ValidationError
 from .fieldio import write_csv, write_snapshot
 from .grid import h1, integral, l2
@@ -26,7 +26,13 @@ from .verify import gradient_check_table, run_verify
 
 
 def _load(args):
-    cfg = load_config(args.config)
+    """Parse the config and apply the overrides, without building it.
+
+    The command builds the problem once, and that build is the check: an
+    invalid config, overrides included, exits 2 from there.
+    """
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = parse_config_text(fh.read())
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "out_dir", None) is not None:

@@ -164,7 +164,7 @@ def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> Adjoi
             p2 = dt * s_n
         else:
             m, phi = traj.m[n], traj.phi[n]
-            gmx, gmy = p.kernel.grad_conv(m)
+            gmx, gmy = p.kernel.grad_conv(np.fft.rfft2(m))
             d1 = grad(g, g1[n])
             d2 = grad(g, g2[n])
             adv1 = gmx * d1[0] + gmy * d1[1]
@@ -172,8 +172,8 @@ def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> Adjoi
             e1, e2 = drift(m, phi, d1, d2, adv1, adv2)
             p1 = g1[n] + dt * e1
             p2 = g2[n] + dt * (e2 - p.alpha * g2[n] + s_n)
-        g1[n - 1] = solve_implicit_diffusion(g, p1, dt)
-        g2[n - 1] = solve_implicit_diffusion(g, p2, dt)
+        g1[n - 1], _ = solve_implicit_diffusion(g, p1, dt)
+        g2[n - 1], _ = solve_implicit_diffusion(g, p2, dt)
         if not (np.isfinite(g1[n - 1]).all() and np.isfinite(g2[n - 1]).all()):
             raise NonFinite(f"adjoint blow-up at step {n}", step=n)
     return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
@@ -192,7 +192,10 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
         p2 = g2 + dt ( +2 beta (Gm . grad g1) - 2 beta m (Gm . grad g2)
                        - alpha g2 + (phi_n - phi_d,n) )
 
-    where Gm = gradJ * m.  The source sign makes the duality identity
+    where Gm = gradJ * m.  The two convolved sums are one contraction,
+    sum_i gradJ_i * (cm d_i g1 + cp d_i g2) with cm = 2 beta (phi - m^2)
+    and cp = 2 beta m (1 - phi), since the contraction is linear.  The
+    source sign makes the duality identity
 
         sum_n <phi2_n, phi_n - phi_d,n> dt = sum_n <h_n, gamma2_n> dt
 
@@ -204,9 +207,8 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
     def drift(m, phi, d1, d2, adv1, adv2):
         cm = b2 * (phi - m * m)
         cp = b2 * (m * (1.0 - phi))
-        conv1 = kernel.grad_conv_sum(cm * d1[0], cm * d1[1])
-        conv2 = kernel.grad_conv_sum(cp * d2[0], cp * d2[1])
-        e1 = -2.0 * b2 * m * adv1 - conv1 + b2 * (1.0 - phi) * adv2 - conv2
+        conv = kernel.grad_conv_sum(cm * d1[0] + cp * d2[0], cm * d1[1] + cp * d2[1])
+        e1 = -2.0 * b2 * m * adv1 + b2 * (1.0 - phi) * adv2 - conv
         return e1, b2 * adv1 - b2 * m * adv2
 
     return _backward_sweep(traj, phi_d, _MISFIT_SOURCE_SIGN, drift)

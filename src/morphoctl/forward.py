@@ -16,6 +16,11 @@ obeys the exact discrete balance
 
     sum(phi_{n+1}) h^2 = sum(phi_n) h^2 + dt sum(alpha (1 - phi_n) + theta_n) h^2.
 
+``gradJ * m`` is taken from the rfft2 spectrum of m that the previous
+step's implicit solve made, so a step transforms no stored field; the
+carried spectrum equals ``rfft2(m)`` in exact arithmetic (see
+docs/discrete_adjoint.md).
+
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
 the tangent and backward sweeps in the sibling modules differentiate and
@@ -130,15 +135,22 @@ class Trajectory:
 
 def step_state(
     m: np.ndarray,
+    m_spec: np.ndarray,
     phi: np.ndarray,
     theta_slice: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One IMEX Euler step of the state system."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One IMEX Euler step of the state system.
+
+    ``m_spec`` is the rfft2 spectrum of ``m``: the previous step's, or
+    ``np.fft.rfft2(m)`` to start.  Returns ``(m1, m1_spec, phi1)``, with
+    ``m1_spec`` the spectrum the implicit solve made ``m1`` from, which
+    the next step takes instead of transforming ``m1`` again.
+    """
     g = params.grid
     dt = params.dt
     b2 = 2.0 * params.beta
-    gmx, gmy = params.kernel.grad_conv(m)
+    gmx, gmy = params.kernel.grad_conv(m_spec)
     cm = b2 * (phi - m * m)
     cp = b2 * (m * (1.0 - phi))
     rhs_m = m - dt * div(g, cm * gmx, cm * gmy)
@@ -147,11 +159,11 @@ def step_state(
         - dt * div(g, cp * gmx, cp * gmy)
         + dt * (params.alpha * (1.0 - phi) + theta_slice)
     )
-    m1 = solve_implicit_diffusion(g, rhs_m, dt)
-    p1 = solve_implicit_diffusion(g, rhs_p, dt)
+    m1, m1_spec = solve_implicit_diffusion(g, rhs_m, dt)
+    p1, _ = solve_implicit_diffusion(g, rhs_p, dt)
     if not (np.isfinite(m1).all() and np.isfinite(p1).all()):
         raise NonFinite("non-finite state after step; dt likely too large")
-    return m1, p1
+    return m1, m1_spec, p1
 
 
 def control_array(theta, params: ModelParams) -> np.ndarray:
@@ -174,7 +186,11 @@ def control_array(theta, params: ModelParams) -> np.ndarray:
 
 
 def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
-    """March the state nt steps, storing every intermediate field."""
+    """March the state nt steps, storing every intermediate field.
+
+    The spectrum of m is carried from step to step, so only the first
+    step transforms a stored field.
+    """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
     nt = params.nt
@@ -182,9 +198,10 @@ def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
     phi = np.empty_like(m)
     m[0] = init.m0
     phi[0] = init.phi0
+    m_spec = np.fft.rfft2(m[0])
     for n in range(nt):
         try:
-            m[n + 1], phi[n + 1] = step_state(m[n], phi[n], th[n], params)
+            m[n + 1], m_spec, phi[n + 1] = step_state(m[n], m_spec, phi[n], th[n], params)
         except NonFinite as exc:
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1) from exc
     times = np.arange(nt + 1) * params.dt
@@ -225,7 +242,7 @@ def weak_residual(traj: Trajectory, psi: np.ndarray, eta: np.ndarray) -> dict[st
     for n in range(p.nt):
         m, phi = traj.m[n], traj.phi[n]
         m1, p1 = traj.m[n + 1], traj.phi[n + 1]
-        gmx, gmy = p.kernel.grad_conv(m)
+        gmx, gmy = p.kernel.grad_conv(np.fft.rfft2(m))
         cm = b2 * (phi - m * m)
         cp = b2 * (m * (1.0 - phi))
         g1x, g1y = _fwd_diff(g, m1)

@@ -116,18 +116,31 @@ class Grid:
         return 1.0 / (1.0 + kapx[None, :] ** 2 + kapy[:, None] ** 2)
 
 
+def _centered(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Periodic centered difference (f[i+1] - f[i-1]) / (2h) along ``axis``.
+
+    Written by slicing into one output array, with no rolled copies; the
+    operations are those of the ``np.roll`` form, so the bits are too.
+    """
+    out = np.empty(f.shape)
+    src, dst = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    np.subtract(src[1], src[-1], out=dst[0])
+    np.subtract(src[0], src[-2], out=dst[-1])
+    out /= 2.0 * h
+    return out
+
+
 def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered periodic gradient, (gx, gy)."""
-    gx = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * grid.hx)
-    gy = (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * grid.hy)
-    return gx, gy
+    return _centered(f, -1, grid.hx), _centered(f, -2, grid.hy)
 
 
 def div(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Centered periodic divergence of the vector field (vx, vy)."""
-    dx = (np.roll(vx, -1, axis=-1) - np.roll(vx, 1, axis=-1)) / (2.0 * grid.hx)
-    dy = (np.roll(vy, -1, axis=-2) - np.roll(vy, 1, axis=-2)) / (2.0 * grid.hy)
-    return dx + dy
+    out = _centered(vx, -1, grid.hx)
+    out += _centered(vy, -2, grid.hy)
+    return out
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -137,10 +150,17 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return lx + ly
 
 
-def solve_implicit_diffusion(grid: Grid, rhs: np.ndarray, dt: float) -> np.ndarray:
-    """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis."""
+def solve_implicit_diffusion(
+    grid: Grid, rhs: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis.
+
+    Returns ``(u, uh)`` with ``uh`` the rfft2 spectrum ``u`` was made
+    from; it equals ``rfft2(u)`` in exact arithmetic, so a sweep can carry
+    it to the next step instead of transforming ``u`` again.
+    """
     uh = np.fft.rfft2(rhs) / (1.0 - dt * grid._lam_rfft)
-    return np.fft.irfft2(uh, s=grid.shape)
+    return np.fft.irfft2(uh, s=grid.shape), uh
 
 
 def smooth_periodic(f: np.ndarray, passes: int) -> np.ndarray:

@@ -12,6 +12,9 @@ The gradient samples come from the closed-form derivative of the bump
 symmetry ``gj(-p) = -gj(p)`` holds bit-exactly.  The backward solvers use
 that symmetry to transpose the nonlocal drift, so it must be exact, not
 just accurate.
+
+``Kernel.grad_conv`` takes the rfft2 spectrum of the field it convolves,
+so a sweep that already holds the spectrum spends no forward transform.
 """
 
 from __future__ import annotations
@@ -56,9 +59,12 @@ class Kernel:
         """j * f (discrete integral convolution)."""
         return np.fft.irfft2(self._j_hat * np.fft.rfft2(f), s=self.grid.shape)
 
-    def grad_conv(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both components of (grad j) * f sharing one forward transform."""
-        fh = np.fft.rfft2(f)
+    def grad_conv(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.
+
+        The sweeps pass the spectrum their implicit solve already made;
+        a caller holding only the field passes ``np.fft.rfft2(f)``.
+        """
         ax = np.fft.irfft2(self._gx_hat * fh, s=self.grid.shape)
         ay = np.fft.irfft2(self._gy_hat * fh, s=self.grid.shape)
         return ax, ay

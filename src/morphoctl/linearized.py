@@ -51,16 +51,23 @@ def step_linearized(
     m_hat: np.ndarray,
     phi_hat: np.ndarray,
     phi1: np.ndarray,
+    phi1_spec: np.ndarray,
     phi2: np.ndarray,
     h_slice: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the exact discrete derivative at (m_hat, phi_hat)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step of the exact discrete derivative at (m_hat, phi_hat).
+
+    ``phi1_spec`` is the rfft2 spectrum of ``phi1``, carried like the
+    state's ``m_spec`` in :func:`morphoctl.forward.step_state`.  Returns
+    ``(phi1+, phi1+ spectrum, phi2+)``.  The stored state has no carried
+    spectrum, so ``m_hat`` is transformed here.
+    """
     g = params.grid
     dt = params.dt
     b2 = 2.0 * params.beta
-    gmx, gmy = params.kernel.grad_conv(m_hat)
-    g1x, g1y = params.kernel.grad_conv(phi1)
+    gmx, gmy = params.kernel.grad_conv(np.fft.rfft2(m_hat))
+    g1x, g1y = params.kernel.grad_conv(phi1_spec)
 
     a1 = b2 * (phi2 - 2.0 * m_hat * phi1)          # multiplies gradJ * m_hat
     c1 = b2 * (phi_hat - m_hat * m_hat)            # multiplies gradJ * phi1
@@ -74,24 +81,25 @@ def step_linearized(
         + dt * (-params.alpha * phi2 + h_slice)
     )
 
-    p1 = solve_implicit_diffusion(g, rhs1, dt)
-    p2 = solve_implicit_diffusion(g, rhs2, dt)
+    p1, p1_spec = solve_implicit_diffusion(g, rhs1, dt)
+    p2, _ = solve_implicit_diffusion(g, rhs2, dt)
     if not (np.isfinite(p1).all() and np.isfinite(p2).all()):
         raise NonFinite("non-finite tangent state")
-    return p1, p2
+    return p1, p1_spec, p2
 
 
 def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
-    """March the tangent system along a stored forward trajectory."""
+    """March the tangent system along a stored forward trajectory, carrying phi1's spectrum."""
     params = traj.params
     harr = control_array(h, params)
     nt = params.nt
     phi1 = np.zeros((nt + 1, *params.grid.shape))
     phi2 = np.zeros_like(phi1)
+    phi1_spec = np.fft.rfft2(phi1[0])
     for n in range(nt):
         try:
-            phi1[n + 1], phi2[n + 1] = step_linearized(
-                traj.m[n], traj.phi[n], phi1[n], phi2[n], harr[n], params
+            phi1[n + 1], phi1_spec, phi2[n + 1] = step_linearized(
+                traj.m[n], traj.phi[n], phi1[n], phi1_spec, phi2[n], harr[n], params
             )
         except NonFinite as exc:
             raise NonFinite(f"tangent blow-up at step {n + 1}", step=n + 1) from exc

@@ -215,3 +215,31 @@ def test_verify_deterministic_given_seed(tmp_path):
     assert [(r.name, r.measured, r.passed) for r in a.rows] == [
         (r.name, r.measured, r.passed) for r in b.rows
     ]
+
+
+COMMANDS = ("simulate", "optimize", "gradcheck", "taylor", "verify", "kernel-info")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_builds_its_problem_once(command, cfg_path, tmp_path, monkeypatch, capsys):
+    from morphoctl import config
+
+    builds = []
+    assemble = config._assemble
+
+    def counted(cfg):
+        builds.append(cfg)
+        return assemble(cfg)
+
+    monkeypatch.setattr(config, "_assemble", counted)
+    assert main([command, "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+    # verify also builds the coarsened copy its optimization rows run on.
+    assert len(builds) == (2 if command == "verify" else 1)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_invalid_config_exits_2_on_every_command(command, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL.replace("grid.nx = 16", "grid.nx = 3"))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: grid.nx: " in capsys.readouterr().err

@@ -86,13 +86,24 @@ def test_adjoint_beta_zero_matches_backward_heat_oracle():
     assert np.max(np.abs(adj.gamma2 - oracle)) < 1e-12
 
 
-def test_duality_identity_exact(grid16):
-    p = make_params(grid16, beta=1.2, alpha=0.6, T=0.02)
+# The carried spectra and the merged contraction touch the Nyquist and
+# Hermitian bins differently on odd sizes, so the identities also run on
+# an odd, non-square grid.
+GRIDS = pytest.mark.parametrize(
+    "grid, radius",
+    [(Grid(16, 16, 1.0, 1.0), 0.25), (Grid(15, 12, 1.0, 1.0), 0.3)],
+    ids=["16x16", "15x12"],
+)
+
+
+@GRIDS
+def test_duality_identity_exact(grid, radius):
+    p = make_params(grid, beta=1.2, alpha=0.6, T=0.02, radius=radius)
     rng = np.random.default_rng(31)
-    theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
-    traj = solve_state(make_init(grid16), theta, p)
-    pd = 0.8 * np.ones((1, *grid16.shape))
-    h = expand(smooth_random(rng, grid16), p.nt)
+    theta = expand(0.3 + 0.1 * smooth_random(rng, grid), p.nt)
+    traj = solve_state(make_init(grid), theta, p)
+    pd = 0.8 * np.ones((1, *grid.shape))
+    h = expand(smooth_random(rng, grid), p.nt)
     tan = solve_linearized(traj, h)
     adj = solve_adjoint_discrete(traj, pd)
     assert duality_gap(traj, tan.phi2, adj, h, pd) < 1e-10
@@ -143,19 +154,20 @@ def test_reduced_gradient_on_target_is_regularization(grid16):
     assert np.max(np.abs(reduced_gradient(adj, theta, 0.0))) == 0.0
 
 
-def test_gradient_matches_central_fd(grid16):
-    p = make_params(grid16, beta=1.0, alpha=1.0, T=0.02)
+@GRIDS
+def test_gradient_matches_central_fd(grid, radius):
+    p = make_params(grid, beta=1.0, alpha=1.0, T=0.02, radius=radius)
     rng = np.random.default_rng(35)
-    init = make_init(grid16)
-    theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
-    pd = 0.8 * np.ones((1, *grid16.shape))
+    init = make_init(grid)
+    theta = expand(0.3 + 0.1 * smooth_random(rng, grid), p.nt)
+    pd = 0.8 * np.ones((1, *grid.shape))
     delta = 1e-3
     traj = solve_state(init, theta, p)
     adj = solve_adjoint_discrete(traj, pd)
     g = reduced_gradient(adj, theta, delta)
     eps = 1e-5
     for _ in range(5):
-        h = expand(smooth_random(rng, grid16), p.nt)
+        h = expand(smooth_random(rng, grid), p.nt)
         jp = cost(solve_state(init, theta + eps * h, p), theta + eps * h, pd, delta)
         jm = cost(solve_state(init, theta - eps * h, p), theta - eps * h, pd, delta)
         fd = (jp - jm) / (2.0 * eps)
@@ -377,3 +389,38 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
     g = reduced_gradient(adj, theta, 1e-3)
     av = ctl.control_inner(p, g, h)
     assert abs(fd - av) / max(abs(fd), abs(av)) >= 1e-2
+
+
+def test_fft_counts_per_step(grid16, monkeypatch):
+    """Transforms per step: forward 6, tangent 9, adjoint 10.
+
+    The forward and tangent sweeps carry the spectrum of m and phi1 from
+    one implicit solve to the next step, so each takes one rfft2 more, to
+    seed it; the adjoint's terminal step makes only its two implicit solves.
+    """
+    p = make_params(grid16, T=0.01)
+    rng = np.random.default_rng(36)
+    init = make_init(grid16)
+    theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
+    h = expand(smooth_random(rng, grid16), p.nt)
+    pd = 0.8 * np.ones((1, *grid16.shape))
+    p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not per step
+    counts = {}
+    for name in ("rfft2", "irfft2"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+
+    def sweep(fn, *args):
+        counts.update(rfft2=0, irfft2=0)
+        return fn(*args), dict(counts)
+
+    nt = p.nt
+    assert nt == 10
+    traj, fwd = sweep(solve_state, init, theta, p)
+    assert fwd == {"rfft2": 2 * nt + 1, "irfft2": 4 * nt}
+    _, tan = sweep(solve_linearized, traj, h)
+    assert tan == {"rfft2": 3 * nt + 1, "irfft2": 6 * nt}
+    _, adj = sweep(solve_adjoint_discrete, traj, pd)
+    assert adj == {"rfft2": 5 * (nt - 1) + 2, "irfft2": 5 * (nt - 1) + 2}

@@ -205,7 +205,7 @@ def test_implicit_solve_is_exact_per_mode():
     f = np.cos(2 * np.pi * X)
     lam = -(2.0 / g.hx**2) * (1.0 - np.cos(2 * np.pi * g.hx))
     dt = 1e-3
-    out = solve_implicit_diffusion(g, f, dt)
+    out, _ = solve_implicit_diffusion(g, f, dt)
     assert np.max(np.abs(out - f / (1.0 - dt * lam))) < 1e-13
 
 
@@ -236,3 +236,19 @@ def test_stack_reductions_match_slice_by_slice():
     for k in range(5):
         sx, sy = grad(g, f[k])
         assert np.array_equal(gx[k], sx) and np.array_equal(gy[k], sy)
+
+    # grad and div slice into one output array; the np.roll expressions are
+    # the same operations on rolled copies, so the bits must agree, also on
+    # an odd non-square stack and on the smallest grid.
+    def rolled(grid, a, axis):
+        h = grid.hx if axis == -1 else grid.hy
+        return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * h)
+
+    for grid, a, b in [
+        (g, f, w),
+        (Grid(7, 5, 1.3, 0.7), *rng.standard_normal((2, 3, 5, 7))),
+        (Grid(4, 4, 1.0, 1.0), *rng.standard_normal((2, 4, 4))),
+    ]:
+        ax, ay = grad(grid, a)
+        assert np.array_equal(ax, rolled(grid, a, -1)) and np.array_equal(ay, rolled(grid, a, -2))
+        assert np.array_equal(div(grid, a, b), rolled(grid, a, -1) + rolled(grid, b, -2))

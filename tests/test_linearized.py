@@ -15,6 +15,18 @@ from morphoctl.linearized import (
 from conftest import expand, full_laplacian_symbol, make_init, make_params, smooth_random
 
 
+def _step(m, phi, theta, p):
+    """step_state from real fields, seeding the spectrum of m: (m+, phi+)."""
+    m1, _, p1 = step_state(m, np.fft.rfft2(m), phi, theta, p)
+    return m1, p1
+
+
+def _lin(m, phi, f1, f2, h, p):
+    """step_linearized from real fields, seeding the spectrum of f1: (phi1+, phi2+)."""
+    p1, _, p2 = step_linearized(m, phi, f1, np.fft.rfft2(f1), f2, h, p)
+    return p1, p2
+
+
 def _random_state(rng, grid):
     phi = 0.5 + 0.3 * smooth_random(rng, grid)
     m = 0.8 * phi * smooth_random(rng, grid)
@@ -26,7 +38,7 @@ def test_zero_direction_stays_zero(grid16):
     rng = np.random.default_rng(20)
     m, phi = _random_state(rng, grid16)
     z = np.zeros(grid16.shape)
-    p1, p2 = step_linearized(m, phi, z, z, z, p)
+    p1, p2 = _lin(m, phi, z, z, z, p)
     assert np.max(np.abs(p1)) == 0.0
     assert np.max(np.abs(p2)) == 0.0
 
@@ -38,7 +50,7 @@ def test_beta_zero_is_pure_implicit_diffusion(grid16):
     f1 = smooth_random(rng, grid16)
     f2 = smooth_random(rng, grid16)
     h = smooth_random(rng, grid16)
-    p1, p2 = step_linearized(m, phi, f1, f2, h, p)
+    p1, p2 = _lin(m, phi, f1, f2, h, p)
     lam = full_laplacian_symbol(grid16)
     o1 = np.real(np.fft.ifft2(np.fft.fft2(f1) / (1.0 - p.dt * lam)))
     rhs2 = f2 + p.dt * (-p.alpha * f2 + h)
@@ -55,12 +67,12 @@ def test_one_step_finite_difference_consistency(grid16):
     f1 = smooth_random(rng, grid16)
     f2 = smooth_random(rng, grid16)
     h = smooth_random(rng, grid16)
-    lin1, lin2 = step_linearized(m, phi, f1, f2, h, p)
+    lin1, lin2 = _lin(m, phi, f1, f2, h, p)
 
     errs = []
     for eps in (1e-3, 1e-4, 1e-5):
-        a1, a2 = step_state(m + eps * f1, phi + eps * f2, theta + eps * h, p)
-        b1, b2 = step_state(m, phi, theta, p)
+        a1, a2 = _step(m + eps * f1, phi + eps * f2, theta + eps * h, p)
+        b1, b2 = _step(m, phi, theta, p)
         fd1 = (a1 - b1) / eps
         fd2 = (a2 - b2) / eps
         errs.append(max(np.max(np.abs(fd1 - lin1)), np.max(np.abs(fd2 - lin2))))
@@ -76,11 +88,11 @@ def test_one_step_remainder_exactly_quadratic(grid16):
     f1 = smooth_random(rng, grid16)
     f2 = smooth_random(rng, grid16)
     h = smooth_random(rng, grid16)
-    lin1, lin2 = step_linearized(m, phi, f1, f2, h, p)
-    b1, b2 = step_state(m, phi, theta, p)
+    lin1, lin2 = _lin(m, phi, f1, f2, h, p)
+    b1, b2 = _step(m, phi, theta, p)
 
     def remainder(eps):
-        a1, a2 = step_state(m + eps * f1, phi + eps * f2, theta + eps * h, p)
+        a1, a2 = _step(m + eps * f1, phi + eps * f2, theta + eps * h, p)
         r1 = a1 - b1 - eps * lin1
         r2 = a2 - b2 - eps * lin2
         return np.sqrt(np.sum(r1**2) + np.sum(r2**2))
