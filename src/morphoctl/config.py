@@ -265,11 +265,9 @@ class Problem:
     theta_star: np.ndarray | None   # twin ground truth, read-only view of one slice
     opt: OptConfig                  # optimizer settings from the config
 
-    def control(self, theta: np.ndarray | None = None) -> ControlField:
+    def control(self) -> ControlField:
         return ControlField(
-            theta=self.theta if theta is None else theta,
-            theta_min=self.cfg.theta_min,
-            theta_max=self.cfg.theta_max,
+            theta=self.theta, theta_min=self.cfg.theta_min, theta_max=self.cfg.theta_max
         )
 
 
@@ -284,7 +282,12 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     if cfg.phi_d_spec is not None:
         kind, _, rest = cfg.phi_d_spec.partition(":")
         if kind == "twin":
-            theta_star = control_array(realize_field(grid, rest, cfg.seed, "twin"), params)
+            # "twin" selects the ground truth's noise stream; errors name the key.
+            try:
+                star = realize_field(grid, rest, cfg.seed, "twin")
+            except ValidationError as exc:
+                raise ValidationError("target.phi_d", exc.reason) from exc
+            theta_star = control_array(star, params)
             phi_d = solve_state(init, theta_star, params).phi[1:]
         else:
             pd = realize_field(grid, cfg.phi_d_spec, cfg.seed, "target.phi_d")
@@ -305,9 +308,12 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     )
 
 
-def coarsened(cfg: RunConfig, max_n: int = 32, max_nt: int = 100) -> RunConfig:
-    """Shrink grid/time for budgeted verification sub-runs, preserving dt scaling."""
-    nx = min(cfg.nx, max_n)
-    ny = min(cfg.ny, max_n)
-    nt = min(round(cfg.T / cfg.dt), max_nt)
+def coarsened(cfg: RunConfig) -> RunConfig:
+    """Shrink grid/time for budgeted verification sub-runs, preserving dt scaling.
+
+    The copy has at most 32 cells per side and 100 steps of the configured dt.
+    """
+    nx = min(cfg.nx, 32)
+    ny = min(cfg.ny, 32)
+    nt = min(round(cfg.T / cfg.dt), 100)
     return replace(cfg, nx=nx, ny=ny, T=nt * cfg.dt)

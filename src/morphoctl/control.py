@@ -53,6 +53,9 @@ from .grid import div, grad, inner, l2, solve_implicit_diffusion
 # gradient check detects a wrong adjoint sign.  Never change at runtime.
 _MISFIT_SOURCE_SIGN = 1.0
 
+# Smallest trial step of the line search; a search that shrinks below it fails.
+S_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class ControlField:
@@ -82,15 +85,15 @@ class OptConfig:
 
     ``step0`` is the first trial step of iteration 0 and the upper bound on
     every later first trial, which is a Barzilai-Borwein step clipped to
-    ``[s_min, step0]``.  Each trial shrinks by ``shrink`` until the Armijo
-    test with constant ``c1`` accepts it or it falls below ``s_min``.
+    ``[S_MIN, step0]``.  Each trial shrinks by ``shrink`` until the Armijo
+    test with constant ``c1`` accepts it or it falls below the fixed
+    :data:`S_MIN`.
     """
 
     max_iters: int = 100
     step0: float = 1.0
     shrink: float = 0.5
     c1: float = 1e-4
-    s_min: float = 1e-12
     tol: float | None = None
 
     def __post_init__(self):
@@ -302,13 +305,13 @@ def _bb_step(d_theta: np.ndarray, d_g: np.ndarray, params: ModelParams, opt: Opt
     """Barzilai-Borwein first trial <d_theta, d_theta> / <d_theta, d_g>.
 
     d_theta is the last accepted (projected) move and d_g the change of the
-    reduced gradient across it.  The step is clipped to [s_min, step0]; a
+    reduced gradient across it.  The step is clipped to [S_MIN, step0]; a
     curvature <d_theta, d_g> that is not positive and finite gives step0.
     """
     curv = control_inner(params, d_theta, d_g)
     if not (np.isfinite(curv) and curv > 0.0):
         return opt.step0
-    return min(max(control_inner(params, d_theta, d_theta) / curv, opt.s_min), opt.step0)
+    return min(max(control_inner(params, d_theta, d_theta) / curv, S_MIN), opt.step0)
 
 
 def pgd_optimize(
@@ -317,7 +320,7 @@ def pgd_optimize(
     phi_d,
     params: ModelParams,
     delta: float,
-    opt: OptConfig | None = None,
+    opt: OptConfig,
 ) -> OptResult:
     """Projected gradient descent with monotone Armijo backtracking on the reduced cost.
 
@@ -331,14 +334,12 @@ def pgd_optimize(
     * ``max_iters`` at the iteration cap,
     * ``stalled`` when a trial's cost is within 4 ulps of J(theta): the
       cost cannot tell the trial from theta at round-off,
-    * ``line_search_failed`` when s falls below s_min or the projected
+    * ``line_search_failed`` when s falls below S_MIN or the projected
       move vanishes.
 
     The iterate returned is the last accepted one; ``forward_solves``
     counts every state solve, the initial one included.
     """
-    if opt is None:
-        opt = OptConfig()
     tol = opt.resolved_tol(params)
     tmin, tmax = control0.theta_min, control0.theta_max
     theta = project_admissible(control_array(control0.theta, params), tmin, tmax)
@@ -375,7 +376,7 @@ def pgd_optimize(
             s = _bb_step(theta - theta_prev, g - g_prev, params, opt)
         flat = 4.0 * np.spacing(j_cur)  # a cost change round-off cannot resolve
         accepted = False
-        while s >= opt.s_min:
+        while s >= S_MIN:
             trial = project_admissible(theta - s * g, tmin, tmax)
             move = control_space_time_norm(params, trial - theta)
             if move == 0.0:

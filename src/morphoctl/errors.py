@@ -33,10 +33,6 @@ class DegenerateProbe(ValueError):
     """A difference probe was called with (numerically) identical inputs."""
 
 
-class LadderTooShort(ValueError):
-    """An epsilon ladder needs at least three rungs to report orders."""
-
-
 class ShapeMismatch(ValueError):
     """Array arguments have incompatible shapes."""
 

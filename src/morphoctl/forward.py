@@ -174,7 +174,7 @@ def control_array(theta, params: ModelParams) -> np.ndarray:
     one slice, with no copy.  This is the one place a field is expanded
     over time.  Slice k of a target pairs with state index k+1.
     """
-    arr = np.asarray(getattr(theta, "theta", theta), dtype=float)
+    arr = np.asarray(theta, dtype=float)
     ny, nx = params.grid.shape
     if arr.shape in {(ny, nx), (1, ny, nx)}:
         arr = np.broadcast_to(arr, (params.nt, ny, nx))

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from morphoctl.cli import main
 from morphoctl.fieldio import read_snapshot
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL = """
 grid.nx = 16
@@ -75,8 +79,11 @@ def test_kernel_info_prints_key_values(cfg_path, capsys):
     assert {"integral", "max_value", "support_cells", "odd_residual"} <= keys
 
 
-def test_gradcheck_passes(cfg_path, capsys):
-    assert main(["gradcheck", "--config", cfg_path]) == 0
+@pytest.mark.parametrize("shipped", [None, "twin.cfg"], ids=["small", "twin"])
+def test_gradcheck_passes(shipped, cfg_path, capsys):
+    # twin.cfg's cost is ~5e-9, so a too-small FD step meets round-off there.
+    path = cfg_path if shipped is None else str(CONFIGS / shipped)
+    assert main(["gradcheck", "--config", path]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "direction,fd,adjoint,rel_error"
     assert len(out) == 6
@@ -107,7 +114,7 @@ def test_optimize_writes_history_and_result(cfg_path, tmp_path, capsys):
 
 
 def test_optimize_line_search_failure_exits_nonzero(tmp_path, capsys):
-    # step0 below the fixed s_min = 1e-12: the search fails at iteration 0.
+    # step0 below the fixed S_MIN = 1e-12: the search fails at iteration 0.
     path = tmp_path / "tiny_step.cfg"
     path.write_text(SMALL.replace("opt.step0 = 100.0", "opt.step0 = 1e-13"))
     out = tmp_path / "opt"
@@ -144,21 +151,34 @@ def test_verify_small_config(cfg_path, tmp_path, capsys):
     assert code == 0, capsys.readouterr().out
 
 
+# A run whose forward solve blows up.
+BLOWUP = SMALL.replace("time.dt = 1e-3", "time.dt = 2e-2").replace(
+    "time.T = 0.02", "time.T = 0.4"
+).replace("model.beta = 1.0", "model.beta = 60.0").replace(
+    "init.m0 = cosine:0.15,1,1,0.1", "init.m0 = cosine:0.55,3,2,0.0"
+).replace("init.phi0 = constant:0.6", "init.phi0 = constant:0.95")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_records_blowup_as_failing_rows(tmp_path, capsys):
-    text = SMALL.replace("time.dt = 1e-3", "time.dt = 2e-2").replace(
-        "time.T = 0.02", "time.T = 0.4"
-    ).replace("model.beta = 1.0", "model.beta = 60.0").replace(
-        "init.m0 = cosine:0.15,1,1,0.1", "init.m0 = cosine:0.55,3,2,0.0"
-    ).replace("init.phi0 = constant:0.6", "init.phi0 = constant:0.95")
     path = tmp_path / "bad.cfg"
-    path.write_text(text)
+    path.write_text(BLOWUP)
     out = tmp_path / "verify_bad"
     code = main(["verify", "--config", str(path), "--out-dir", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert "NonFinite" in captured.out or "blow-up" in captured.out
     assert "verify failed" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_blowup_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(BLOWUP)
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "solver blow-up: blow-up at step" in err
+    assert err.count("blow-up at step") == 1
 
 
 def test_missing_config_key_exit_code(tmp_path, capsys):

@@ -215,6 +215,20 @@ def test_twin_target_manufactured(tmp_path):
     assert np.array_equal(traj.phi[1:], problem.phi_d)
 
 
+def test_twin_target_errors_name_the_key(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, MINIMAL + "target.phi_d = twin:bogus\n"))
+    with pytest.raises(ValidationError) as exc:
+        build_problem(cfg)
+    assert exc.value.key == "target.phi_d"
+    assert str(exc.value) == "target.phi_d: unknown field spec kind 'bogus'"
+    # The ground truth keeps the "twin" noise stream.
+    cfg = load_config(write_cfg(tmp_path, MINIMAL + "target.phi_d = twin:noise:0.1,1\n"))
+    problem = build_problem(cfg)
+    assert np.array_equal(
+        problem.theta_star[0], realize_field(problem.grid, "noise:0.1,1", cfg.seed, "twin")
+    )
+
+
 def test_time_constant_series_stay_one_slice(tmp_path):
     text = MINIMAL.replace("grid.nx = 16", "grid.nx = 32").replace(
         "grid.ny = 16", "grid.ny = 32"

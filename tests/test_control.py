@@ -287,11 +287,11 @@ def test_pgd_bb_seed_needs_few_solves_per_iteration(grid16, monkeypatch):
 
 def test_bb_step_falls_back_and_clips(grid16):
     p = make_params(grid16, T=0.004, dt=1e-3)
-    opt = OptConfig(step0=10.0, s_min=1e-3)
+    opt = OptConfig(step0=10.0)
     d = np.ones((p.nt, *grid16.shape))
     assert ctl._bb_step(d, 0.5 * d, p, opt) == 2.0  # <d, d> / <d, d/2>
     assert ctl._bb_step(d, 1e-3 * d, p, opt) == 10.0  # clipped to step0
-    assert ctl._bb_step(d, 1e5 * d, p, opt) == 1e-3  # clipped to s_min
+    assert ctl._bb_step(d, 1e15 * d, p, opt) == ctl.S_MIN == 1e-12  # clipped to S_MIN
     for dg in (-d, 0.0 * d, np.full_like(d, np.nan), np.full_like(d, np.inf)):
         assert ctl._bb_step(d, dg, p, opt) == 10.0  # no positive finite curvature
 

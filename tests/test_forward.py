@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morphoctl.control import control_inner, cost_parts
+from morphoctl.control import control_inner, cost_parts, solve_adjoint_discrete
 from morphoctl.errors import DegenerateProbe, NonFinite
 from morphoctl.forward import (
     InitData,
@@ -289,16 +289,30 @@ def test_spatial_convergence_second_order():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_blowup_raises_nonfinite_with_step(grid16):
-    p = make_params(grid16, beta=8.0, alpha=1.0, T=0.5, dt=5e-2)
-    X, Y = grid16.cell_centers()
-    init = InitData(
-        m0=0.9 * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y),
-        phi0=np.full(grid16.shape, 0.95),
-    )
-    with pytest.raises(NonFinite) as exc:
-        solve_state(init, np.zeros((p.nt, *grid16.shape)), p)
-    assert exc.value.step is not None and exc.value.step >= 1
+@pytest.mark.parametrize("sweep", ["forward", "tangent", "adjoint"])
+def test_blowup_raises_nonfinite_with_step(sweep, grid16):
+    if sweep == "forward":
+        p = make_params(grid16, beta=8.0, alpha=1.0, T=0.5, dt=5e-2)
+        X, Y = grid16.cell_centers()
+        init = InitData(
+            m0=0.9 * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y),
+            phi0=np.full(grid16.shape, 0.95),
+        )
+        with pytest.raises(NonFinite) as exc:
+            solve_state(init, np.zeros((p.nt, *grid16.shape)), p)
+        assert exc.value.step is not None and exc.value.step >= 1
+    else:
+        # One inf slice of the direction (tangent) or target (adjoint) at
+        # index 3 breaks the step that slice drives: step 4 in both sweeps.
+        p = make_params(grid16, T=0.01)
+        traj = solve_state(make_init(grid16), np.zeros(grid16.shape), p)
+        series = np.zeros((p.nt, *grid16.shape))
+        series[3] = np.inf
+        sweep_fn = solve_linearized if sweep == "tangent" else solve_adjoint_discrete
+        with pytest.raises(NonFinite) as exc:
+            sweep_fn(traj, series)
+        assert exc.value.step == 4
+    assert f"blow-up at step {exc.value.step}" in str(exc.value)
 
 
 def test_trajectory_norm_helpers(grid16):

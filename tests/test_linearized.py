@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from morphoctl.errors import LadderTooShort
 from morphoctl.forward import integral, solve_state, step_state
 from morphoctl.grid import l2
 from morphoctl.linearized import (
@@ -177,13 +176,6 @@ def test_taylor_zero_direction(grid16):
     theta = np.zeros((p.nt, *grid16.shape))
     out = taylor_test(make_init(grid16), theta, np.zeros_like(theta), p)
     assert all(r == 0.0 for r in out["remainders"])
-
-
-def test_taylor_ladder_too_short(grid16):
-    p = make_params(grid16, T=0.01)
-    theta = np.zeros((p.nt, *grid16.shape))
-    with pytest.raises(LadderTooShort):
-        taylor_test(make_init(grid16), theta, theta, p, eps_ladder=(1e-1, 1e-2))
 
 
 def test_tangent_norm_positive(grid16):

@@ -22,3 +22,22 @@ def test_adjoint_crosscheck_main_keeps_warning_filters(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["beta = 4.0", "n,gap_L2,relative"]
     assert len(lines) == 3 and lines[2].startswith("32,")
+
+
+def test_twin_experiment_builds_its_problem_once(monkeypatch, tmp_path, capsys):
+    from morphoctl import config
+
+    text = (SCRIPTS.parent / "configs" / "twin.cfg").read_text()
+    for old, new in (("grid.nx = 32", "grid.nx = 16"), ("grid.ny = 32", "grid.ny = 16"),
+                     ("opt.max_iters = 100", "opt.max_iters = 1")):
+        text = text.replace(old, new)
+    path = tmp_path / "twin16.cfg"
+    path.write_text(text)
+    builds = []
+    assemble = config._assemble
+    monkeypatch.setattr(config, "_assemble", lambda cfg: builds.append(cfg) or assemble(cfg))
+    script = runpy.run_path(str(SCRIPTS / "twin_experiment.py"))
+    monkeypatch.setattr("sys.argv", ["twin_experiment.py", str(path)])
+    assert script["main"]() == 0
+    assert len(builds) == 1
+    assert capsys.readouterr().out.startswith("termination        : ")
