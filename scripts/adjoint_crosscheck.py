@@ -11,13 +11,11 @@ Usage: python scripts/adjoint_crosscheck.py [beta] [levels...]
 """
 
 import sys
-import warnings
 
 import numpy as np
 
 from morphoctl.control import solve_adjoint_continuous, solve_adjoint_discrete
 from morphoctl.forward import (
-    DT_BOUND_WARNING,
     InitData,
     ModelParams,
     control_array,
@@ -55,10 +53,7 @@ def main() -> int:
     print("n,gap_L2,relative")
     prev = None
     for n in levels:
-        # dt = 1e-3 exceeds the advisory drift bound at every level.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=DT_BOUND_WARNING, category=RuntimeWarning)
-            gap, ref = gap_at(n, beta)
+        gap, ref = gap_at(n, beta)
         trend = "" if prev is None else ("  (down)" if gap < prev else "  (up)")
         print(f"{n},{gap:.6e},{gap / ref:.3e}{trend}")
         prev = gap

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from morphoctl.config import build_problem, parse_config_text
+from morphoctl.config import build_problem, load_config
 from morphoctl.control import pgd_optimize
 from morphoctl.forward import control_space_time_norm
 
@@ -22,8 +22,7 @@ def main() -> int:
     cfg_path = sys.argv[1] if len(sys.argv) > 1 else str(
         Path(__file__).resolve().parent.parent / "configs" / "twin.cfg"
     )
-    # build_problem checks the config; load_config would assemble it a second time.
-    cfg = parse_config_text(Path(cfg_path).read_text(encoding="utf-8"))
+    cfg = load_config(cfg_path)
     problem = build_problem(cfg, need_target=True)
     if problem.theta_star is None:
         print("config target is not a twin:<spec> target", file=sys.stderr)

@@ -17,12 +17,12 @@ import numpy as np
 from . import control as ctl
 from . import forward as fwd
 from . import linearized as lin
-from .config import build_problem, parse_config_text, realize_field
+from .config import build_problem, load_config, realize_field
 from .errors import NonFinite, ParseError, ValidationError
 from .fieldio import write_csv, write_snapshot
 from .grid import h1, integral, l2
 from .kernel import kernel_report
-from .verify import gradient_check_table, run_verify
+from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_verify
 
 
 def _load(args):
@@ -31,11 +31,10 @@ def _load(args):
     The command builds the problem once, and that build is the check: an
     invalid config, overrides included, exits 2 from there.
     """
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config_text(fh.read())
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config)
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "out_dir", None) is not None:
+    if args.out_dir is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
     return cfg
 
@@ -131,8 +130,9 @@ def cmd_gradcheck(args) -> int:
     for i, fd_val, adj_val, rel in table:
         print(f"{i},{fd_val!r},{adj_val!r},{rel!r}")
     worst = max(row[3] for row in table)
-    if worst > 1e-6:
-        print(f"gradcheck failed: worst relative error {worst:.3e} > 1e-06", file=sys.stderr)
+    if worst > GRADCHECK_TOL:
+        print(f"gradcheck failed: worst relative error {worst:.3e} > {GRADCHECK_TOL}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -149,7 +149,7 @@ def cmd_taylor(args) -> int:
         print(f"{e!r},{r!r},{q!r}")
     print("orders," + ",".join(repr(o) for o in out["orders"]))
     worst = max(abs(o - 2.0) for o in out["orders"])
-    if worst > 0.1:
+    if worst > TAYLOR_ORDER_TOL:
         print(f"taylor failed: orders deviate from 2 by {worst:.3f}", file=sys.stderr)
         return 1
     return 0

@@ -22,6 +22,7 @@ seed is bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -31,9 +32,12 @@ import numpy as np
 from .control import ControlField, OptConfig
 from .errors import FormatError, ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
-from .forward import DT_BOUND_WARNING, InitData, ModelParams, control_array, solve_state
+from .forward import InitData, ModelParams, control_array, solve_state
 from .grid import Grid, smooth_periodic
 from .kernel import Kernel, build_kernel
+
+# Message pattern of build_problem's advisory dt-bound RuntimeWarning, for filters.
+DT_BOUND_WARNING = r"dt=.*exceeds the conservative drift bound"
 
 _ROLE_STREAMS = {
     "init.m0": 1,
@@ -103,6 +107,7 @@ _ATTR_KEYS = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}
 
 
 def parse_config_text(text: str) -> RunConfig:
+    """Check syntax, keys and types (a float may not be NaN); build_problem checks rules."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -127,6 +132,8 @@ def parse_config_text(text: str) -> RunConfig:
                 kwargs[attr] = typ(raw[key])
             except ValueError:
                 raise ValidationError(key, f"expected {typ.__name__}, got {raw[key]!r}")
+            if typ is float and math.isnan(kwargs[attr]):
+                raise ValidationError(key, f"expected a number, got {raw[key]!r}")
         elif required:
             raise ValidationError(key, "required")
         else:
@@ -152,7 +159,7 @@ def _reported_as(key: str):
 
 
 def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptConfig]:
-    """Build the objects a config describes; the one place its rules are checked.
+    """Build the grid, kernel, model, initial data and optimizer of a config.
 
     Each rule lives in the constructor that owns the value; this step only
     maps their errors to config keys.
@@ -183,17 +190,9 @@ def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptC
 
 
 def load_config(path) -> RunConfig:
-    """Parse a config file and check it by building the objects it describes.
-
-    The advisory dt-bound warning is left to :func:`build_problem`, which
-    every run calls, so a run shows it once.
-    """
+    """Read and parse a config file; :func:`build_problem` checks its rules."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_config_text(fh.read())
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=DT_BOUND_WARNING, category=RuntimeWarning)
-        _assemble(cfg)
-    return cfg
+        return parse_config_text(fh.read())
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -213,41 +212,39 @@ def _rng_for(seed: int, role: str) -> np.random.Generator:
 
 
 def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
-    """Build a field from a spec string."""
+    """Build a finite field from a spec string; errors are reported under ``role``."""
     kind, _, rest = spec.partition(":")
+    if kind not in ("constant", "cosine", "noise", "file"):
+        raise ValidationError(role, f"unknown field spec kind {kind!r}")
     try:
         if kind == "constant":
-            return np.full(grid.shape, float(rest))
-        if kind == "cosine":
+            field = np.full(grid.shape, float(rest))
+        elif kind == "cosine":
             parts = [float(v) for v in rest.split(",")]
-            if len(parts) == 3:
-                a, kx, ky = parts
-                off = 0.0
-            elif len(parts) == 4:
-                a, kx, ky, off = parts
-            else:
+            if len(parts) not in (3, 4):
                 raise ValueError("cosine needs a,kx,ky[,offset]")
+            a, kx, ky, off = parts if len(parts) == 4 else [*parts, 0.0]
             X, Y = grid.cell_centers()
-            return (
+            field = (
                 a
                 * np.cos(2.0 * np.pi * kx * X / grid.Lx)
                 * np.cos(2.0 * np.pi * ky * Y / grid.Ly)
                 + off
             )
-        if kind == "noise":
+        elif kind == "noise":
             amp_s, passes_s = rest.split(",")
             amp, passes = float(amp_s), int(passes_s)
-            return smooth_periodic(_rng_for(seed, role).uniform(-amp, amp, size=grid.shape), passes)
-        if kind == "file":
-            nx, ny, _t, values = read_snapshot(rest)
+            noise = _rng_for(seed, role).uniform(-amp, amp, size=grid.shape)
+            field = smooth_periodic(noise, passes)
+        else:
+            nx, ny, _t, field = read_snapshot(rest)
             if (ny, nx) != grid.shape:
-                raise ValueError(
-                    f"snapshot is {nx}x{ny}, grid is {grid.nx}x{grid.ny}"
-                )
-            return values
-    except (ValueError, OSError, FormatError) as exc:
+                raise ValueError(f"snapshot is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
+        if not np.isfinite(field).all():
+            raise ValueError("field is not finite")
+    except (ValueError, OverflowError, OSError, FormatError) as exc:
         raise ValidationError(role, f"bad field spec {spec!r}: {exc}")
-    raise ValidationError(role, f"unknown field spec kind {kind!r}")
+    return field
 
 
 @dataclass(frozen=True)
@@ -272,8 +269,16 @@ class Problem:
 
 
 def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
-    """Check and realize a config, including any overrides applied after loading."""
+    """Check every rule of a config, overrides included, and realize every field.
+
+    The one place a config is checked; it warns once if dt exceeds the
+    advisory :meth:`ModelParams.dt_stability_bound`.
+    """
     grid, kernel, params, init, opt = _assemble(cfg)
+    if params.dt > params.dt_stability_bound():
+        warnings.warn(f"dt={params.dt} exceeds the conservative drift bound "
+                      f"{params.dt_stability_bound():.3e}; blow-up is detected at runtime",
+                      RuntimeWarning, stacklevel=2)
 
     theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
 

@@ -29,7 +29,6 @@ transpose this exact discrete map.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +47,6 @@ from .grid import (
 )
 from .kernel import Kernel
 
-# Message pattern of the advisory dt-bound RuntimeWarning, for filters.
-DT_BOUND_WARNING = r"dt=.*exceeds the conservative drift bound"
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -61,9 +57,9 @@ class ModelParams:
     Vmax = 2 beta |gradJ|_L1 (a bound on the drift speed since |m| <= 1)
     and Rmax = alpha.  The bound is advisory: the implicit diffusion keeps
     the scheme stable well beyond it for smooth moderate data, so
-    construction only warns when it is exceeded.  Genuine instability is
-    detected at runtime and raised as :class:`NonFinite` with the step
-    index.
+    construction accepts any dt; ``config.build_problem`` warns when a
+    config exceeds it.  Genuine instability is detected at runtime and
+    raised as :class:`NonFinite` with the step index.
     """
 
     grid: Grid
@@ -80,18 +76,11 @@ class ModelParams:
             raise ParameterError("beta", "beta must be >= 0")
         if self.alpha < 0.0:
             raise ParameterError("alpha", "alpha must be >= 0")
-        if not (self.T > 0.0 and self.dt > 0.0):
-            raise ParameterError("dt", "T and dt must be positive")
+        if not (0.0 < self.T < np.inf and 0.0 < self.dt < np.inf):
+            raise ParameterError("dt", "T and dt must be positive and finite")
         nt = round(self.T / self.dt)
         if nt < 1 or abs(nt * self.dt - self.T) > 1e-12 * max(1.0, self.T):
             raise ParameterError("dt", "T must be an integer multiple of dt")
-        if self.dt > self.dt_stability_bound():
-            warnings.warn(
-                f"dt={self.dt} exceeds the conservative drift bound "
-                f"{self.dt_stability_bound():.3e}; blow-up is detected at runtime",
-                RuntimeWarning,
-                stacklevel=3,  # the ModelParams(...) call, past the dataclass __init__
-            )
 
     @property
     def nt(self) -> int:

@@ -26,13 +26,17 @@ import numpy as np
 from . import control as ctl
 from . import forward as fwd
 from . import linearized as lin
-from .config import Problem, RunConfig, build_problem, coarsened
+from .config import DT_BOUND_WARNING, Problem, RunConfig, build_problem, coarsened
 from .fieldio import write_csv
 from .grid import smooth_periodic
 
 # Central-difference step of the gradient check.  Smaller steps meet the
 # cost's round-off: on configs/twin.cfg (J ~ 5e-9) 1e-5 errs by ~6e-6.
 FD_EPS = 1e-3
+# Gates shared with the gradcheck and taylor commands: the worst relative
+# FD/adjoint error, and the largest deviation of a Taylor order from 2.
+GRADCHECK_TOL = 1e-6
+TAYLOR_ORDER_TOL = 0.1
 
 
 @dataclass
@@ -81,7 +85,7 @@ def _direction(rng, problem: Problem) -> np.ndarray:
 def _build(cfg: RunConfig) -> Problem:
     """build_problem without the advisory dt-bound warning, which verify runs past."""
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=fwd.DT_BOUND_WARNING, category=RuntimeWarning)
+        warnings.filterwarnings("ignore", message=DT_BOUND_WARNING, category=RuntimeWarning)
         return build_problem(cfg)
 
 
@@ -155,7 +159,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
         out = lin.taylor_test(problem.init, problem.theta, h, params)
         return float(np.max(np.abs(np.array(out["orders"]) - 2.0))), ""
 
-    guard("taylor_order_gap", 0.1, taylor)
+    guard("taylor_order_gap", TAYLOR_ORDER_TOL, taylor)
 
     # Exact transposition: duality identity.
     def duality():
@@ -174,7 +178,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
         table = gradient_check_table(problem, n_directions=3)
         return max(row[3] for row in table), ""
 
-    guard("gradcheck", 1e-6, gradcheck)
+    guard("gradcheck", GRADCHECK_TOL, gradcheck)
 
     # Manufactured optimum: target produced by the configured control itself,
     # delta = 0, so the gradient vanishes identically at theta.

@@ -189,13 +189,13 @@ def test_missing_config_key_exit_code(tmp_path, capsys):
 
 
 def test_seed_override_is_validated(tmp_path, capsys):
-    from morphoctl.config import load_config
+    from morphoctl.config import build_problem, load_config
 
     # |m0| <= |phi0| holds at the file's seed 0 and fails at seed 25.
     text = SMALL.replace("init.m0 = cosine:0.15,1,1,0.1", "init.m0 = noise:0.9,1")
     path = tmp_path / "seeded.cfg"
     path.write_text(text)
-    load_config(str(path))
+    build_problem(load_config(str(path)))
     out = tmp_path / "s25"
     assert main(["simulate", "--config", str(path), "--out-dir", str(out), "--seed", "25"]) == 2
     assert "config error: init.m0: " in capsys.readouterr().err
@@ -259,7 +259,17 @@ def test_each_command_builds_its_problem_once(command, cfg_path, tmp_path, monke
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_exits_2_on_every_command(command, tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text(SMALL.replace("grid.nx = 16", "grid.nx = 3"))
-    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "config error: grid.nx: " in capsys.readouterr().err
+    # A broken rule, and a control spec that only building the problem realizes.
+    for key, old, new in (("grid.nx", "grid.nx = 16", "grid.nx = 3"),
+                          ("control.theta", "seed = 0", "control.theta = bogus:1")):
+        path = tmp_path / "bad.cfg"
+        path.write_text((SMALL + "seed = 0\n").replace(old, new))
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"config error: {key}: " in capsys.readouterr().err
+
+
+def test_nan_config_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(SMALL.replace("kernel.radius = 0.25", "kernel.radius = nan"))
+    assert main(["kernel-info", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: kernel.radius: expected a number, got 'nan'\n"

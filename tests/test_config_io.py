@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from morphoctl import config
 from morphoctl.config import (
+    _SCHEMA,
+    DT_BOUND_WARNING,
     build_problem,
     load_config,
     parse_config_text,
@@ -14,7 +17,6 @@ from morphoctl.config import (
 )
 from morphoctl.errors import FormatError, ParseError, ValidationError
 from morphoctl.fieldio import read_snapshot, write_snapshot
-from morphoctl.forward import DT_BOUND_WARNING
 from morphoctl.grid import Grid
 
 MINIMAL = """
@@ -39,7 +41,7 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 def test_dt_bound_warning_fires_once_per_run(tmp_path):
-    # load_config leaves the advisory warning to build_problem.
+    # build_problem is the one place the advisory warning is raised.
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         build_problem(load_config(write_cfg(tmp_path, MINIMAL)))
@@ -64,8 +66,9 @@ def test_missing_required_key(tmp_path):
 
 def test_bad_bounds_rejected(tmp_path):
     text = MINIMAL + "control.theta_min = 2.0\ncontrol.theta_max = 1.0\n"
+    cfg = load_config(write_cfg(tmp_path, text))
     with pytest.raises(ValidationError) as exc:
-        load_config(write_cfg(tmp_path, text))
+        build_problem(cfg)
     assert "theta_min <= theta_max" in exc.value.reason
 
 
@@ -73,8 +76,9 @@ def test_inadmissible_init_rejected(tmp_path):
     text = MINIMAL.replace("init.m0 = constant:0.2", "init.m0 = constant:0.8").replace(
         "init.phi0 = constant:0.6", "init.phi0 = constant:0.5"
     )
+    cfg = load_config(write_cfg(tmp_path, text))
     with pytest.raises(ValidationError) as exc:
-        load_config(write_cfg(tmp_path, text))
+        build_problem(cfg)
     assert "|m0| <= |phi0|" in str(exc.value)
 
 
@@ -95,10 +99,9 @@ def test_comments_and_blank_lines(tmp_path):
     assert cfg.seed == 7
 
 
-def test_rule_keys_match_at_load_and_build(tmp_path):
+def test_rule_keys_reported_at_build(tmp_path):
     # One case per owning constructor, plus the delta rule config keeps.
-    # build_problem also runs on configs changed after loading (CLI
-    # overrides), so it must report the same key as load_config.
+    # load_config only parses; build_problem checks every rule.
     cases = [
         ("grid.nx", "grid.nx = 16", "grid.nx = 3"),
         ("grid.Lx", "grid.Ly = 1.0", "grid.Ly = -1.0"),
@@ -114,11 +117,66 @@ def test_rule_keys_match_at_load_and_build(tmp_path):
     for key, old, new in cases:
         text = (MINIMAL + "seed = 0\n").replace(old, new)
         assert text != MINIMAL + "seed = 0\n", key
-        with pytest.raises(ValidationError) as at_load:
-            load_config(write_cfg(tmp_path, text))
-        with pytest.raises(ValidationError) as at_build:
-            build_problem(parse_config_text(text))
-        assert at_load.value.key == at_build.value.key == key, at_load.value
+        cfg = load_config(write_cfg(tmp_path, text))
+        with pytest.raises(ValidationError) as exc:
+            build_problem(cfg)
+        assert exc.value.key == key, exc.value
+
+
+def test_load_config_only_parses(tmp_path):
+    # A config whose only fault is a rule loads; building it names the key.
+    cfg = load_config(write_cfg(tmp_path, MINIMAL.replace("grid.nx = 16", "grid.nx = 3")))
+    assert cfg.nx == 3
+    with pytest.raises(ValidationError) as exc:
+        build_problem(cfg)
+    assert exc.value.key == "grid.nx"
+
+
+def test_load_then_build_assembles_once(tmp_path, monkeypatch):
+    builds = []
+    assemble = config._assemble
+    monkeypatch.setattr(config, "_assemble", lambda cfg: builds.append(cfg) or assemble(cfg))
+    build_problem(load_config(write_cfg(tmp_path, MINIMAL)))
+    assert len(builds) == 1
+
+
+FLOAT_KEYS = [key for key, (_attr, typ, *_rest) in _SCHEMA.items() if typ is float]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nan_float_is_a_config_error(key):
+    with pytest.raises(ValidationError) as exc:
+        parse_config_text(MINIMAL + f"{key} = nan\n")
+    assert exc.value.key == key
+    assert exc.value.reason == "expected a number, got 'nan'"
+
+
+def test_inf_float_still_parses():
+    # inf parses: an infinite upper bound is a valid box, an infinite horizon is not.
+    problem = build_problem(parse_config_text(MINIMAL + "control.theta_max = inf\n"))
+    assert problem.cfg.theta_max == float("inf")
+    with pytest.raises(ValidationError) as exc:
+        build_problem(parse_config_text(MINIMAL.replace("time.T = 0.01", "time.T = inf")))
+    assert exc.value.key == "time.dt"
+
+
+@pytest.mark.parametrize(
+    "key,line",
+    [
+        ("init.m0", "init.m0 = constant:inf"),
+        ("init.phi0", "init.phi0 = cosine:nan,1,1,0.6"),
+        ("control.theta", "control.theta = constant:nan"),
+        ("control.theta", "control.theta = noise:inf,1"),
+        ("target.phi_d", "target.phi_d = constant:inf"),
+        ("target.phi_d", "target.phi_d = twin:constant:nan"),
+    ],
+    ids=["m0", "phi0", "theta", "theta-noise", "phi_d", "twin"],
+)
+def test_non_finite_field_is_reported_under_its_key(key, line):
+    with pytest.raises(ValidationError) as exc:
+        build_problem(parse_config_text(MINIMAL + line + "\n"))
+    assert exc.value.key == key
+    assert "not finite" in exc.value.reason or "range exceeds" in exc.value.reason
 
 
 def test_config_roundtrip(tmp_path):
@@ -259,18 +317,24 @@ def test_optimize_requires_target(tmp_path):
 
 def test_radius_validation(tmp_path):
     text = MINIMAL.replace("kernel.radius = 0.25", "kernel.radius = 0.6")
-    with pytest.raises(ValidationError):
-        load_config(write_cfg(tmp_path, text))
+    cfg = load_config(write_cfg(tmp_path, text))
+    with pytest.raises(ValidationError) as exc:
+        build_problem(cfg)
+    assert exc.value.key == "kernel.radius"
     text = MINIMAL.replace("kernel.radius = 0.25", "kernel.radius = 0.1")
-    with pytest.raises(ValidationError):
-        load_config(write_cfg(tmp_path, text))  # under 3 cells at 16^2
+    cfg = load_config(write_cfg(tmp_path, text))
+    with pytest.raises(ValidationError) as exc:
+        build_problem(cfg)  # under 3 cells at 16^2
+    assert exc.value.key == "kernel.radius"
 
 
 def test_default_radius(tmp_path):
     text = MINIMAL.replace("kernel.radius = 0.25\n", "")
     # 0.1 * min(L) = 0.1 < 3 h at 16^2, so validation must flag it
-    with pytest.raises(ValidationError):
-        load_config(write_cfg(tmp_path, text))
+    cfg = load_config(write_cfg(tmp_path, text))
+    with pytest.raises(ValidationError) as exc:
+        build_problem(cfg)
+    assert exc.value.key == "kernel.radius"
     big = text.replace("grid.nx = 16", "grid.nx = 64").replace("grid.ny = 16", "grid.ny = 64")
     cfg = load_config(write_cfg(tmp_path, big, name="big.cfg"))
     assert cfg.radius == pytest.approx(0.1)

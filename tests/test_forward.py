@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from morphoctl.config import build_problem, parse_config_text
 from morphoctl.control import control_inner, cost_parts, solve_adjoint_discrete
 from morphoctl.errors import DegenerateProbe, NonFinite
 from morphoctl.forward import (
@@ -35,20 +38,42 @@ def test_model_params_validation(grid16):
         ModelParams(grid=grid16, kernel=k, beta=1.0, alpha=1.0, T=0.1, dt=3e-3)
 
 
+# make_init(grid16) and make_params(grid16, beta=5.0, T=0.01) as a config;
+# its dt exceeds the advisory drift bound.
+OVER_BOUND = """
+grid.nx = 16
+grid.ny = 16
+grid.Lx = 1.0
+grid.Ly = 1.0
+time.T = 0.01
+time.dt = 1e-3
+model.beta = 5.0
+model.alpha = 1.0
+kernel.radius = 0.25
+init.m0 = cosine:0.2,1,1
+init.phi0 = constant:0.6
+"""
+
+
 def test_dt_bound_warns_but_runs(grid16):
+    # ModelParams accepts any dt silently; build_problem is the one warning.
     k = build_kernel(grid16, 0.25)
-    with pytest.warns(RuntimeWarning, match="conservative drift bound"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         p = ModelParams(grid=grid16, kernel=k, beta=5.0, alpha=1.0, T=0.01, dt=1e-3)
-    traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
+    assert p.dt > p.dt_stability_bound()
+    with pytest.warns(RuntimeWarning, match="conservative drift bound"):
+        problem = build_problem(parse_config_text(OVER_BOUND))
+    assert problem.params.dt_stability_bound() == p.dt_stability_bound()
+    traj = solve_state(problem.init, problem.theta, problem.params)
     assert np.isfinite(traj.m).all()
 
 
-def test_dt_bound_warning_names_the_caller(grid16):
-    # The location must be this ModelParams(...) call, not the
-    # dataclass-generated __init__ (reported as "<string>").
-    k = build_kernel(grid16, 0.25)
+def test_dt_bound_warning_names_the_caller():
+    # The location must be this build_problem(...) call, not config.py.
     with pytest.warns(RuntimeWarning, match="conservative drift bound") as record:
-        ModelParams(grid=grid16, kernel=k, beta=5.0, alpha=1.0, T=0.01, dt=1e-3)
+        build_problem(parse_config_text(OVER_BOUND))
+    assert len(record) == 1
     assert record[0].filename == __file__
 
 
