@@ -38,6 +38,7 @@ def main() -> int:
     star_norm = control_space_time_norm(p, problem.theta_star)
     print(f"termination        : {res.termination} after {res.iterations} iterations")
     print(f"forward solves     : {res.forward_solves}")
+    print(f"tangent solves     : {res.tangent_solves}")
     print(f"cost               : {res.cost_history[0]:.6e} -> {res.cost_history[-1]:.6e}")
     print(f"misfit reduction   : {1.0 - res.misfit_history[-1] / res.misfit_history[0]:.4%}")
     print(f"stationarity ratio : {res.stationarity_history[-1] / res.stationarity_history[0]:.3e}")

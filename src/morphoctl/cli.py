@@ -109,6 +109,7 @@ def cmd_optimize(args) -> int:
         fh.write(f"termination: {res.termination}\n")
         fh.write(f"iterations: {res.iterations}\n")
         fh.write(f"forward_solves: {res.forward_solves}\n")
+        fh.write(f"tangent_solves: {res.tangent_solves}\n")
         fh.write(f"final_cost: {res.cost_history[-1]!r}\n")
         fh.write(f"final_misfit: {res.misfit_history[-1]!r}\n")
         fh.write(f"final_stationarity: {res.stationarity_history[-1]!r}\n")

@@ -180,8 +180,8 @@ def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptC
     with _reported_as("control.theta_min"):
         ControlField(np.empty((0, *grid.shape)), cfg.theta_min, cfg.theta_max)
     # delta is an argument of pgd_optimize, not a field of any object.
-    if cfg.delta < 0:
-        raise ValidationError("control.delta", "requires delta >= 0")
+    if not (0.0 <= cfg.delta < math.inf):
+        raise ValidationError("control.delta", "requires 0 <= delta < inf")
     with _reported_as("opt.step0"):
         opt = OptConfig(
             max_iters=cfg.max_iters, step0=cfg.step0, shrink=cfg.shrink, c1=cfg.c1, tol=cfg.tol

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeltaZero, NonFinite
+from .errors import DeltaZero, NonFinite, ParameterError
 from .forward import (
     InitData,
     ModelParams,
@@ -48,6 +48,7 @@ from .forward import (
     solve_state,
 )
 from .grid import div, grad, inner, l2, solve_implicit_diffusion
+from .linearized import solve_linearized
 
 # Flipped to -1.0 by the verification mutation test to prove that the
 # gradient check detects a wrong adjoint sign.  Never change at runtime.
@@ -83,11 +84,14 @@ class AdjointTrajectory:
 class OptConfig:
     """Projected-gradient settings; tol=None means 1e-8 * sqrt(T Lx Ly).
 
-    ``step0`` is the first trial step of iteration 0 and the upper bound on
-    every later first trial, which is a Barzilai-Borwein step clipped to
-    ``[S_MIN, step0]``.  Each trial shrinks by ``shrink`` until the Armijo
-    test with constant ``c1`` accepts it or it falls below the fixed
-    :data:`S_MIN`.
+    ``step0`` caps every first trial step.  At iteration 0 it is also the
+    start of the trial grid step0 * shrink^k: the first trial is the
+    smallest grid step not below the Gauss-Newton step along -g
+    (:func:`_gauss_newton_trial`).  Every later first trial is a
+    Barzilai-Borwein step clipped to ``[S_MIN, step0]``.  Each trial
+    shrinks by ``shrink`` until the Armijo test with constant ``c1``
+    accepts it or it falls below the fixed :data:`S_MIN`.  ``step0`` must
+    be finite, or the trial grid has no end.
     """
 
     max_iters: int = 100
@@ -97,12 +101,16 @@ class OptConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        if (self.max_iters < 0 or self.step0 <= 0 or not (0 < self.shrink < 1)
-                or self.c1 <= 0):
-            raise ValueError(
-                "bad optimizer settings: need max_iters >= 0, step0 > 0, "
-                "0 < shrink < 1 and c1 > 0"
-            )
+        if self.max_iters < 0:
+            raise ParameterError("max_iters", "max_iters must be >= 0")
+        if not (0.0 < self.step0 < np.inf):
+            raise ParameterError("step0", "step0 must be positive and finite")
+        if not (0.0 < self.shrink < 1.0):
+            raise ParameterError("shrink", "shrink must lie in (0, 1)")
+        if not self.c1 > 0.0:
+            raise ParameterError("c1", "c1 must be > 0")
+        if self.tol is not None and not self.tol >= 0.0:
+            raise ParameterError("tol", "tol must be >= 0")
 
     def resolved_tol(self, params: ModelParams) -> float:
         if self.tol is not None:
@@ -121,6 +129,7 @@ class OptResult:
     iterations: int = 0
     termination: str = ""
     forward_solves: int = 0
+    tangent_solves: int = 0
 
 
 def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, float]:
@@ -314,6 +323,58 @@ def _bb_step(d_theta: np.ndarray, d_g: np.ndarray, params: ModelParams, opt: Opt
     return min(max(control_inner(params, d_theta, d_theta) / curv, S_MIN), opt.step0)
 
 
+def _gauss_newton_trial(
+    traj: Trajectory, theta: np.ndarray, g: np.ndarray, delta: float,
+    control0: ControlField, opt: OptConfig, result: OptResult,
+) -> float:
+    """First trial of iteration 0: step0 snapped down toward the Gauss-Newton step.
+
+    The direction d is -g with every component blocked by an active bound
+    set to zero (theta at theta_min with g > 0, or at theta_max with
+    g < 0).  One tangent sweep along d gives the Gauss-Newton curvature
+
+        c = dt sum_{n=1..nt} |phi2_n|^2 + delta <d, d>,
+
+    and the model's minimizer along d is s_gn = <d, d> / c.  The returned
+    trial is the smallest step of the backtracking grid step0 * shrink^k
+    not below max(s_gn, S_MIN), reached by the same repeated products as
+    the backtracking loop, so it has the bits that loop would reach.
+
+    Only grid steps of at least s_gn / shrink are skipped.  On a quadratic
+    cost Armijo rejects every step above 2 (1 - c1) s_gn, so at
+    shrink <= 1/2 the skipped trials are ones the search would reject,
+    and the accepted iterate is the one it would accept.  Two exceptions:
+    on a cost flatter than its Gauss-Newton model Armijo could accept a
+    skipped larger step, and the run then takes a smaller one; and a
+    ``stalled`` exit that only a skipped trial would have shown is not
+    seen.
+
+    step0 itself is returned when d vanishes (no tangent runs), when the
+    tangent is not finite, or when c is not positive and finite.  Each
+    tangent sweep run is counted in ``result.tangent_solves``.
+    """
+    p = traj.params
+    at_min = (theta <= control0.theta_min) & (g > 0.0)
+    at_max = (theta >= control0.theta_max) & (g < 0.0)
+    d = np.where(at_min | at_max, 0.0, -g)
+    dd = control_inner(p, d, d)
+    if dd == 0.0:
+        return opt.step0
+    result.tangent_solves += 1
+    try:
+        phi2 = solve_linearized(traj, d).phi2
+    except NonFinite:
+        return opt.step0
+    curv = _sum_sq(l2(p.grid, phi2[1:])) * p.dt + delta * dd
+    if not (np.isfinite(curv) and curv > 0.0):
+        return opt.step0
+    floor = max(dd / curv, S_MIN)
+    s = opt.step0
+    while s * opt.shrink >= floor:
+        s *= opt.shrink
+    return s
+
+
 def pgd_optimize(
     init: InitData,
     control0: ControlField,
@@ -326,9 +387,12 @@ def pgd_optimize(
 
     Accepts a trial step s when
     J(Proj(theta - s g)) <= J(theta) - (c1/s) |Proj(theta - s g) - theta|^2,
-    shrinking s geometrically from a first trial: step0 at iteration 0,
-    then the Barzilai-Borwein step of the last accepted move
-    (:func:`_bb_step`).  Terminates with
+    shrinking s geometrically from a first trial.  At iteration 0 that
+    is the step of the grid step0 * shrink^k that one tangent sweep's
+    Gauss-Newton curvature picks (:func:`_gauss_newton_trial`; the trials
+    it skips are ones Armijo would reject on a quadratic cost), and later
+    the Barzilai-Borwein step of the last accepted move (:func:`_bb_step`).
+    Terminates with
 
     * ``converged`` on a stationarity residual at or below tol,
     * ``max_iters`` at the iteration cap,
@@ -338,7 +402,8 @@ def pgd_optimize(
       move vanishes.
 
     The iterate returned is the last accepted one; ``forward_solves``
-    counts every state solve, the initial one included.
+    counts every state solve, the initial one included, and
+    ``tangent_solves`` the tangent sweeps (at most one).
     """
     tol = opt.resolved_tol(params)
     tmin, tmax = control0.theta_min, control0.theta_max
@@ -371,7 +436,7 @@ def pgd_optimize(
             return result
 
         if theta_prev is None:
-            s = opt.step0
+            s = _gauss_newton_trial(traj, theta, g, delta, control0, opt, result)
         else:
             s = _bb_step(theta - theta_prev, g - g_prev, params, opt)
         flat = 4.0 * np.spacing(j_cur)  # a cost change round-off cannot resolve

@@ -72,10 +72,10 @@ class ModelParams:
     def __post_init__(self):
         # beta = 0 is accepted as a degenerate diagnostic limit (pure heat
         # flow); the model analysis itself assumes beta > 0.
-        if self.beta < 0.0:
-            raise ParameterError("beta", "beta must be >= 0")
-        if self.alpha < 0.0:
-            raise ParameterError("alpha", "alpha must be >= 0")
+        if not (0.0 <= self.beta < np.inf):
+            raise ParameterError("beta", "beta must be finite and >= 0")
+        if not (0.0 <= self.alpha < np.inf):
+            raise ParameterError("alpha", "alpha must be finite and >= 0")
         if not (0.0 < self.T < np.inf and 0.0 < self.dt < np.inf):
             raise ParameterError("dt", "T and dt must be positive and finite")
         nt = round(self.T / self.dt)

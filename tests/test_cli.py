@@ -108,9 +108,13 @@ def test_optimize_writes_history_and_result(cfg_path, tmp_path, capsys):
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
     assert (out / "result.txt").read_text().startswith("termination:")
     assert (out / "theta_000000.mcf").exists()
-    result = dict(ln.split(": ", 1) for ln in (out / "result.txt").read_text().splitlines())
+    lines = (out / "result.txt").read_text().splitlines()
+    result = dict(ln.split(": ", 1) for ln in lines)
     # One initial solve, then at least one trial per completed iteration.
     assert int(result["forward_solves"]) >= 1 + int(result["iterations"])
+    # At most one tangent sweep: iteration 0's first trial.
+    assert lines.index(f"tangent_solves: {result['tangent_solves']}") == 3
+    assert int(result["tangent_solves"]) <= 1
 
 
 def test_optimize_line_search_failure_exits_nonzero(tmp_path, capsys):
@@ -209,6 +213,18 @@ def test_oversized_snapshot_header_is_config_error(tmp_path, capsys):
     path.write_text(SMALL.replace("init.m0 = cosine:0.15,1,1,0.1", f"init.m0 = file:{snap}"))
     assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert "config error: init.m0: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, old, new", [
+    ("optimize", "opt.tol", "opt.step0 = 100.0", "opt.step0 = 100.0\nopt.tol = -1.0"),
+    ("optimize", "opt.step0", "opt.step0 = 100.0", "opt.step0 = inf"),
+    ("simulate", "model.beta", "model.beta = 1.0", "model.beta = inf"),
+])
+def test_rule_breaking_value_names_its_key(command, key, old, new, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL.replace(old, new))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
 
 
 def test_seed_override_changes_noise(tmp_path):

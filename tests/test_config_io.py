@@ -112,7 +112,11 @@ def test_rule_keys_reported_at_build(tmp_path):
         ("init.m0", "init.m0 = constant:0.2", "init.m0 = constant:0.8"),
         ("control.theta_min", "seed = 0", "control.theta_min = 2.0"),
         ("control.delta", "seed = 0", "control.delta = -1.0"),
-        ("opt.step0", "seed = 0", "opt.shrink = 1.0"),
+        ("opt.shrink", "seed = 0", "opt.shrink = 1.0"),
+        ("opt.step0", "seed = 0", "opt.step0 = inf"),
+        ("opt.tol", "seed = 0", "opt.tol = -1.0"),
+        ("opt.c1", "seed = 0", "opt.c1 = 0.0"),
+        ("opt.max_iters", "seed = 0", "opt.max_iters = -1"),
     ]
     for key, old, new in cases:
         text = (MINIMAL + "seed = 0\n").replace(old, new)
@@ -121,6 +125,15 @@ def test_rule_keys_reported_at_build(tmp_path):
         with pytest.raises(ValidationError) as exc:
             build_problem(cfg)
         assert exc.value.key == key, exc.value
+
+
+@pytest.mark.parametrize("key", ["model.beta", "model.alpha", "control.delta"])
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_infinite_model_constants_rejected(tmp_path, key, value):
+    cfg = load_config(write_cfg(tmp_path, MINIMAL + f"{key} = {value}\n"))
+    with pytest.raises(ValidationError) as exc:
+        build_problem(cfg)
+    assert exc.value.key == key, exc.value
 
 
 def test_load_config_only_parses(tmp_path):

@@ -18,7 +18,7 @@ from morphoctl.control import (
     solve_adjoint_discrete,
     stationarity_residual,
 )
-from morphoctl.errors import DeltaZero, ShapeMismatch
+from morphoctl.errors import DeltaZero, NonFinite, ParameterError, ShapeMismatch
 from morphoctl.forward import InitData, solve_state
 from morphoctl.grid import Grid, l2
 from morphoctl.linearized import solve_linearized
@@ -230,10 +230,15 @@ def test_pgd_terminates_immediately_at_manufactured_optimum(grid16):
 
 
 def test_opt_config_rejects_bad_settings():
-    # shrink = 1 would retry the same line-search trial forever.
-    for bad in ({"shrink": 1.0}, {"shrink": 0.0}, {"step0": 0.0}, {"c1": 0.0}, {"max_iters": -1}):
-        with pytest.raises(ValueError):
+    # shrink = 1 would retry the same line-search trial forever, and an
+    # infinite step0 would never leave the first search's trial grid.
+    for bad in ({"shrink": 1.0}, {"shrink": 0.0}, {"step0": 0.0}, {"c1": 0.0},
+                {"max_iters": -1}, {"step0": np.inf}, {"tol": -1.0}, {"tol": -np.inf}):
+        with pytest.raises(ParameterError) as info:
             OptConfig(**bad)
+        assert info.value.name == next(iter(bad))
+    OptConfig(tol=None)
+    OptConfig(tol=0.0)
 
 
 def test_pgd_small_twin_recovery(grid16):
@@ -279,10 +284,79 @@ def test_pgd_bb_seed_needs_few_solves_per_iteration(grid16, monkeypatch):
     assert res.forward_solves == log.count("F")
     per_iteration = "".join(log).split("A")[1:]  # solves made by each iteration's search
     assert len(per_iteration) == res.iterations + 1
-    assert all(trials.count("F") <= 2 for trials in per_iteration[1:])
+    assert all(trials.count("F") <= 2 for trials in per_iteration)
     assert all(s <= opt.step0 for s in res.step_history)
     costs = res.cost_history
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
+
+
+def _step0_first_trial(traj, theta, g, delta, control0, opt, result):
+    return opt.step0
+
+
+def _assert_same_run(a, b):
+    assert np.array_equal(a.theta_opt, b.theta_opt)
+    for name in ("cost_history", "misfit_history", "reg_history",
+                 "stationarity_history", "step_history", "iterations", "termination"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@pytest.mark.parametrize("step0, delta, tol", [(1e7, 1e-6, 1e-9), (1e5, 1e-3, 1e-14),
+                                               (2.0, 1.0, 1e-14)])
+def test_gauss_newton_first_trial_skips_only_rejected_trials(grid16, monkeypatch, step0, delta, tol):
+    p, init, control0, phi_d = _small_twin(grid16)
+    opt = OptConfig(max_iters=60, step0=step0, tol=tol)
+    res = pgd_optimize(init, control0, phi_d, p, delta=delta, opt=opt)
+    monkeypatch.setattr(ctl, "_gauss_newton_trial", _step0_first_trial)
+    ref = pgd_optimize(init, control0, phi_d, p, delta=delta, opt=opt)
+    _assert_same_run(res, ref)
+    assert res.termination == "converged"
+    assert (res.tangent_solves, ref.tangent_solves) == (1, 0)
+    assert ref.step_history[0] < step0  # the reference rejected step0 ...
+    assert res.forward_solves < ref.forward_solves  # ... and those trials are skipped
+
+
+def test_gauss_newton_first_trial_falls_back_on_tangent_blowup(grid16, monkeypatch):
+    p, init, control0, phi_d = _small_twin(grid16)
+    opt = OptConfig(max_iters=60, step0=1e5, tol=1e-14)
+
+    def blowup(traj, h):
+        raise NonFinite("tangent blow-up at step 1", step=1)
+
+    monkeypatch.setattr(ctl, "solve_linearized", blowup)
+    res = pgd_optimize(init, control0, phi_d, p, delta=1e-3, opt=opt)
+    monkeypatch.setattr(ctl, "_gauss_newton_trial", _step0_first_trial)
+    ref = pgd_optimize(init, control0, phi_d, p, delta=1e-3, opt=opt)
+    _assert_same_run(res, ref)
+    assert res.forward_solves == ref.forward_solves
+    assert res.tangent_solves == 1
+
+
+def test_gauss_newton_first_trial_snaps_to_step0_grid(grid16):
+    p, init, control0, phi_d = _small_twin(grid16)
+    theta = np.zeros((p.nt, *grid16.shape))
+    traj = solve_state(init, theta, p)
+    g = reduced_gradient(solve_adjoint_discrete(traj, phi_d), theta, 1e-3)
+    opt = OptConfig(step0=1e5)
+    res = ctl.OptResult(theta_opt=theta)
+    s = ctl._gauss_newton_trial(traj, theta, g, 1e-3, control0, opt, res)
+    assert res.tangent_solves == 1
+    # theta = 0 sits at theta_min, so the components with g > 0 are blocked.
+    d = np.where(g > 0.0, 0.0, -g)
+    dd = ctl.control_inner(p, d, d)
+    phi2 = solve_linearized(traj, d).phi2[1:]
+    s_gn = dd / (float(np.sum(l2(grid16, phi2) ** 2)) * p.dt + 1e-3 * dd)
+    assert s_gn <= s < s_gn / opt.shrink < opt.step0
+    # s is a step of the backtracking grid, reached by the same products.
+    trial = opt.step0
+    while trial > s:
+        trial *= opt.shrink
+    assert trial == s
+    # Every component blocked: step0, and no tangent sweep.
+    blocked = ctl.OptResult(theta_opt=theta)
+    up = np.ones_like(g)
+    assert ctl._gauss_newton_trial(traj, theta, up, 1e-3, control0, opt, blocked) == opt.step0
+    assert blocked.tangent_solves == 0
 
 
 def test_bb_step_falls_back_and_clips(grid16):

@@ -44,4 +44,6 @@ def test_twin_experiment_builds_its_problem_once(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr("sys.argv", ["twin_experiment.py", str(path)])
     assert script["main"]() == 0
     assert len(builds) == 1
-    assert capsys.readouterr().out.startswith("termination        : ")
+    out = capsys.readouterr().out
+    assert out.startswith("termination        : ")
+    assert "\ntangent solves     : 1\n" in out
