@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -48,62 +49,49 @@ _ROLE_STREAMS = {
 }
 
 
-@dataclass(frozen=True)
+def _key(key: str, default=MISSING):
+    """A RunConfig field read from ``key``; without a default the key is required."""
+    return field(default=default, metadata={"key": key})
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    nx: int
-    ny: int
-    Lx: float
-    Ly: float
-    T: float
-    dt: float
-    beta: float
-    alpha: float
-    radius: float
-    theta_min: float
-    theta_max: float
-    delta: float
-    theta_spec: str
-    m0_spec: str
-    phi0_spec: str
-    phi_d_spec: str | None
-    max_iters: int
-    step0: float
-    shrink: float
-    c1: float
-    tol: float | None
-    snapshot_stride: int
-    out_dir: str
-    seed: int
+    """The one declaration of every config key: its attribute, type and default."""
+
+    nx: int = _key("grid.nx")
+    ny: int = _key("grid.ny")
+    Lx: float = _key("grid.Lx")
+    Ly: float = _key("grid.Ly")
+    T: float = _key("time.T")
+    dt: float = _key("time.dt")
+    beta: float = _key("model.beta")
+    alpha: float = _key("model.alpha")
+    radius: float = _key("kernel.radius", None)  # None: 0.1 min(Lx, Ly)
+    theta_min: float = _key("control.theta_min", ControlField.theta_min)
+    theta_max: float = _key("control.theta_max", ControlField.theta_max)
+    delta: float = _key("control.delta", 1e-3)
+    theta_spec: str = _key("control.theta", "constant:0")
+    m0_spec: str = _key("init.m0")
+    phi0_spec: str = _key("init.phi0")
+    phi_d_spec: str | None = _key("target.phi_d", None)
+    max_iters: int = _key("opt.max_iters", OptConfig.max_iters)
+    step0: float = _key("opt.step0", OptConfig.step0)
+    shrink: float = _key("opt.shrink", OptConfig.shrink)
+    c1: float = _key("opt.c1", OptConfig.c1)
+    tol: float | None = _key("opt.tol", OptConfig.tol)
+    snapshot_stride: int = _key("io.snapshot_stride", 100)
+    out_dir: str = _key("io.out_dir", "out")
+    seed: int = _key("seed", 0)
 
 
-_SCHEMA: dict[str, tuple] = {
-    # key: (attr, type, required, default value)
-    "grid.nx": ("nx", int, True, None),
-    "grid.ny": ("ny", int, True, None),
-    "grid.Lx": ("Lx", float, True, None),
-    "grid.Ly": ("Ly", float, True, None),
-    "time.T": ("T", float, True, None),
-    "time.dt": ("dt", float, True, None),
-    "model.beta": ("beta", float, True, None),
-    "model.alpha": ("alpha", float, True, None),
-    "kernel.radius": ("radius", float, False, None),  # default 0.1 min(Lx, Ly)
-    "control.theta_min": ("theta_min", float, False, 0.0),
-    "control.theta_max": ("theta_max", float, False, 1.0),
-    "control.delta": ("delta", float, False, 1e-3),
-    "control.theta": ("theta_spec", str, False, "constant:0"),
-    "init.m0": ("m0_spec", str, True, None),
-    "init.phi0": ("phi0_spec", str, True, None),
-    "target.phi_d": ("phi_d_spec", str, False, None),
-    "opt.max_iters": ("max_iters", int, False, 100),
-    "opt.step0": ("step0", float, False, 1.0),
-    "opt.shrink": ("shrink", float, False, 0.5),
-    "opt.c1": ("c1", float, False, 1e-4),
-    "opt.tol": ("tol", float, False, None),
-    "io.snapshot_stride": ("snapshot_stride", int, False, 100),
-    "io.out_dir": ("out_dir", str, False, "out"),
-    "seed": ("seed", int, False, 0),
+# key: (attribute, value type, default or MISSING), read off RunConfig once;
+# the value type of a ``T | None`` field is T.
+_HINTS = get_type_hints(RunConfig)
+_FIELDS = {
+    f.metadata["key"]: (f.name, (get_args(_HINTS[f.name]) or (_HINTS[f.name],))[0], f.default)
+    for f in fields(RunConfig)
 }
-_ATTR_KEYS = {attr: key for key, (attr, *_rest) in _SCHEMA.items()}
+_ATTR_KEYS = {f.name: f.metadata["key"] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -122,11 +110,11 @@ def parse_config_text(text: str) -> RunConfig:
         raw[key] = value
 
     for key in raw:
-        if key not in _SCHEMA:
+        if key not in _FIELDS:
             raise ValidationError(key, "unknown key")
 
     kwargs = {}
-    for key, (attr, typ, required, default) in _SCHEMA.items():
+    for key, (attr, typ, default) in _FIELDS.items():
         if key in raw:
             try:
                 kwargs[attr] = typ(raw[key])
@@ -134,7 +122,7 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ValidationError(key, f"expected {typ.__name__}, got {raw[key]!r}")
             if typ is float and math.isnan(kwargs[attr]):
                 raise ValidationError(key, f"expected a number, got {raw[key]!r}")
-        elif required:
+        elif default is MISSING:
             raise ValidationError(key, "required")
         else:
             kwargs[attr] = default
@@ -158,8 +146,10 @@ def _reported_as(key: str):
         raise ValidationError(key, str(exc)) from exc
 
 
-def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptConfig]:
-    """Build the grid, kernel, model, initial data and optimizer of a config.
+def _assemble(
+    cfg: RunConfig,
+) -> tuple[Grid, Kernel, ModelParams, InitData, ControlField, OptConfig]:
+    """Build the grid, kernel, model, initial data, control and optimizer of a config.
 
     Each rule lives in the constructor that owns the value; this step only
     maps their errors to config keys.
@@ -176,17 +166,15 @@ def _assemble(cfg: RunConfig) -> tuple[Grid, Kernel, ModelParams, InitData, OptC
     phi0 = realize_field(grid, cfg.phi0_spec, cfg.seed, "init.phi0")
     with _reported_as("init.m0"):
         init = InitData(m0=m0, phi0=phi0)
-    # Only the bounds are checked here; build_problem realizes the control.
+    theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
     with _reported_as("control.theta_min"):
-        ControlField(np.empty((0, *grid.shape)), cfg.theta_min, cfg.theta_max)
+        control = ControlField(theta, cfg.theta_min, cfg.theta_max)
     # delta is an argument of pgd_optimize, not a field of any object.
     if not (0.0 <= cfg.delta < math.inf):
         raise ValidationError("control.delta", "requires 0 <= delta < inf")
-    with _reported_as("opt.step0"):
-        opt = OptConfig(
-            max_iters=cfg.max_iters, step0=cfg.step0, shrink=cfg.shrink, c1=cfg.c1, tol=cfg.tol
-        )
-    return grid, kernel, params, init, opt
+    with _reported_as("opt.step0"):  # each OptConfig field is the RunConfig field of that name
+        opt = OptConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptConfig)})
+    return grid, kernel, params, init, control, opt
 
 
 def load_config(path) -> RunConfig:
@@ -196,15 +184,12 @@ def load_config(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; load(serialize(load(p))) == load(p)."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        lines.append(f"{_ATTR_KEYS[f.name]} = {value!r}" if isinstance(value, float)
-                     else f"{_ATTR_KEYS[f.name]} = {value}")
-    return "\n".join(lines) + "\n"
+    """Canonical text form; load(serialize(load(p))) == load(p).
+
+    A float prints as its repr, which is what ``str`` gives a Python float.
+    """
+    values = {f.metadata["key"]: getattr(cfg, f.name) for f in fields(cfg)}
+    return "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
 
 
 def _rng_for(seed: int, role: str) -> np.random.Generator:
@@ -256,16 +241,19 @@ class Problem:
     kernel: Kernel
     params: ModelParams
     init: InitData
-    theta: np.ndarray               # (nt, ny, nx) read-only view of one control slice
+    control_field: ControlField     # theta: (nt, ny, nx) read-only view of one slice
     phi_d: np.ndarray | None        # (nt, ny, nx) target: read-only view of one slice,
                                     # a twin's phi history from index 1, or None
     theta_star: np.ndarray | None   # twin ground truth, read-only view of one slice
     opt: OptConfig                  # optimizer settings from the config
 
+    @property
+    def theta(self) -> np.ndarray:
+        return self.control_field.theta
+
     def control(self) -> ControlField:
-        return ControlField(
-            theta=self.theta, theta_min=self.cfg.theta_min, theta_max=self.cfg.theta_max
-        )
+        """The configured control with its box, checked once by build_problem."""
+        return self.control_field
 
 
 def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
@@ -274,13 +262,11 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     The one place a config is checked; it warns once if dt exceeds the
     advisory :meth:`ModelParams.dt_stability_bound`.
     """
-    grid, kernel, params, init, opt = _assemble(cfg)
+    grid, kernel, params, init, control, opt = _assemble(cfg)
     if params.dt > params.dt_stability_bound():
         warnings.warn(f"dt={params.dt} exceeds the conservative drift bound "
                       f"{params.dt_stability_bound():.3e}; blow-up is detected at runtime",
                       RuntimeWarning, stacklevel=2)
-
-    theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
 
     phi_d = None
     theta_star = None
@@ -306,7 +292,7 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
         kernel=kernel,
         params=params,
         init=init,
-        theta=theta,
+        control_field=control,
         phi_d=phi_d,
         theta_star=theta_star,
         opt=opt,

@@ -42,6 +42,7 @@ from .forward import (
     InitData,
     ModelParams,
     Trajectory,
+    _check_finite,
     _sum_sq,
     control_array,
     control_space_time_norm,
@@ -107,8 +108,8 @@ class OptConfig:
             raise ParameterError("step0", "step0 must be positive and finite")
         if not (0.0 < self.shrink < 1.0):
             raise ParameterError("shrink", "shrink must lie in (0, 1)")
-        if not self.c1 > 0.0:
-            raise ParameterError("c1", "c1 must be > 0")
+        if not (0.0 < self.c1 < 1.0):
+            raise ParameterError("c1", "c1 must lie in (0, 1)")
         if self.tol is not None and not self.tol >= 0.0:
             raise ParameterError("tol", "tol must be >= 0")
 
@@ -186,8 +187,7 @@ def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> Adjoi
             p2 = g2[n] + dt * (e2 - p.alpha * g2[n] + s_n)
         g1[n - 1], _ = solve_implicit_diffusion(g, p1, dt)
         g2[n - 1], _ = solve_implicit_diffusion(g, p2, dt)
-        if not (np.isfinite(g1[n - 1]).all() and np.isfinite(g2[n - 1]).all()):
-            raise NonFinite(f"adjoint blow-up at step {n}", step=n)
+        _check_finite("adjoint blow-up", n, g1[n - 1], g2[n - 1])
     return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
 
 
@@ -213,13 +213,12 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
 
     hold exactly, which is what the reduced gradient needs.
     """
-    b2 = 2.0 * traj.params.beta
-    kernel = traj.params.kernel
+    params = traj.params
+    b2 = 2.0 * params.beta
 
     def drift(m, phi, d1, d2, adv1, adv2):
-        cm = b2 * (phi - m * m)
-        cp = b2 * (m * (1.0 - phi))
-        conv = kernel.grad_conv_sum(cm * d1[0] + cp * d2[0], cm * d1[1] + cp * d2[1])
+        cm, cp = params.mobilities(m, phi)
+        conv = params.kernel.grad_conv_sum(cm * d1[0] + cp * d2[0], cm * d1[1] + cp * d2[1])
         e1 = -2.0 * b2 * m * adv1 + b2 * (1.0 - phi) * adv2 - conv
         return e1, b2 * adv1 - b2 * m * adv2
 
@@ -245,18 +244,14 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
     this solver coincides with the exact transpose when beta = 0.  Used
     for cross-validation only; the optimizer never calls it.
     """
-    b2 = 2.0 * traj.params.beta
-    kernel = traj.params.kernel
+    params = traj.params
+    b2 = 2.0 * params.beta
 
     def drift(m, phi, d1, d2, adv1, adv2):
-        k1 = kernel.grad_conv_sum(*d1)
-        k2 = kernel.grad_conv_sum(*d2)
-        e1 = (
-            -2.0 * b2 * m * adv1
-            + b2 * (phi - m * m) * k1
-            + b2 * (1.0 - phi) * adv2
-            + b2 * (m * (1.0 - phi)) * k2
-        )
+        cm, cp = params.mobilities(m, phi)
+        k1 = params.kernel.grad_conv_sum(*d1)
+        k2 = params.kernel.grad_conv_sum(*d2)
+        e1 = -2.0 * b2 * m * adv1 + cm * k1 + b2 * (1.0 - phi) * adv2 + cp * k2
         return e1, -b2 * adv1 - b2 * m * adv2
 
     return _backward_sweep(traj, phi_d, 1.0, drift)

@@ -228,7 +228,7 @@ def circ_conv(grid: Grid, k: np.ndarray, f: np.ndarray, method: str = "fft") -> 
     if method == "fft":
         out = np.fft.irfft2(np.fft.rfft2(k) * np.fft.rfft2(f), s=grid.shape)
         return out * grid.cell_area
-    if method == "direct":
+    if method == "direct":  # test-only oracle, kept here as the definition the FFT path must match
         out = np.zeros(grid.shape)
         sy, sx = np.nonzero(k)
         for j, i in zip(sy.tolist(), sx.tolist()):

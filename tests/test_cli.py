@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +10,8 @@ import pytest
 from morphoctl.cli import main
 from morphoctl.fieldio import read_snapshot
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 SMALL = """
 grid.nx = 16
@@ -91,6 +96,38 @@ def test_gradcheck_passes(shipped, cfg_path, capsys):
         assert float(line.split(",")[3]) <= 1e-6
 
 
+def test_gradcheck_fails_on_a_wrong_adjoint_sign(cfg_path, monkeypatch, capsys):
+    from morphoctl import control
+
+    monkeypatch.setattr(control, "_MISFIT_SOURCE_SIGN", -1.0)
+    assert main(["gradcheck", "--config", cfg_path]) == 1
+    assert "gradcheck failed: worst relative error" in capsys.readouterr().err
+
+
+def test_taylor_fails_on_a_scaled_tangent(cfg_path, monkeypatch, capsys):
+    from morphoctl import linearized
+
+    solve = linearized.solve_linearized
+
+    def scaled(traj, h):
+        tan = solve(traj, h)
+        return dataclasses.replace(tan, phi1=1.1 * tan.phi1, phi2=1.1 * tan.phi2)
+
+    monkeypatch.setattr(linearized, "solve_linearized", scaled)
+    assert main(["taylor", "--config", cfg_path]) == 1
+    assert "taylor failed: orders deviate from 2" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs():
+    proc = subprocess.run(
+        [sys.executable, "-m", "morphoctl", "kernel-info", "--config", str(CONFIGS / "default.cfg")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "integral=1.0" in proc.stdout.splitlines()
+
+
 def test_taylor_prints_table(cfg_path, capsys):
     assert main(["taylor", "--config", cfg_path, "--direction", "cosine:0.5,2,1,0.2"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -146,13 +183,19 @@ def test_optimize_stalled_exits_zero(tmp_path, capsys):
     assert (out / "result.txt").read_text().startswith("termination: stalled\n")
 
 
-def test_verify_small_config(cfg_path, tmp_path, capsys):
-    out = tmp_path / "verify"
-    code = main(["verify", "--config", cfg_path, "--out-dir", str(out)])
-    report = (out / "verify_report.csv").read_text().splitlines()
-    assert report[0] == "name,measured,threshold,pass"
-    assert len(report) == 10  # nine checks
-    assert code == 0, capsys.readouterr().out
+def test_verify_small_config(tmp_path, capsys):
+    # Without a target and with a control, verify makes its own target and
+    # solves the bounds row again at zero control.
+    controlled = SMALL.replace("target.phi_d = cosine:0.2,1,1,0.7", "control.theta = constant:0.2")
+    for name, text in (("small", SMALL), ("controlled", controlled)):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        out = tmp_path / name
+        code = main(["verify", "--config", str(path), "--out-dir", str(out)])
+        report = (out / "verify_report.csv").read_text().splitlines()
+        assert report[0] == "name,measured,threshold,pass"
+        assert len(report) == 10  # nine checks
+        assert code == 0, capsys.readouterr().out
 
 
 # A run whose forward solve blows up.
@@ -173,6 +216,11 @@ def test_verify_records_blowup_as_failing_rows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "NonFinite" in captured.out or "blow-up" in captured.out
     assert "verify failed" in captured.err
+    # Every row that needs the base solve reports its blow-up, none a lookup error.
+    failed = [ln for ln in captured.err.splitlines() if ln.startswith("verify failed")]
+    assert len(failed) == 9
+    assert not any("KeyError" in ln for ln in failed)
+    assert all("NonFinite: blow-up at step" in ln for ln in failed)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -218,6 +266,7 @@ def test_oversized_snapshot_header_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command, key, old, new", [
     ("optimize", "opt.tol", "opt.step0 = 100.0", "opt.step0 = 100.0\nopt.tol = -1.0"),
     ("optimize", "opt.step0", "opt.step0 = 100.0", "opt.step0 = inf"),
+    ("optimize", "opt.c1", "opt.step0 = 100.0", "opt.step0 = 100.0\nopt.c1 = 1.5"),
     ("simulate", "model.beta", "model.beta = 1.0", "model.beta = inf"),
 ])
 def test_rule_breaking_value_names_its_key(command, key, old, new, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from morphoctl import config
 from morphoctl.config import (
-    _SCHEMA,
+    _FIELDS,
     DT_BOUND_WARNING,
     build_problem,
     load_config,
@@ -153,7 +153,15 @@ def test_load_then_build_assembles_once(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
-FLOAT_KEYS = [key for key, (_attr, typ, *_rest) in _SCHEMA.items() if typ is float]
+def test_problem_holds_its_one_control(tmp_path):
+    problem = build_problem(load_config(write_cfg(tmp_path, MINIMAL + "control.theta_max = 0.5\n")))
+    control = problem.control()
+    assert control is problem.control()
+    assert control.theta is problem.theta
+    assert (control.theta_min, control.theta_max) == (0.0, 0.5)
+
+
+FLOAT_KEYS = [key for key, (_attr, typ, _default) in _FIELDS.items() if typ is float]
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -268,6 +276,19 @@ def test_snapshot_header_size_checked_before_read(tmp_path, size):
     path = tmp_path / "bad_size.mcf"
     path.write_bytes(b"MCFIELD 1 " + size + b" 0.0\n" + b"\x00" * 128)
     with pytest.raises(FormatError):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"MCFIELD 1 4 4", "unexpected end of file in header"),
+    (b"MCFIELD 1 4 4 " + b"0" * 300 + b"\n", "header line too long"),
+    (b"MCFIELD 2 4 4 0.0\n" + b"\x00" * 128, "unsupported version 2"),
+    (b"MCFIELD 1 four 4 0.0\n" + b"\x00" * 128, "bad header fields"),
+], ids=["eof", "too-long", "version", "non-numeric"])
+def test_snapshot_header_rejections(tmp_path, content, reason):
+    path = tmp_path / "bad_header.mcf"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=reason):
         read_snapshot(path)
 
 

@@ -230,9 +230,10 @@ def test_pgd_terminates_immediately_at_manufactured_optimum(grid16):
 
 
 def test_opt_config_rejects_bad_settings():
-    # shrink = 1 would retry the same line-search trial forever, and an
-    # infinite step0 would never leave the first search's trial grid.
-    for bad in ({"shrink": 1.0}, {"shrink": 0.0}, {"step0": 0.0}, {"c1": 0.0},
+    # shrink = 1 would retry the same line-search trial forever, an infinite
+    # step0 would never leave the first search's trial grid, and with c1 >= 1
+    # Armijo accepts no small step along a descent direction.
+    for bad in ({"shrink": 1.0}, {"shrink": 0.0}, {"step0": 0.0}, {"c1": 0.0}, {"c1": 1.0},
                 {"max_iters": -1}, {"step0": np.inf}, {"tol": -1.0}, {"tol": -np.inf}):
         with pytest.raises(ParameterError) as info:
             OptConfig(**bad)
