@@ -54,10 +54,11 @@ def read_snapshot(path) -> tuple[int, int, float, np.ndarray]:
             raise FormatError(f"bad header fields {parts[2:]}") from exc
         if nx < 1 or ny < 1:
             raise FormatError(f"bad grid size {nx}x{ny}")
-        # Size the read from the file, not from the header alone.
-        if nx * ny * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise FormatError("truncated payload")
-        payload = fh.read(nx * ny * 8)
+        # Size the read from the file, not from the header alone: exactly nx*ny doubles.
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != nx * ny * 8:
+            raise FormatError(f"payload of {size} bytes, a {nx}x{ny} field needs {nx * ny * 8}")
+        payload = fh.read(size)
         values = np.frombuffer(payload, dtype="<f8").reshape(ny, nx).copy()
     return nx, ny, t, values
 

@@ -312,8 +312,9 @@ def bounds_check(traj: Trajectory) -> dict[str, float]:
     The ordering is only guaranteed for the uncontrolled dynamics, so this
     reports; callers assert (tolerance 1e-8) only when theta is zero.
     """
-    viol_m = float(np.max(np.abs(traj.m) - np.abs(traj.phi)))
-    viol_phi = float(np.max(np.abs(traj.phi) - 1.0))
+    # Slice by slice, as in phi_balance_defect: no history-sized temporary.
+    viol_m = float(np.max([np.max(np.abs(m) - np.abs(phi)) for m, phi in zip(traj.m, traj.phi)]))
+    viol_phi = float(np.max([np.max(np.abs(phi) - 1.0) for phi in traj.phi]))
     return {
         "max_viol_m": max(viol_m, 0.0),
         "max_viol_phi": max(viol_phi, 0.0),

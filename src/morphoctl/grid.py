@@ -29,8 +29,8 @@ Conventions used by every module in this package:
       lam(kx, ky) = -(2/hx^2) (1 - cos(2 pi kx / nx))
                     -(2/hy^2) (1 - cos(2 pi ky / ny))  <= 0
 
-  and implicit diffusion steps are solved exactly by dividing by
-  ``1 - dt lam`` in that basis.
+  and implicit diffusion steps are solved exactly in that basis, by
+  multiplying with a cached ``1 / (1 - dt lam)``.
 * The ``h_minus_1`` norm uses the same basis with the continuous
   wavenumber convention ``kappa = (2 pi ktilde_x / Lx, 2 pi ktilde_y / Ly)``
   (``ktilde`` the signed integer DFT frequency)::
@@ -49,7 +49,7 @@ Conventions used by every module in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,15 +101,6 @@ class Grid:
                 )
 
     @cached_property
-    def _lam_rfft(self) -> np.ndarray:
-        # Five-point Laplacian symbol on the rfft2 mode layout, all <= 0.
-        kx = np.arange(self.nx // 2 + 1)
-        ky = np.arange(self.ny)
-        cx = (2.0 / self.hx**2) * (1.0 - np.cos(2.0 * np.pi * kx / self.nx))
-        cy = (2.0 / self.hy**2) * (1.0 - np.cos(2.0 * np.pi * ky / self.ny))
-        return -(cx[None, :] + cy[:, None])
-
-    @cached_property
     def _hminus1_mult(self) -> np.ndarray:
         kapx = 2.0 * np.pi * np.fft.fftfreq(self.nx) * self.nx / self.Lx
         kapy = 2.0 * np.pi * np.fft.fftfreq(self.ny) * self.ny / self.Ly
@@ -119,14 +110,14 @@ class Grid:
 def _centered(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Periodic centered difference (f[i+1] - f[i-1]) / (2h) along ``axis``.
 
-    Written by slicing into one output array, with no rolled copies; the
-    operations are those of the ``np.roll`` form, so the bits are too.
+    Slices the trailing axis (y, axis -2, through ``swapaxes`` views) into one
+    output array, with no rolled copies; the operations, so the bits, are the ``np.roll`` form's.
     """
     out = np.empty(f.shape)
-    src, dst = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
-    np.subtract(src[1], src[-1], out=dst[0])
-    np.subtract(src[0], src[-2], out=dst[-1])
+    src, dst = (f, out) if axis == -1 else (f.swapaxes(-1, -2), out.swapaxes(-1, -2))
+    np.subtract(src[..., 2:], src[..., :-2], out=dst[..., 1:-1])
+    np.subtract(src[..., 1], src[..., -1], out=dst[..., 0])
+    np.subtract(src[..., 0], src[..., -2], out=dst[..., -1])
     out /= 2.0 * h
     return out
 
@@ -150,16 +141,25 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     return lx + ly
 
 
+@lru_cache(maxsize=16)
+def _implicit_multiplier(grid: Grid, dt: float) -> np.ndarray:
+    """``1 / (1 - dt lam)``, lam <= 0 the five-point Laplacian symbol on the rfft2 layout."""
+    cx = (2.0 / grid.hx**2) * (1.0 - np.cos(2.0 * np.pi * np.arange(grid.nx // 2 + 1) / grid.nx))
+    cy = (2.0 / grid.hy**2) * (1.0 - np.cos(2.0 * np.pi * np.arange(grid.ny) / grid.ny))
+    return 1.0 / (1.0 - dt * -(cx[None, :] + cy[:, None]))
+
+
 def solve_implicit_diffusion(
     grid: Grid, rhs: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis.
 
-    Returns ``(u, uh)`` with ``uh`` the rfft2 spectrum ``u`` was made
-    from; it equals ``rfft2(u)`` in exact arithmetic, so a sweep can carry
-    it to the next step instead of transforming ``u`` again.
+    Multiplies ``rfft2(rhs)`` by a cached ``1 / (1 - dt lam)``: numpy's complex-by-real
+    division does the same, so ``u`` has its bits.  Returns ``(u, uh)``, ``uh`` the
+    rfft2 spectrum ``u`` was made from; it equals ``rfft2(u)`` in exact arithmetic,
+    so a sweep can carry it to the next step instead of transforming ``u`` again.
     """
-    uh = np.fft.rfft2(rhs) / (1.0 - dt * grid._lam_rfft)
+    uh = np.fft.rfft2(rhs) * _implicit_multiplier(grid, dt)
     return np.fft.irfft2(uh, s=grid.shape), uh
 
 

@@ -271,6 +271,15 @@ def test_snapshot_truncated_payload(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("extra", [1, 8 * 8 * 8 - 4 * 4 * 8])
+def test_snapshot_bytes_after_payload(tmp_path, extra):
+    # An 8x8 payload behind a 4x4 header must not read as a 4x4 field.
+    path = tmp_path / "long.mcf"
+    path.write_bytes(b"MCFIELD 1 4 4 0.0\n" + b"\x00" * (4 * 4 * 8 + extra))
+    with pytest.raises(FormatError, match="payload of"):
+        read_snapshot(path)
+
+
 @pytest.mark.parametrize("size", [b"-4 -4", b"10000000000 10000000000"])
 def test_snapshot_header_size_checked_before_read(tmp_path, size):
     path = tmp_path / "bad_size.mcf"

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -286,6 +287,23 @@ def test_bounds_zero_data(grid16):
     assert np.max(np.abs(traj.m)) == 0.0
     rep = bounds_check(traj)
     assert rep["max_viol_m"] == 0.0 and rep["max_viol_phi"] == 0.0
+
+
+def test_bounds_check_matches_the_stacked_form(grid16):
+    p = make_params(grid16, T=0.05)
+    traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
+    rng = np.random.default_rng(8)
+    # Fields that break both orderings, so both maxima are positive.
+    broken = dataclasses.replace(
+        traj, m=1.5 * rng.standard_normal(traj.m.shape), phi=rng.standard_normal(traj.phi.shape)
+    )
+    for t in (traj, broken):
+        stacked = {
+            "max_viol_m": max(float(np.max(np.abs(t.m) - np.abs(t.phi))), 0.0),
+            "max_viol_phi": max(float(np.max(np.abs(t.phi) - 1.0)), 0.0),
+        }
+        assert bounds_check(t) == stacked
+    assert min(bounds_check(broken).values()) > 0.0
 
 
 def test_temporal_convergence_first_order():

@@ -18,9 +18,10 @@ from morphoctl.grid import (
     norms,
     periodic_reverse,
     solve_implicit_diffusion,
+    _implicit_multiplier,
 )
 
-from conftest import smooth_random
+from conftest import full_laplacian_symbol, smooth_random
 
 
 def test_grid_validates_size_and_lengths():
@@ -207,6 +208,33 @@ def test_implicit_solve_is_exact_per_mode():
     dt = 1e-3
     out, _ = solve_implicit_diffusion(g, f, dt)
     assert np.max(np.abs(out - f / (1.0 - dt * lam))) < 1e-13
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (7, 5), (15, 12), (24, 20)])
+def test_implicit_solve_keeps_the_bits_of_the_division(nx, ny):
+    # The solve multiplies by a cached 1 / (1 - dt lam); u must be the
+    # division form byte for byte, on odd, non-square grids and on stacks.
+    g = Grid(nx, ny, 1.3, 0.7)
+    lam = full_laplacian_symbol(g)[:, : nx // 2 + 1]
+    rng = np.random.default_rng(nx * ny)
+    for dt in (1e-4, 1e-3, 0.37):
+        for f in (rng.standard_normal(g.shape), rng.standard_normal((3, ny, nx))):
+            f.flat[1] = -0.0
+            u, _ = solve_implicit_diffusion(g, f, dt)
+            expected = np.fft.irfft2(np.fft.rfft2(f) / (1.0 - dt * lam), s=g.shape)
+            assert u.shape == f.shape and u.tobytes() == expected.tobytes()
+
+
+def test_implicit_solve_reuses_its_multiplier():
+    rhs = np.ones((5, 7))
+    solve_implicit_diffusion(Grid(7, 5, 1.0, 1.0), rhs, 1e-3)
+    before = _implicit_multiplier.cache_info()
+    solve_implicit_diffusion(Grid(7, 5, 1.0, 1.0), rhs, 1e-3)
+    after = _implicit_multiplier.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert _implicit_multiplier(Grid(7, 5, 1.0, 1.0), 1e-3) is _implicit_multiplier(
+        Grid(7, 5, 1.0, 1.0), 1e-3
+    )
 
 
 def test_reductions_deterministic(grid32):
