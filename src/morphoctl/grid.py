@@ -111,7 +111,7 @@ def _centered(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Periodic centered difference (f[i+1] - f[i-1]) / (2h) along ``axis``.
 
     Slices the trailing axis (y, axis -2, through ``swapaxes`` views) into one
-    output array, with no rolled copies; the operations, so the bits, are the ``np.roll`` form's.
+    output array, no rolled copies: the operations of the ``np.roll`` form, so its bits.
     """
     out = np.empty(f.shape)
     src, dst = (f, out) if axis == -1 else (f.swapaxes(-1, -2), out.swapaxes(-1, -2))
