@@ -48,7 +48,7 @@ from .forward import (
     control_space_time_norm,
     solve_state,
 )
-from .grid import div, grad, inner, l2, solve_implicit_diffusion
+from .grid import div, grad, inner, l2, rfft2, solve_implicit_diffusion
 from .linearized import solve_linearized
 
 # Flipped to -1.0 by the verification mutation test to prove that the
@@ -177,7 +177,7 @@ def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> Adjoi
             p2 = dt * s_n
         else:
             m, phi = traj.m[n], traj.phi[n]
-            gmx, gmy = p.kernel.grad_conv(np.fft.rfft2(m))
+            gmx, gmy = p.kernel.grad_conv(rfft2(m))
             d1 = grad(g, g1[n])
             d2 = grad(g, g2[n])
             adv1 = gmx * d1[0] + gmy * d1[1]

@@ -13,8 +13,9 @@ symmetry ``gj(-p) = -gj(p)`` holds bit-exactly.  The backward solvers use
 that symmetry to transpose the nonlocal drift, so it must be exact, not
 just accurate.
 
-``Kernel.grad_conv`` takes the rfft2 spectrum of the field it convolves,
-so a sweep that already holds the spectrum spends no forward transform.
+``Kernel.grad_conv`` takes the spectrum :func:`morphoctl.grid.rfft2` makes
+of the field it convolves, so a sweep that already holds the spectrum
+spends no forward transform.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
-from .grid import Grid, circ_conv, integral, periodic_reverse
+from .grid import Grid, circ_conv, integral, irfft2, periodic_reverse, rfft2
 
 
 def _signed_offsets(n: int, h: float) -> np.ndarray:
@@ -45,34 +46,34 @@ class Kernel:
 
     @cached_property
     def _j_hat(self) -> np.ndarray:
-        return np.fft.rfft2(self.j) * self.grid.cell_area
+        return rfft2(self.j) * self.grid.cell_area
 
     @cached_property
     def _gx_hat(self) -> np.ndarray:
-        return np.fft.rfft2(self.gjx) * self.grid.cell_area
+        return rfft2(self.gjx) * self.grid.cell_area
 
     @cached_property
     def _gy_hat(self) -> np.ndarray:
-        return np.fft.rfft2(self.gjy) * self.grid.cell_area
+        return rfft2(self.gjy) * self.grid.cell_area
 
     def conv_j(self, f: np.ndarray) -> np.ndarray:
         """j * f (discrete integral convolution)."""
-        return np.fft.irfft2(self._j_hat * np.fft.rfft2(f), s=self.grid.shape)
+        return irfft2(self._j_hat * rfft2(f), self.grid.shape)
 
     def grad_conv(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.
 
         The sweeps pass the spectrum their implicit solve already made;
-        a caller holding only the field passes ``np.fft.rfft2(f)``.
+        a caller holding only the field passes ``grid.rfft2(f)``.
         """
-        ax = np.fft.irfft2(self._gx_hat * fh, s=self.grid.shape)
-        ay = np.fft.irfft2(self._gy_hat * fh, s=self.grid.shape)
+        ax = irfft2(self._gx_hat * fh, self.grid.shape)
+        ay = irfft2(self._gy_hat * fh, self.grid.shape)
         return ax, ay
 
     def grad_conv_sum(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """sum_i (d_i j) * v_i, the contraction used by the backward sweeps."""
-        sh = self._gx_hat * np.fft.rfft2(vx) + self._gy_hat * np.fft.rfft2(vy)
-        return np.fft.irfft2(sh, s=self.grid.shape)
+        sh = self._gx_hat * rfft2(vx) + self._gy_hat * rfft2(vy)
+        return irfft2(sh, self.grid.shape)
 
     def grad_l1(self) -> float:
         """Discrete L1 norm of the gradient samples, sum |gj| hx hy."""

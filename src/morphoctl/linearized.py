@@ -29,12 +29,11 @@ from .forward import (
     ModelParams,
     Trajectory,
     _check_finite,
-    _sum_sq,
     control_array,
     l2_h1_norm,
     solve_state,
 )
-from .grid import div, l2, solve_implicit_diffusion
+from .grid import div, l2, rfft2, solve_implicit_diffusion
 
 # Perturbation sizes of the Taylor test, halving from 1e-1: three orders from four rungs.
 EPS_LADDER = (1e-1, 5e-2, 2.5e-2, 1.25e-2)
@@ -68,7 +67,7 @@ def step_linearized(
     g = params.grid
     dt = params.dt
     b2 = 2.0 * params.beta
-    gmx, gmy = params.kernel.grad_conv(np.fft.rfft2(m_hat))
+    gmx, gmy = params.kernel.grad_conv(rfft2(m_hat))
     g1x, g1y = params.kernel.grad_conv(phi1_spec)
 
     c1, a2 = params.mobilities(m_hat, phi_hat)      # both multiply gradJ * phi1
@@ -94,7 +93,7 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     nt = params.nt
     phi1 = np.zeros((nt + 1, *params.grid.shape))
     phi2 = np.zeros_like(phi1)
-    phi1_spec = np.fft.rfft2(phi1[0])
+    phi1_spec = rfft2(phi1[0])
     for n in range(nt):
         phi1[n + 1], phi1_spec, phi2[n + 1] = step_linearized(
             traj.m[n], traj.phi[n], phi1[n], phi1_spec, phi2[n], harr[n], params
@@ -103,19 +102,29 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)
 
 
-def _pair_norm(params: ModelParams, a: np.ndarray, b: np.ndarray) -> float:
-    """sqrt(dt sum_n (|a_n|^2 + |b_n|^2)) over two stacks, summed in time order."""
-    return float(np.sqrt(_sum_sq(l2(params.grid, a), l2(params.grid, b)) * params.dt))
+def _pair_norm(params: ModelParams, pairs) -> float:
+    """sqrt(dt sum_n (|a_n|^2 + |b_n|^2)) over slice pairs (a_n, b_n), one at a time in time order.
+
+    Gives the bits of ``_sum_sq(l2(grid, a), l2(grid, b))`` on the stacks, with no
+    history-sized temporary.
+    """
+    g = params.grid
+    return float(np.sqrt(sum(l2(g, a) ** 2 + l2(g, b) ** 2 for a, b in pairs) * params.dt))
 
 
 def tangent_norm(tan: TangentTrajectory) -> float:
     """Discrete L2(S x Omega)^2 norm of the tangent (state quadrature)."""
-    return _pair_norm(tan.params, tan.phi1[1:], tan.phi2[1:])
+    return _pair_norm(tan.params, zip(tan.phi1[1:], tan.phi2[1:]))
 
 
 def tangent_stability_norm(tan: TangentTrajectory) -> float:
     """|phi1|_{L2(S;H1)} + |phi2|_{L2(S;H1)}, the stability-estimate quantity."""
     return l2_h1_norm(tan.params, tan.phi1) + l2_h1_norm(tan.params, tan.phi2)
+
+
+def _differences(a: Trajectory, b: Trajectory):
+    """(a.m - b.m, a.phi - b.phi) at n = 1..nt, one slice pair at a time, no history-sized array."""
+    return ((a.m[n] - b.m[n], a.phi[n] - b.phi[n]) for n in range(1, a.params.nt + 1))
 
 
 def taylor_test(init: InitData, theta_hat, h, params: ModelParams) -> dict:
@@ -135,14 +144,16 @@ def taylor_test(init: InitData, theta_hat, h, params: ModelParams) -> dict:
     tan = solve_linearized(base, harr)
     tnorm = tangent_norm(tan)
 
-    remainders = []
-    fd_norms = []
-    for eps in EPS_LADDER:
+    def rung(eps):
+        """(remainder, first-order quotient) at eps; the perturbed run is freed on return."""
         pert = solve_state(init, th + eps * harr, params)
-        dm = pert.m[1:] - base.m[1:]
-        dp = pert.phi[1:] - base.phi[1:]
-        remainders.append(_pair_norm(params, dm - eps * tan.phi1[1:], dp - eps * tan.phi2[1:]))
-        fd_norms.append(_pair_norm(params, dm, dp) / eps)
+        rem = (
+            (dm - eps * t1, dp - eps * t2)
+            for (dm, dp), t1, t2 in zip(_differences(pert, base), tan.phi1[1:], tan.phi2[1:])
+        )
+        return _pair_norm(params, rem), _pair_norm(params, _differences(pert, base)) / eps
+
+    remainders, fd_norms = map(list, zip(*map(rung, EPS_LADDER)))
 
     orders = []
     for i in range(len(EPS_LADDER) - 1):

@@ -467,11 +467,14 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
 
 
 def test_fft_counts_per_step(grid16, monkeypatch):
-    """Transforms per step: forward 6, tangent 9, adjoint 10.
+    """Real 2-D transforms per step: forward 6, tangent 9, adjoint 10.
 
     The forward and tangent sweeps carry the spectrum of m and phi1 from
     one implicit solve to the next step, so each takes one rfft2 more, to
     seed it; the adjoint's terminal step makes only its two implicit solves.
+    ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
+    passes, so a forward transform is one ``rfft`` (then one ``fft``) and
+    an inverse one ``irfft`` (after one ``ifft``).
     """
     p = make_params(grid16, T=0.01)
     rng = np.random.default_rng(36)
@@ -480,16 +483,20 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     h = expand(smooth_random(rng, grid16), p.nt)
     pd = 0.8 * np.ones((1, *grid16.shape))
     p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not per step
+    passes = ("rfft", "fft", "irfft", "ifft")
     counts = {}
-    for name in ("rfft2", "irfft2"):
+    for name in passes:
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
     def sweep(fn, *args):
-        counts.update(rfft2=0, irfft2=0)
-        return fn(*args), dict(counts)
+        counts.update(dict.fromkeys(passes, 0))
+        out = fn(*args)
+        # Each real pass has its complex partner: the same 2-D transforms.
+        assert counts["fft"] == counts["rfft"] and counts["ifft"] == counts["irfft"]
+        return out, {"rfft2": counts["rfft"], "irfft2": counts["irfft"]}
 
     nt = p.nt
     assert nt == 10

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,12 @@ from morphoctl.grid import (
     h_minus_1,
     inner,
     integral,
+    irfft2,
     l2,
     laplacian,
     norms,
     periodic_reverse,
+    rfft2,
     solve_implicit_diffusion,
     _implicit_multiplier,
 )
@@ -223,6 +228,36 @@ def test_implicit_solve_keeps_the_bits_of_the_division(nx, ny):
             u, _ = solve_implicit_diffusion(g, f, dt)
             expected = np.fft.irfft2(np.fft.rfft2(f) / (1.0 - dt * lam), s=g.shape)
             assert u.shape == f.shape and u.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("ny", [4, 5, 9, 16, 33])
+@pytest.mark.parametrize("nx", [4, 7, 12, 31, 32])
+def test_real_transforms_keep_numpys_bits(nx, ny):
+    # grid.rfft2/irfft2 make numpy's two 1-D passes directly, so their bytes
+    # are numpy's rfft2/irfft2(s=), on odd, even and non-square grids and stacks.
+    rng = np.random.default_rng(100 * ny + nx)
+    for f in (rng.standard_normal((ny, nx)), rng.standard_normal((3, ny, nx))):
+        fh = rfft2(f)
+        expected = np.fft.rfft2(f)
+        assert fh.shape == expected.shape and fh.tobytes() == expected.tobytes()
+        back = irfft2(expected, (ny, nx))
+        expected = np.fft.irfft2(expected, s=(ny, nx))
+        assert back.shape == expected.shape and back.tobytes() == expected.tobytes()
+
+
+def test_real_2d_transforms_have_one_home():
+    # Every real 2-D transform goes through grid.rfft2/irfft2, so the pass
+    # counts of test_fft_counts_per_step see every transform a sweep makes.
+    src = Path(__file__).resolve().parents[1] / "src" / "morphoctl"
+    direct = re.compile(r"fft\.i?rfft(2|n)\b|from\s+numpy\.fft\s+import")
+    offenders = [
+        f"{path.name}:{i}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "grid.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if direct.search(line)
+    ]
+    assert offenders == []
 
 
 def test_implicit_solve_reuses_its_multiplier():

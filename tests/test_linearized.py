@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from morphoctl.forward import integral, solve_state, step_state
-from morphoctl.grid import l2
+from morphoctl.forward import (
+    _sum_sq,
+    control_space_time_norm,
+    integral,
+    lipschitz_probe,
+    solve_state,
+    step_state,
+)
+from morphoctl.grid import Grid, h1, l2
 from morphoctl.linearized import (
+    EPS_LADDER,
     solve_linearized,
     step_linearized,
     tangent_norm,
@@ -184,3 +192,39 @@ def test_tangent_norm_positive(grid16):
     traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
     tan = solve_linearized(traj, expand(smooth_random(rng, grid16), p.nt))
     assert tangent_norm(tan) > 0.0
+
+
+def test_space_time_norms_slice_by_slice_keep_the_stacked_bits():
+    # The Lipschitz probe, the Taylor test and the tangent norms reduce one
+    # time slice at a time; the stacked forms, summed in the same time order,
+    # must give the same bits.
+    g = Grid(14, 12, 1.0, 0.9)
+    p = make_params(g, T=0.01, radius=0.3)
+    rng = np.random.default_rng(41)
+    init = make_init(g)
+    theta = expand(0.3 + 0.1 * smooth_random(rng, g), p.nt)
+    h = expand(smooth_random(rng, g), p.nt)
+
+    def pair(a, b):
+        return float(np.sqrt(_sum_sq(l2(g, a), l2(g, b)) * p.dt))
+
+    def l2h1(series):
+        return float(np.sqrt(_sum_sq(h1(g, series[1:])) * p.dt))
+
+    base = solve_state(init, theta, p)
+    tan = solve_linearized(base, h)
+    assert tangent_norm(tan) == pair(tan.phi1[1:], tan.phi2[1:])
+    assert tangent_stability_norm(tan) == l2h1(tan.phi1) + l2h1(tan.phi2)
+
+    other = solve_state(init, theta + 0.05 * h, p)
+    stacked = l2h1(base.m - other.m) + l2h1(base.phi - other.phi)
+    denom = control_space_time_norm(p, theta - (theta + 0.05 * h))
+    assert lipschitz_probe(init, theta, theta + 0.05 * h, p) == stacked / denom
+
+    out = taylor_test(init, theta, h, p)
+    for eps, rem, fd in zip(EPS_LADDER, out["remainders"], out["first_order_quotients"]):
+        pert = solve_state(init, theta + eps * h, p)
+        dm = pert.m[1:] - base.m[1:]
+        dp = pert.phi[1:] - base.phi[1:]
+        assert rem == pair(dm - eps * tan.phi1[1:], dp - eps * tan.phi2[1:]) and rem > 0.0
+        assert fd == pair(dm, dp) / eps
