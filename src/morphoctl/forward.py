@@ -268,11 +268,7 @@ def control_space_time_norm(params: ModelParams, series: np.ndarray) -> float:
 
 
 def _l2_h1(params: ModelParams, slices) -> float:
-    """L2(S; H1) norm of the slices n = 1..nt, taken one at a time in time order.
-
-    Gives the bits of ``_sum_sq(h1(grid, stack))`` without the stack's
-    history-sized gradients and squares.
-    """
+    """L2(S; H1) norm of the slices n = 1..nt, one at a time in time order: the stack's bits."""
     return float(np.sqrt(sum(h1(params.grid, f) ** 2 for f in slices) * params.dt))
 
 

@@ -103,11 +103,7 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
 
 
 def _pair_norm(params: ModelParams, pairs) -> float:
-    """sqrt(dt sum_n (|a_n|^2 + |b_n|^2)) over slice pairs (a_n, b_n), one at a time in time order.
-
-    Gives the bits of ``_sum_sq(l2(grid, a), l2(grid, b))`` on the stacks, with no
-    history-sized temporary.
-    """
+    """sqrt(dt sum_n (|a_n|^2 + |b_n|^2)) over slice pairs (a_n, b_n), one pair at a time."""
     g = params.grid
     return float(np.sqrt(sum(l2(g, a) ** 2 + l2(g, b) ** 2 for a, b in pairs) * params.dt))
 
