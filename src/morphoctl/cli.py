@@ -12,15 +12,13 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import control as ctl
 from . import forward as fwd
 from . import linearized as lin
 from .config import build_problem, load_config, realize_field
 from .errors import NonFinite, ParseError, ValidationError
 from .fieldio import write_csv, write_snapshot
-from .grid import h1, integral, l2
+from .grid import h1, integral, l2, time_values
 from .kernel import kernel_report
 from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_verify
 
@@ -39,25 +37,15 @@ def _load(args):
     return cfg
 
 
-# Time slices per block of series.csv rows: the stack reductions then hold
-# temporaries of one block, not of the whole history.
-_SERIES_BLOCK = 32
-
-
 def _series_rows(g, traj):
-    """series.csv rows, computed over blocks of _SERIES_BLOCK time slices."""
-    for start in range(0, len(traj.times), _SERIES_BLOCK):
-        block = slice(start, start + _SERIES_BLOCK)
-        m, phi = traj.m[block], traj.phi[block]
-        yield from zip(
-            range(start, start + len(m)),
-            traj.times[block].tolist(),
-            integral(g, m).tolist(), integral(g, phi).tolist(),
-            l2(g, m).tolist(), l2(g, phi).tolist(),
-            h1(g, m).tolist(), h1(g, phi).tolist(),
-            np.maximum(np.max(np.abs(m) - np.abs(phi), axis=(-2, -1)), 0.0).tolist(),
-            np.maximum(np.max(np.abs(phi) - 1.0, axis=(-2, -1)), 0.0).tolist(),
-        )
+    """series.csv rows: the step, its time and the per-slice values of the pair (m, phi)."""
+
+    def values(g, m, phi):
+        viol = fwd.ordering_violations(g, m, phi)
+        return integral(g, m), integral(g, phi), l2(g, m), l2(g, phi), h1(g, m), h1(g, phi), *viol
+
+    rows = time_values(g, values, traj.m, traj.phi)
+    return ((n, t, *row) for n, (t, row) in enumerate(zip(traj.times.tolist(), rows)))
 
 
 def cmd_simulate(args) -> int:

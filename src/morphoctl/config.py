@@ -169,9 +169,11 @@ def _assemble(
     theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
     with _reported_as("control.theta_min"):
         control = ControlField(theta, cfg.theta_min, cfg.theta_max)
-    # delta is an argument of pgd_optimize, not a field of any object.
+    # delta is an argument of pgd_optimize and the stride one of simulate, not fields of any object.
     if not (0.0 <= cfg.delta < math.inf):
         raise ValidationError("control.delta", "requires 0 <= delta < inf")
+    if cfg.snapshot_stride < 0:
+        raise ValidationError("io.snapshot_stride", "requires snapshot_stride >= 0")
     with _reported_as("opt.step0"):  # each OptConfig field is the RunConfig field of that name
         opt = OptConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptConfig)})
     return grid, kernel, params, init, control, opt

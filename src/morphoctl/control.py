@@ -9,10 +9,8 @@ Quadrature alignment (fixed here and used identically everywhere):
   producing the adjoint slice stored at index n-1, so the gradient slice
   at control index n pairs with theta_n without any off-by-one.
 
-Each reduction is one grid pairing or norm of such a stack, one value
-per slice, summed over time in time order.  Misaligning any of these is
-the classic silent gradient bug; the finite-difference oracle in the
-tests pins the alignment down.
+Misaligning any of these is the classic silent gradient bug; the
+finite-difference oracle in the tests pins the alignment down.
 
 Two backward solvers are provided.  ``solve_adjoint_discrete`` is the
 exact transpose of the tangent sweep (transpose of div is -grad, of a
@@ -43,12 +41,11 @@ from .forward import (
     ModelParams,
     Trajectory,
     _check_finite,
-    _sum_sq,
     control_array,
     control_space_time_norm,
     solve_state,
 )
-from .grid import div, grad, inner, l2, rfft2, solve_implicit_diffusion
+from .grid import div, grad, inner, l2, rfft2, solve_implicit_diffusion, time_values
 from .linearized import solve_linearized
 
 # Flipped to -1.0 by the verification mutation test to prove that the
@@ -139,8 +136,8 @@ def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, flo
     g = p.grid
     th = control_array(theta, p)
     pd = control_array(phi_d, p)
-    misfit = _sum_sq(l2(g, traj.phi[1:] - pd))
-    reg = _sum_sq(l2(g, th))
+    misfit = sum(v ** 2 for v in time_values(g, lambda g, a, b: l2(g, a - b), traj.phi[1:], pd))
+    reg = sum(v ** 2 for v in time_values(g, l2, th))
     return 0.5 * misfit * p.dt, 0.5 * delta * reg * p.dt
 
 
@@ -283,7 +280,7 @@ def stationarity_residual(
 
 def control_inner(params: ModelParams, a: np.ndarray, b: np.ndarray) -> float:
     """Space-time pairing on control-aligned series."""
-    return sum(inner(params.grid, a[: params.nt], b[: params.nt]).tolist()) * params.dt
+    return sum(time_values(params.grid, inner, a[: params.nt], b[: params.nt])) * params.dt
 
 
 def duality_gap(
@@ -291,16 +288,11 @@ def duality_gap(
 ) -> float:
     """Relative defect of <DS h, misfit source> = <h, gamma2>."""
     p = traj.params
+    g = p.grid
     pd = control_array(phi_d, p)
-    # Slice by slice: a check on long histories allocates no history-sized temporaries.
-    lhs = (
-        sum(
-            inner(p.grid, tan_phi2[n], traj.phi[n] - pd[n - 1])
-            for n in range(1, p.nt + 1)
-        )
-        * p.dt
-    )
-    rhs = sum(inner(p.grid, h[n], adj.gamma2[n]) for n in range(p.nt)) * p.dt
+    pairs = time_values(g, lambda g, t, s, d: inner(g, t, s - d), tan_phi2[1:], traj.phi[1:], pd)
+    lhs = sum(pairs) * p.dt
+    rhs = control_inner(p, h, adj.gamma2)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
 
@@ -360,7 +352,7 @@ def _gauss_newton_trial(
         phi2 = solve_linearized(traj, d).phi2
     except NonFinite:
         return opt.step0
-    curv = _sum_sq(l2(p.grid, phi2[1:])) * p.dt + delta * dd
+    curv = sum(v ** 2 for v in time_values(p.grid, l2, phi2[1:])) * p.dt + delta * dd
     if not (np.isfinite(curv) and curv > 0.0):
         return opt.step0
     floor = max(dd / curv, S_MIN)

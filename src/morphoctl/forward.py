@@ -45,6 +45,7 @@ from .grid import (
     l2,
     rfft2,
     solve_implicit_diffusion,
+    time_values,
 )
 from .kernel import Kernel
 
@@ -257,30 +258,25 @@ def weak_residual(traj: Trajectory, psi: np.ndarray, eta: np.ndarray) -> dict[st
     return {"res_m": res_m, "res_phi": res_p}
 
 
-def _sum_sq(*per_slice: np.ndarray) -> float:
-    """sum_n (a_n^2 + b_n^2 + ...) over per-slice vectors, in time order on Python floats."""
-    return sum(sum(v ** 2 for v in row) for row in zip(*(s.tolist() for s in per_slice)))
-
-
 def control_space_time_norm(params: ModelParams, series: np.ndarray) -> float:
     """L2(S x Omega) norm of a control-aligned series, quadrature over n = 0..nt-1."""
-    return float(np.sqrt(_sum_sq(l2(params.grid, series[: params.nt])) * params.dt))
-
-
-def _l2_h1(params: ModelParams, slices) -> float:
-    """L2(S; H1) norm of the slices n = 1..nt, one at a time in time order: the stack's bits."""
-    return float(np.sqrt(sum(h1(params.grid, f) ** 2 for f in slices) * params.dt))
+    values = time_values(params.grid, l2, series[: params.nt])
+    return float(np.sqrt(sum(v ** 2 for v in values) * params.dt))
 
 
 def l2_h1_norm(params: ModelParams, series: np.ndarray) -> float:
     """L2(S; H1) trajectory norm, quadrature over n = 1..nt."""
-    return _l2_h1(params, series[1 : params.nt + 1])
+    values = time_values(params.grid, h1, series[1 : params.nt + 1])
+    return float(np.sqrt(sum(v ** 2 for v in values) * params.dt))
 
 
 def dt_h_minus_1_norm(params: ModelParams, series: np.ndarray) -> float:
-    """L2(S; H^-1) norm of the backward time difference quotient."""
-    quotient = (series[1 : params.nt + 1] - series[: params.nt]) / params.dt
-    return float(np.sqrt(_sum_sq(h_minus_1(params.grid, quotient)) * params.dt))
+    """L2(S; H^-1) norm of the backward time difference quotient, formed a block at a time."""
+    values = time_values(
+        params.grid, lambda g, new, old: h_minus_1(g, (new - old) / params.dt),
+        series[1 : params.nt + 1], series[: params.nt],
+    )
+    return float(np.sqrt(sum(v ** 2 for v in values) * params.dt))
 
 
 def apriori_norms(traj: Trajectory) -> dict[str, float]:
@@ -308,10 +304,12 @@ def lipschitz_probe(init: InitData, theta1, theta2, params: ModelParams) -> floa
         raise DegenerateProbe("controls differ by less than 1e-14")
     a = solve_state(init, t1, params)
     b = solve_state(init, t2, params)
-    # Differences slice by slice: no third history-sized array.
-    dm = (x - y for x, y in zip(a.m[1:], b.m[1:]))
-    dp = (x - y for x, y in zip(a.phi[1:], b.phi[1:]))
-    return (_l2_h1(params, dm) + _l2_h1(params, dp)) / denom
+    rows = time_values(
+        params.grid, lambda g, am, bm, ap, bp: (h1(g, am - bm), h1(g, ap - bp)),
+        a.m[1:], b.m[1:], a.phi[1:], b.phi[1:],
+    )
+    dm, dp = (float(np.sqrt(sum(v ** 2 for v in col) * params.dt)) for col in zip(*rows))
+    return (dm + dp) / denom
 
 
 def bounds_check(traj: Trajectory) -> dict[str, float]:
@@ -320,13 +318,14 @@ def bounds_check(traj: Trajectory) -> dict[str, float]:
     The ordering is only guaranteed for the uncontrolled dynamics, so this
     reports; callers assert (tolerance 1e-8) only when theta is zero.
     """
-    # Slice by slice, as in phi_balance_defect: no history-sized temporary.
-    viol_m = float(np.max([np.max(np.abs(m) - np.abs(phi)) for m, phi in zip(traj.m, traj.phi)]))
-    viol_phi = float(np.max([np.max(np.abs(phi) - 1.0) for phi in traj.phi]))
-    return {
-        "max_viol_m": max(viol_m, 0.0),
-        "max_viol_phi": max(viol_phi, 0.0),
-    }
+    viol = np.max(list(time_values(traj.params.grid, ordering_violations, traj.m, traj.phi)), 0)
+    return {"max_viol_m": float(viol[0]), "max_viol_phi": float(viol[1])}
+
+
+def ordering_violations(grid: Grid, m: np.ndarray, phi: np.ndarray):
+    """Per-slice max(|m| - |phi|) and max(|phi| - 1) of a stack pair, floored at 0."""
+    excess = np.abs(m) - np.abs(phi), np.abs(phi) - 1.0
+    return tuple(np.maximum(np.max(e, axis=(-2, -1)), 0.0) for e in excess)
 
 
 def mass_series(traj: Trajectory) -> np.ndarray:
@@ -340,7 +339,6 @@ def phi_balance_defect(traj: Trajectory) -> float:
     g = p.grid
     worst = 0.0
     scale = max(1.0, abs(integral(g, traj.phi[0])))
-    # Slice by slice: a check on a long history allocates no history-sized temporary.
     for n in range(p.nt):
         lhs = integral(g, traj.phi[n + 1])
         rhs = integral(g, traj.phi[n]) + p.dt * integral(

@@ -13,9 +13,12 @@ Conventions used by every module in this package:
   a Python ``float``.
 * All reductions run over that fixed C-order layout (numpy pairwise
   summation on contiguous float64 arrays), so every reported number is
-  deterministic for a given input.  Time sums run in time order with the
-  built-in ``sum`` on Python floats, so space-time numbers are too
-  (``np.sum`` sums pairwise, and numpy squares by ``x * x``, not ``pow``).
+  deterministic for a given input.
+* Every space-time reduction takes its per-slice values from
+  :func:`time_values`, one block of at most ``_BLOCK_BYTES`` at a time:
+  memory bounded by the block, and by the stack contract above the same
+  bits for any block size.  Callers square (``v ** 2``) and sum those
+  Python floats in time order.
 * The discrete pairing is ``<f, g> = hx hy sum(f g)`` and all norms derive
   from it.  ``h1`` uses the sum convention ``|f|_L2 + |grad f|_L2``.
 * Differential operators are centered second-order differences with
@@ -178,6 +181,24 @@ def solve_implicit_diffusion(
     """
     uh = rfft2(rhs) * _implicit_multiplier(grid, dt)
     return irfft2(uh, grid.shape), uh
+
+
+# Bytes of one block of time_values, all series together: of one series,
+# 32 slices at 64^2, 8 at 128^2 and a whole 100-step history at 32^2.
+_BLOCK_BYTES = 1 << 20
+
+
+def time_values(grid: Grid, reduce, *series):
+    """Yield ``reduce(grid, *blocks)``'s per-slice values as Python floats, in time order.
+
+    ``series`` are stacks of one length, cut into blocks that together hold at most
+    ``_BLOCK_BYTES``.  ``reduce`` returns one value per slice, or a tuple of such
+    arrays, yielded as tuples.
+    """
+    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * len(series)))
+    for a in range(0, len(series[0]), k):
+        out = reduce(grid, *(s[a : a + k] for s in series))
+        yield from zip(*(v.tolist() for v in out)) if isinstance(out, tuple) else out.tolist()
 
 
 def smooth_periodic(f: np.ndarray, passes: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from .forward import (
     l2_h1_norm,
     solve_state,
 )
-from .grid import div, l2, rfft2, solve_implicit_diffusion
+from .grid import div, l2, rfft2, solve_implicit_diffusion, time_values
 
 # Perturbation sizes of the Taylor test, halving from 1e-1: three orders from four rungs.
 EPS_LADDER = (1e-1, 5e-2, 2.5e-2, 1.25e-2)
@@ -102,25 +102,16 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)
 
 
-def _pair_norm(params: ModelParams, pairs) -> float:
-    """sqrt(dt sum_n (|a_n|^2 + |b_n|^2)) over slice pairs (a_n, b_n), one pair at a time."""
-    g = params.grid
-    return float(np.sqrt(sum(l2(g, a) ** 2 + l2(g, b) ** 2 for a, b in pairs) * params.dt))
-
-
 def tangent_norm(tan: TangentTrajectory) -> float:
     """Discrete L2(S x Omega)^2 norm of the tangent (state quadrature)."""
-    return _pair_norm(tan.params, zip(tan.phi1[1:], tan.phi2[1:]))
+    p = tan.params
+    rows = time_values(p.grid, lambda g, a, b: (l2(g, a), l2(g, b)), tan.phi1[1:], tan.phi2[1:])
+    return float(np.sqrt(sum(a ** 2 + b ** 2 for a, b in rows) * p.dt))
 
 
 def tangent_stability_norm(tan: TangentTrajectory) -> float:
     """|phi1|_{L2(S;H1)} + |phi2|_{L2(S;H1)}, the stability-estimate quantity."""
     return l2_h1_norm(tan.params, tan.phi1) + l2_h1_norm(tan.params, tan.phi2)
-
-
-def _differences(a: Trajectory, b: Trajectory):
-    """(a.m - b.m, a.phi - b.phi) at n = 1..nt, one slice pair at a time, no history-sized array."""
-    return ((a.m[n] - b.m[n], a.phi[n] - b.phi[n]) for n in range(1, a.params.nt + 1))
 
 
 def taylor_test(init: InitData, theta_hat, h, params: ModelParams) -> dict:
@@ -143,11 +134,16 @@ def taylor_test(init: InitData, theta_hat, h, params: ModelParams) -> dict:
     def rung(eps):
         """(remainder, first-order quotient) at eps; the perturbed run is freed on return."""
         pert = solve_state(init, th + eps * harr, params)
-        rem = (
-            (dm - eps * t1, dp - eps * t2)
-            for (dm, dp), t1, t2 in zip(_differences(pert, base), tan.phi1[1:], tan.phi2[1:])
-        )
-        return _pair_norm(params, rem), _pair_norm(params, _differences(pert, base)) / eps
+
+        def norms(g, pm, bm, pp, bp, t1, t2):
+            dm, dp = pm - bm, pp - bp
+            return l2(g, dm - eps * t1), l2(g, dp - eps * t2), l2(g, dm), l2(g, dp)
+
+        series = (pert.m, base.m, pert.phi, base.phi, tan.phi1, tan.phi2)
+        rows = list(time_values(params.grid, norms, *(s[1:] for s in series)))
+        rem = sum(a ** 2 + b ** 2 for a, b, _, _ in rows)
+        fd = sum(c ** 2 + d ** 2 for _, _, c, d in rows)
+        return float(np.sqrt(rem * params.dt)), float(np.sqrt(fd * params.dt)) / eps
 
     remainders, fd_norms = map(list, zip(*map(rung, EPS_LADDER)))
 

@@ -114,11 +114,15 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     params = problem.params
     base_seed = cfg.seed
 
-    # The configured control's forward run, shared by the rows below; a
-    # blow-up is not cached, so every row that needs the run reports it.
+    # The configured control's forward run and its adjoint against the verify target,
+    # shared below; a blow-up is not cached, so every row that needs them reports it.
     @functools.cache
     def base():
         return fwd.solve_state(problem.init, problem.theta, params)
+
+    @functools.cache
+    def base_adjoint():
+        return ctl.solve_adjoint_discrete(base(), _target_for(problem))
 
     def conservation():
         masses = fwd.mass_series(base())
@@ -165,19 +169,15 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 
     # Exact transposition: duality identity.
     def duality():
-        rng = np.random.default_rng([base_seed, 103])
-        phi_d = _target_for(problem)
-        traj = base()
-        h = _direction(rng, problem)
-        tan = lin.solve_linearized(traj, h)
-        adj = ctl.solve_adjoint_discrete(traj, phi_d)
-        return ctl.duality_gap(traj, tan.phi2, adj, h, phi_d), ""
+        h = _direction(np.random.default_rng([base_seed, 103]), problem)
+        tan = lin.solve_linearized(base(), h)
+        return ctl.duality_gap(base(), tan.phi2, base_adjoint(), h, _target_for(problem)), ""
 
     guard("adjoint_duality", 1e-10, duality)
 
     # Adjoint gradient against the central finite difference of the cost.
     def gradcheck():
-        table = gradient_check_table(problem, n_directions=3)
+        table = gradient_check_table(problem, n_directions=3, adj=base_adjoint())
         return max(row[3] for row in table), ""
 
     guard("gradcheck", GRADCHECK_TOL, gradcheck)
@@ -220,11 +220,12 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 
 
 def gradient_check_table(
-    problem: Problem, n_directions: int = 5
+    problem: Problem, n_directions: int = 5, adj: ctl.AdjointTrajectory | None = None
 ) -> list[tuple[int, float, float, float]]:
     """Rows (index, fd_value, adjoint_value, relative_error) for random directions.
 
     fd_value is the central difference of the cost with step :data:`FD_EPS`.
+    ``adj``, if given, is the configured control's discrete adjoint against the verify target.
     """
     params = problem.params
     phi_d = _target_for(problem)
@@ -232,8 +233,8 @@ def gradient_check_table(
     theta = problem.theta
     rng = np.random.default_rng([problem.cfg.seed, 104])
 
-    traj = fwd.solve_state(problem.init, theta, params)
-    adj = ctl.solve_adjoint_discrete(traj, phi_d)
+    if adj is None:
+        adj = ctl.solve_adjoint_discrete(fwd.solve_state(problem.init, theta, params), phi_d)
     g = ctl.reduced_gradient(adj, theta, delta)
 
     table = []

@@ -52,8 +52,8 @@ def test_simulate_writes_series_and_snapshots(cfg_path, tmp_path, capsys):
     assert (out / "phi_000020.mcf").exists()
 
 
-def test_simulate_series_blocks_match_whole_stack(tmp_path, capsys):
-    from morphoctl import cli
+def test_simulate_series_blocks_match_whole_stack(tmp_path, capsys, monkeypatch):
+    from morphoctl import grid
     from morphoctl.config import build_problem, load_config
     from morphoctl.forward import solve_state
     from morphoctl.grid import h1, integral, l2
@@ -61,8 +61,9 @@ def test_simulate_series_blocks_match_whole_stack(tmp_path, capsys):
     path = tmp_path / "long.cfg"
     path.write_text(SMALL.replace("time.T = 0.02", "time.T = 0.1"))
     problem = build_problem(load_config(str(path)))
+    monkeypatch.setattr(grid, "_BLOCK_BYTES", 32 * 2 * 8 * 16 * 16)  # 32 slices of m and phi at 16^2
     slices = problem.params.nt + 1
-    assert slices > 2 * cli._SERIES_BLOCK and slices % cli._SERIES_BLOCK  # last block partial
+    assert slices > 2 * 32 and slices % 32  # last block partial
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
     rows = [ln.split(",") for ln in (out / "series.csv").read_text().splitlines()[1:]]
@@ -300,6 +301,42 @@ def test_verify_deterministic_given_seed(tmp_path):
     assert [(r.name, r.measured, r.passed) for r in a.rows] == [
         (r.name, r.measured, r.passed) for r in b.rows
     ]
+
+
+def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
+    # The configured control's forward run and its discrete adjoint against the
+    # verify target are solved once, and the rows that need them share them.
+    # taylor_test solves its own base run, which its signature leaves to it.
+    from morphoctl import control, forward, verify
+    from morphoctl.config import load_config
+
+    problems, forwards, adjoints = [], [], []
+    build, solve, adjoint = verify._build, forward.solve_state, control.solve_adjoint_discrete
+
+    def built(cfg):
+        problems.append(build(cfg))
+        return problems[-1]
+
+    def solved(init, theta, params):
+        forwards.append(solve(init, theta, params))
+        return forwards[-1]
+
+    def adjoint_solved(traj, phi_d):
+        adjoints.append((traj, phi_d))
+        return adjoint(traj, phi_d)
+
+    monkeypatch.setattr(verify, "_build", built)
+    monkeypatch.setattr(forward, "solve_state", solved)
+    monkeypatch.setattr(control, "solve_adjoint_discrete", adjoint_solved)
+    assert verify.run_verify(load_config(cfg_path)).all_passed
+    main_problem = problems[0]  # the second is the coarsened copy
+
+    def configured(traj):
+        return traj.params is main_problem.params and np.array_equal(traj.theta, main_problem.theta)
+
+    target = verify._target_for(main_problem)
+    assert sum(map(configured, forwards)) == 1
+    assert sum(configured(t) and np.array_equal(pd, target) for t, pd in adjoints) == 1
 
 
 COMMANDS = ("simulate", "optimize", "gradcheck", "taylor", "verify", "kernel-info")

@@ -117,6 +117,7 @@ def test_rule_keys_reported_at_build(tmp_path):
         ("opt.tol", "seed = 0", "opt.tol = -1.0"),
         ("opt.c1", "seed = 0", "opt.c1 = 0.0"),
         ("opt.max_iters", "seed = 0", "opt.max_iters = -1"),
+        ("io.snapshot_stride", "seed = 0", "io.snapshot_stride = -5"),
     ]
     for key, old, new in cases:
         text = (MINIMAL + "seed = 0\n").replace(old, new)

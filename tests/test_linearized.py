@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from morphoctl.forward import (
-    _sum_sq,
     control_space_time_norm,
     integral,
     lipschitz_probe,
@@ -196,8 +195,8 @@ def test_tangent_norm_positive(grid16):
 
 def test_space_time_norms_slice_by_slice_keep_the_stacked_bits():
     # The Lipschitz probe, the Taylor test and the tangent norms reduce one
-    # time slice at a time; the stacked forms, summed in the same time order,
-    # must give the same bits.
+    # block of time slices at a time (grid.time_values); the stacked forms,
+    # summed in the same time order, must give the same bits.
     g = Grid(14, 12, 1.0, 0.9)
     p = make_params(g, T=0.01, radius=0.3)
     rng = np.random.default_rng(41)
@@ -205,11 +204,13 @@ def test_space_time_norms_slice_by_slice_keep_the_stacked_bits():
     theta = expand(0.3 + 0.1 * smooth_random(rng, g), p.nt)
     h = expand(smooth_random(rng, g), p.nt)
 
+    # Stacked oracles: whole-history per-slice values, squared and summed in time order.
     def pair(a, b):
-        return float(np.sqrt(_sum_sq(l2(g, a), l2(g, b)) * p.dt))
+        sq = [x ** 2 + y ** 2 for x, y in zip(l2(g, a).tolist(), l2(g, b).tolist())]
+        return float(np.sqrt(sum(sq) * p.dt))
 
     def l2h1(series):
-        return float(np.sqrt(_sum_sq(h1(g, series[1:])) * p.dt))
+        return float(np.sqrt(sum(v ** 2 for v in h1(g, series[1:]).tolist()) * p.dt))
 
     base = solve_state(init, theta, p)
     tan = solve_linearized(base, h)
