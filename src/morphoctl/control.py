@@ -128,6 +128,7 @@ class OptResult:
     termination: str = ""
     forward_solves: int = 0
     tangent_solves: int = 0
+    adjoint: AdjointTrajectory | None = None  # the discrete adjoint at theta_opt
 
 
 def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, float]:
@@ -146,20 +147,21 @@ def cost(traj: Trajectory, theta, phi_d, delta: float) -> float:
     return misfit + reg
 
 
-def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> AdjointTrajectory:
+def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     """March the adjoint pair from the zero terminal slice back to index 0.
 
     At state index n the explicit part applied to the incoming (g1, g2)
     before the symmetric implicit solve is
 
         p1 = g1 + dt e1
-        p2 = g2 + dt (e2 - alpha g2 + source_sign (phi_n - phi_d,n))
+        p2 = g2 + dt (e2 - alpha g2 + sign (phi_n - phi_d,n))
 
     with (e1, e2) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
     terms, where d1 = grad g1, d2 = grad g2, adv_k = Gm . d_k and
     Gm = gradJ * m at the stored state.  Slice nt - 1 is driven by the
-    misfit source alone.
+    misfit source alone.  sign is :data:`_MISFIT_SOURCE_SIGN`, read once.
     """
+    sign = _MISFIT_SOURCE_SIGN
     p = traj.params
     g = p.grid
     dt = p.dt
@@ -168,7 +170,7 @@ def _backward_sweep(traj: Trajectory, phi_d, source_sign: float, drift) -> Adjoi
     g1 = np.zeros((nt + 1, *g.shape))
     g2 = np.zeros_like(g1)
     for n in range(nt, 0, -1):
-        s_n = source_sign * (traj.phi[n] - pd[n - 1])
+        s_n = sign * (traj.phi[n] - pd[n - 1])
         if n == nt:
             p1 = np.zeros(g.shape)
             p2 = dt * s_n
@@ -219,7 +221,7 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
         e1 = -2.0 * b2 * m * adv1 + b2 * (1.0 - phi) * adv2 - conv
         return e1, b2 * adv1 - b2 * m * adv2
 
-    return _backward_sweep(traj, phi_d, _MISFIT_SOURCE_SIGN, drift)
+    return _backward_sweep(traj, phi_d, drift)
 
 
 def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
@@ -251,7 +253,7 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
         e1 = -2.0 * b2 * m * adv1 + cm * k1 + b2 * (1.0 - phi) * adv2 + cp * k2
         return e1, -b2 * adv1 - b2 * m * adv2
 
-    return _backward_sweep(traj, phi_d, 1.0, drift)
+    return _backward_sweep(traj, phi_d, drift)
 
 
 def reduced_gradient(adj: AdjointTrajectory, theta, delta: float) -> np.ndarray:
@@ -388,9 +390,9 @@ def pgd_optimize(
     * ``line_search_failed`` when s falls below S_MIN or the projected
       move vanishes.
 
-    The iterate returned is the last accepted one; ``forward_solves``
-    counts every state solve, the initial one included, and
-    ``tangent_solves`` the tangent sweeps (at most one).
+    Returns the last accepted iterate with ``adjoint``, its discrete
+    adjoint, which gave the last residual.  ``forward_solves`` counts
+    every state solve, the initial one included; ``tangent_solves`` is 0 or 1.
     """
     tol = opt.resolved_tol(params)
     tmin, tmax = control0.theta_min, control0.theta_max
@@ -404,7 +406,7 @@ def pgd_optimize(
     theta_prev = g_prev = None
 
     for it in range(opt.max_iters + 1):
-        adj = solve_adjoint_discrete(traj, phi_d)
+        adj = result.adjoint = solve_adjoint_discrete(traj, phi_d)  # frees the old one before g
         g = reduced_gradient(adj, theta, delta)
         res = stationarity_residual(theta, g, params, tmin, tmax)
 

@@ -114,20 +114,19 @@ def tangent_stability_norm(tan: TangentTrajectory) -> float:
     return l2_h1_norm(tan.params, tan.phi1) + l2_h1_norm(tan.params, tan.phi2)
 
 
-def taylor_test(init: InitData, theta_hat, h, params: ModelParams) -> dict:
+def taylor_test(init: InitData, base: Trajectory, h) -> dict:
     """Remainder decay of S(theta + eps h) against the tangent prediction.
 
-    Returns, for each eps of :data:`EPS_LADDER`, the remainders
+    ``base`` is the caller's run S(theta) from ``init``, giving theta and
+    params.  Returns, for each eps of :data:`EPS_LADDER`, the remainders
     r(eps) = |S(theta+eps h) - S(theta) - eps DS h|
     in the discrete L2(S x Omega)^2 norm on (m, phi), the observed orders
     log(r_i / r_{i+1}) / log(eps_i / eps_{i+1}) (= 2 for an exact
     derivative of a polynomial step map), and the first-order quotients
     |S(theta+eps h) - S(theta)| / eps, which approach |DS h|.
     """
-    th = control_array(theta_hat, params)
+    th, params = base.theta, base.params
     harr = control_array(h, params)
-
-    base = solve_state(init, th, params)
     tan = solve_linearized(base, harr)
     tnorm = tangent_norm(tan)
 

@@ -162,7 +162,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     def taylor():
         rng = np.random.default_rng([base_seed, 102])
         h = _direction(rng, problem)
-        out = lin.taylor_test(problem.init, problem.theta, h, params)
+        out = lin.taylor_test(problem.init, base(), h)
         return float(np.max(np.abs(np.array(out["orders"]) - 2.0))), ""
 
     guard("taylor_order_gap", TAYLOR_ORDER_TOL, taylor)
@@ -200,14 +200,11 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     def projection_row():
         sub = _build(coarsened(cfg))
         delta = cfg.delta if cfg.delta > 0 else 1e-3
-        phi_d = _target_for(sub)
         opt = replace(sub.opt, max_iters=min(sub.opt.max_iters, 40))
-        res = ctl.pgd_optimize(sub.init, sub.control(), phi_d, sub.params, delta, opt)
-        traj = fwd.solve_state(sub.init, res.theta_opt, sub.params)
-        adj = ctl.solve_adjoint_discrete(traj, phi_d)
-        rho = res.stationarity_history[-1]  # pgd_optimize's residual at theta_opt
+        res = ctl.pgd_optimize(sub.init, sub.control(), _target_for(sub), sub.params, delta, opt)
+        rho = res.stationarity_history[-1]  # the residual of res.adjoint at theta_opt
         gap = ctl.projection_characterization_check(
-            res.theta_opt, adj, cfg.theta_min, cfg.theta_max, delta
+            res.theta_opt, res.adjoint, cfg.theta_min, cfg.theta_max, delta
         )
         tol = opt.resolved_tol(sub.params)
         bound = 10.0 * max(rho, tol) / delta
@@ -237,15 +234,15 @@ def gradient_check_table(
         adj = ctl.solve_adjoint_discrete(fwd.solve_state(problem.init, theta, params), phi_d)
     g = ctl.reduced_gradient(adj, theta, delta)
 
+    def cost_at(t):
+        return ctl.cost(fwd.solve_state(problem.init, t, params), t, phi_d, delta)
+
     table = []
     for i in range(n_directions):
         h = _direction(rng, problem)
         adj_val = ctl.control_inner(params, g, h)
-        jp = ctl.cost(fwd.solve_state(problem.init, theta + FD_EPS * h, params),
-                      theta + FD_EPS * h, phi_d, delta)
-        jm = ctl.cost(fwd.solve_state(problem.init, theta - FD_EPS * h, params),
-                      theta - FD_EPS * h, phi_d, delta)
-        fd_val = (jp - jm) / (2.0 * FD_EPS)
+        step = FD_EPS * h[0]  # h holds one slice over time; so does the step
+        fd_val = (cost_at(theta + step) - cost_at(theta - step)) / (2.0 * FD_EPS)
         rel = abs(fd_val - adj_val) / max(abs(fd_val), abs(adj_val), 1e-300)
         table.append((i, fd_val, adj_val, rel))
     return table

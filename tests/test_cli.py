@@ -306,37 +306,62 @@ def test_verify_deterministic_given_seed(tmp_path):
 def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     # The configured control's forward run and its discrete adjoint against the
     # verify target are solved once, and the rows that need them share them.
-    # taylor_test solves its own base run, which its signature leaves to it.
-    from morphoctl import control, forward, verify
+    # On the coarsened copy every solve is pgd_optimize's: the projection row
+    # reads the adjoint at the optimum from its result.
+    from morphoctl import control, forward, linearized, verify
     from morphoctl.config import load_config
 
-    problems, forwards, adjoints = [], [], []
-    build, solve, adjoint = verify._build, forward.solve_state, control.solve_adjoint_discrete
+    problems, forwards, adjoints, in_pgd = [], [], [], [False]
+    build, adjoint, pgd = verify._build, control.solve_adjoint_discrete, control.pgd_optimize
 
     def built(cfg):
         problems.append(build(cfg))
         return problems[-1]
 
-    def solved(init, theta, params):
-        forwards.append(solve(init, theta, params))
-        return forwards[-1]
+    def counted(solve):
+        def solved(init, theta, params):
+            forwards.append((solve(init, theta, params), in_pgd[0]))
+            return forwards[-1][0]
+
+        return solved
 
     def adjoint_solved(traj, phi_d):
-        adjoints.append((traj, phi_d))
+        adjoints.append((traj, phi_d, in_pgd[0]))
         return adjoint(traj, phi_d)
 
+    def optimized(*args):
+        in_pgd[0] = True
+        try:
+            return pgd(*args)
+        finally:
+            in_pgd[0] = False
+
     monkeypatch.setattr(verify, "_build", built)
-    monkeypatch.setattr(forward, "solve_state", solved)
+    for module in (forward, linearized, control):
+        monkeypatch.setattr(module, "solve_state", counted(module.solve_state))
     monkeypatch.setattr(control, "solve_adjoint_discrete", adjoint_solved)
+    monkeypatch.setattr(control, "pgd_optimize", optimized)
     assert verify.run_verify(load_config(cfg_path)).all_passed
-    main_problem = problems[0]  # the second is the coarsened copy
+    main_problem, sub = problems  # the second is the coarsened copy
 
     def configured(traj):
         return traj.params is main_problem.params and np.array_equal(traj.theta, main_problem.theta)
 
     target = verify._target_for(main_problem)
-    assert sum(map(configured, forwards)) == 1
-    assert sum(configured(t) and np.array_equal(pd, target) for t, pd in adjoints) == 1
+    assert sum(configured(t) for t, _ in forwards) == 1
+    assert sum(configured(t) and np.array_equal(pd, target) for t, pd, _ in adjoints) == 1
+    coarse_forwards = [inside for t, inside in forwards if t.params is sub.params]
+    coarse_adjoints = [inside for t, _, inside in adjoints if t.params is sub.params]
+    assert coarse_forwards and all(coarse_forwards)
+    assert coarse_adjoints and all(coarse_adjoints)
+
+
+def test_taylor_fails_on_nan_orders(cfg_path, capsys):
+    # A zero direction leaves every remainder 0, so every order is 0/0.
+    assert main(["taylor", "--config", cfg_path, "--direction", "constant:0"]) == 1
+    captured = capsys.readouterr()
+    assert "orders,nan,nan,nan" in captured.out
+    assert "taylor failed" in captured.err
 
 
 COMMANDS = ("simulate", "optimize", "gradcheck", "taylor", "verify", "kernel-info")

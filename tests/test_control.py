@@ -371,6 +371,13 @@ def test_bb_step_falls_back_and_clips(grid16):
         assert ctl._bb_step(d, dg, p, opt) == 10.0  # no positive finite curvature
 
 
+def _assert_adjoint_at_optimum(res, init, phi_d, p):
+    # The adjoint pgd_optimize returns is a fresh solve's at theta_opt, bit for bit.
+    fresh = solve_adjoint_discrete(solve_state(init, res.theta_opt, p), phi_d)
+    assert res.adjoint.gamma2.tobytes() == fresh.gamma2.tobytes()
+    assert res.adjoint.gamma1.tobytes() == fresh.gamma1.tobytes()
+
+
 def test_pgd_stalls_at_round_off(grid16):
     p, init, control0, phi_d = _small_twin(grid16)
     res = pgd_optimize(
@@ -382,6 +389,15 @@ def test_pgd_stalls_at_round_off(grid16):
     assert len(res.step_history) == res.iterations
     costs = res.cost_history
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
+    _assert_adjoint_at_optimum(res, init, phi_d, p)
+
+
+def test_pgd_without_iterations_returns_the_start_and_its_adjoint(grid16):
+    p, init, control0, phi_d = _small_twin(grid16)
+    res = pgd_optimize(init, control0, phi_d, p, delta=1e-3, opt=OptConfig(max_iters=0))
+    assert (res.termination, res.iterations, res.forward_solves) == ("max_iters", 0, 1)
+    assert np.array_equal(res.theta_opt, control0.theta)
+    _assert_adjoint_at_optimum(res, init, phi_d, p)
 
 
 def test_projection_characterization_requires_delta(grid16):
@@ -408,6 +424,7 @@ def test_projection_characterization_gap_tracks_residual(grid16):
     )
     traj = solve_state(init, res.theta_opt, p)
     adj = solve_adjoint_discrete(traj, phi_d)
+    assert res.adjoint.gamma2.tobytes() == adj.gamma2.tobytes()
     g = reduced_gradient(adj, res.theta_opt, delta)
     rho = stationarity_residual(res.theta_opt, g, p, 0.0, 1.0)
     gap = projection_characterization_check(res.theta_opt, adj, 0.0, 1.0, delta)

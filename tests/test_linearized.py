@@ -172,7 +172,8 @@ def test_taylor_orders_quadratic(grid16):
     rng = np.random.default_rng(28)
     theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
     h = expand(smooth_random(rng, grid16), p.nt)
-    out = taylor_test(make_init(grid16), theta, h, p)
+    init = make_init(grid16)
+    out = taylor_test(init, solve_state(init, theta, p), h)
     assert all(1.9 <= o <= 2.1 for o in out["orders"])
     # first-order quotient approaches the tangent norm
     assert out["first_order_quotients"][-1] == pytest.approx(out["tangent_norm"], rel=0.01)
@@ -181,7 +182,8 @@ def test_taylor_orders_quadratic(grid16):
 def test_taylor_zero_direction(grid16):
     p = make_params(grid16, T=0.01)
     theta = np.zeros((p.nt, *grid16.shape))
-    out = taylor_test(make_init(grid16), theta, np.zeros_like(theta), p)
+    init = make_init(grid16)
+    out = taylor_test(init, solve_state(init, theta, p), np.zeros_like(theta))
     assert all(r == 0.0 for r in out["remainders"])
 
 
@@ -222,7 +224,7 @@ def test_space_time_norms_slice_by_slice_keep_the_stacked_bits():
     denom = control_space_time_norm(p, theta - (theta + 0.05 * h))
     assert lipschitz_probe(init, theta, theta + 0.05 * h, p) == stacked / denom
 
-    out = taylor_test(init, theta, h, p)
+    out = taylor_test(init, base, h)
     for eps, rem, fd in zip(EPS_LADDER, out["remainders"], out["first_order_quotients"]):
         pert = solve_state(init, theta + eps * h, p)
         dm = pert.m[1:] - base.m[1:]

@@ -84,7 +84,7 @@ def every_reduction(monkeypatch):
         "lipschitz_probe": lipschitz_probe(init, theta, theta + 0.05 * h, p),
         "bounds_check": bounds_check(traj),
         "tangent_norm": tangent_norm(tan),
-        "taylor_test": taylor_test(init, theta, h, p),
+        "taylor_test": taylor_test(init, traj, h),
         "series_rows": list(cli._series_rows(G, traj)),
     }
 
