@@ -130,9 +130,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_taylor(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
-    h = fwd.control_array(
-        realize_field(problem.grid, args.direction, cfg.seed, "control.theta"), problem.params
-    )
+    try:  # the direction draws on the control.theta noise stream; errors name the flag
+        direction = realize_field(problem.grid, args.direction, cfg.seed, "control.theta")
+    except ValidationError as exc:
+        raise ValidationError("--direction", exc.reason) from exc
+    h = fwd.control_array(direction, problem.params)
     base = fwd.solve_state(problem.init, problem.theta, problem.params)
     out = lin.taylor_test(problem.init, base, h)
     print("eps,remainder,first_order_quotient")

@@ -6,8 +6,8 @@ entries (initial data, target, control) use a small spec grammar:
 
     constant:<c>
     cosine:<a>,<kx>,<ky>[,<offset>]   a cos(2 pi kx x/Lx) cos(2 pi ky y/Ly) + offset
-    noise:<amp>,<smooth_passes>       seeded uniform noise in [-amp, amp],
-                                      then 3x3 periodic averaging passes
+    noise:<amp>,<passes>              seeded uniform noise in [-amp, amp],
+                                      then 3x3 periodic averaging passes (>= 0)
     file:<path>                       field snapshot file
 
 The target additionally accepts ``twin:<control-spec>``: the target
@@ -221,6 +221,8 @@ def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
         elif kind == "noise":
             amp_s, passes_s = rest.split(",")
             amp, passes = float(amp_s), int(passes_s)
+            if passes < 0:
+                raise ValueError("noise needs passes >= 0")
             noise = _rng_for(seed, role).uniform(-amp, amp, size=grid.shape)
             field = smooth_periodic(noise, passes)
         else:
@@ -304,9 +306,11 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
 def coarsened(cfg: RunConfig) -> RunConfig:
     """Shrink grid/time for budgeted verification sub-runs, preserving dt scaling.
 
-    The copy has at most 32 cells per side and 100 steps of the configured dt.
+    The copy has at most 100 steps of the configured dt, and at most 32 cells
+    per side unless a field spec reads a snapshot, which fixes the grid.
     """
-    nx = min(cfg.nx, 32)
-    ny = min(cfg.ny, 32)
+    specs = (cfg.m0_spec, cfg.phi0_spec, cfg.theta_spec, cfg.phi_d_spec or "")
+    reads_file = any(s.removeprefix("twin:").startswith("file:") for s in specs)
+    nx, ny = (cfg.nx, cfg.ny) if reads_file else (min(cfg.nx, 32), min(cfg.ny, 32))
     nt = min(round(cfg.T / cfg.dt), 100)
     return replace(cfg, nx=nx, ny=ny, T=nt * cfg.dt)

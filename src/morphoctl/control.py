@@ -48,10 +48,6 @@ from .forward import (
 from .grid import div, grad, inner, l2, rfft2, solve_implicit_diffusion, time_values
 from .linearized import solve_linearized
 
-# Flipped to -1.0 by the verification mutation test to prove that the
-# gradient check detects a wrong adjoint sign.  Never change at runtime.
-_MISFIT_SOURCE_SIGN = 1.0
-
 # Smallest trial step of the line search; a search that shrinks below it fails.
 S_MIN = 1e-12
 
@@ -154,14 +150,13 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     before the symmetric implicit solve is
 
         p1 = g1 + dt e1
-        p2 = g2 + dt (e2 - alpha g2 + sign (phi_n - phi_d,n))
+        p2 = g2 + dt (e2 - alpha g2 + phi_n - phi_d,n)
 
     with (e1, e2) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
     terms, where d1 = grad g1, d2 = grad g2, adv_k = Gm . d_k and
     Gm = gradJ * m at the stored state.  Slice nt - 1 is driven by the
-    misfit source alone.  sign is :data:`_MISFIT_SOURCE_SIGN`, read once.
+    misfit source alone.
     """
-    sign = _MISFIT_SOURCE_SIGN
     p = traj.params
     g = p.grid
     dt = p.dt
@@ -170,7 +165,7 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     g1 = np.zeros((nt + 1, *g.shape))
     g2 = np.zeros_like(g1)
     for n in range(nt, 0, -1):
-        s_n = sign * (traj.phi[n] - pd[n - 1])
+        s_n = traj.phi[n] - pd[n - 1]
         if n == nt:
             p1 = np.zeros(g.shape)
             p2 = dt * s_n

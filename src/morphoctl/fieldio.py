@@ -33,16 +33,11 @@ def write_snapshot(path, grid: Grid, t: float, f: np.ndarray) -> None:
 def read_snapshot(path) -> tuple[int, int, float, np.ndarray]:
     """Returns (nx, ny, t, values) with values of shape (ny, nx)."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            c = fh.read(1)
-            if not c:
-                raise FormatError("unexpected end of file in header")
-            if c == b"\n":
-                break
-            header += c
-            if len(header) > 256:
-                raise FormatError("header line too long")
+        line = fh.readline(257)  # a header of at most 256 bytes, then its newline
+        if not line.endswith(b"\n"):
+            raise FormatError("header line too long" if len(line) == 257
+                              else "unexpected end of file in header")
+        header = line[:-1]
         parts = header.decode("ascii", errors="replace").split()
         if len(parts) != 5 or parts[0] != MAGIC:
             raise FormatError(f"bad header {header!r}")

@@ -52,8 +52,8 @@ Conventions used by every module in this package:
   equal.
 * Circular convolution folds the cell area in, so it is a discrete
   integral: ``out(p) = sum_q k(p - q) f(q) hx hy`` with periodic index
-  arithmetic.  The direct summation path is the normative definition; the
-  FFT path must (and does in the tests) agree with it to 1e-12.
+  arithmetic.  :func:`circ_conv`'s direct sum is the definition; the tests
+  hold ``Kernel``'s FFT path, the package's only one, to it at 1e-12.
 """
 
 from __future__ import annotations
@@ -76,10 +76,12 @@ class Grid:
     Ly: float
 
     def __post_init__(self):
-        if self.nx < 4 or self.ny < 4:
-            raise ParameterError("nx", "grid needs nx >= 4 and ny >= 4")
-        if not (self.Lx > 0.0 and self.Ly > 0.0):
-            raise ParameterError("Lx", "grid needs positive edge lengths")
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 4:
+                raise ParameterError(name, f"grid needs {name} >= 4")
+        for name in ("Lx", "Ly"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ParameterError(name, f"grid needs a finite positive {name}")
 
     @property
     def hx(self) -> float:
@@ -254,22 +256,16 @@ def periodic_reverse(f: np.ndarray) -> np.ndarray:
     return np.roll(f[::-1, ::-1], (1, 1), axis=(0, 1))
 
 
-def circ_conv(grid: Grid, k: np.ndarray, f: np.ndarray, method: str = "fft") -> np.ndarray:
-    """Circular convolution out(p) = sum_q k(p-q) f(q) hx hy.
+def circ_conv(grid: Grid, k: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Circular convolution out(p) = sum_q k(p-q) f(q) hx hy, by direct summation.
 
     ``k`` holds kernel samples with the zero offset at index (0, 0) and
-    negative offsets wrapped to the far end.  ``method="direct"`` is the
-    normative summation path; ``method="fft"`` is the fast path and agrees
-    with it to round-off.
+    negative offsets wrapped to the far end.  A test-only oracle: the
+    definition that ``Kernel``'s FFT convolutions must match.
     """
     grid.check(k, f)
-    if method == "fft":
-        out = irfft2(rfft2(k) * rfft2(f), grid.shape)
-        return out * grid.cell_area
-    if method == "direct":  # test-only oracle, kept here as the definition the FFT path must match
-        out = np.zeros(grid.shape)
-        sy, sx = np.nonzero(k)
-        for j, i in zip(sy.tolist(), sx.tolist()):
-            out += k[j, i] * np.roll(f, (j, i), axis=(0, 1))
-        return out * grid.cell_area
-    raise ValueError(f"unknown convolution method {method!r}")
+    out = np.zeros(grid.shape)
+    sy, sx = np.nonzero(k)
+    for j, i in zip(sy.tolist(), sx.tolist()):
+        out += k[j, i] * np.roll(f, (j, i), axis=(0, 1))
+    return out * grid.cell_area

@@ -9,11 +9,11 @@ one report row (name, measured, threshold, pass); failures of any kind,
 including solver blow-up, are recorded as failing rows rather than
 raised.
 
-Budget note: the two optimization-backed rows run on a coarsened copy of
-the config (grid capped at 32 cells per side, horizon capped at 100
-steps) so the whole suite stays well under the two-minute budget at the
-shipped default resolution.  All other rows run at the configured size.
-The suite is deterministic for a fixed config seed.
+Budget note: the projection row's optimization runs on a coarsened copy of
+the config (horizon capped at 100 steps, grid at 32 cells per side unless
+a field is read from a snapshot), so the suite stays well under the
+two-minute budget at the shipped default resolution.  All other rows run
+at the configured size.  The suite is deterministic for a fixed config seed.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from morphoctl import control
 from morphoctl.forward import InitData, ModelParams
 from morphoctl.grid import Grid, smooth_periodic
 from morphoctl.kernel import build_kernel
@@ -52,3 +55,19 @@ def make_init(grid, m_amp=0.2, m_off=0.0, phi_const=0.6):
     X, Y = grid.cell_centers()
     m0 = m_off + m_amp * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y)
     return InitData(m0=m0, phi0=np.full(grid.shape, phi_const))
+
+
+def flip_misfit_source_sign(monkeypatch):
+    """Make ``control.solve_adjoint_discrete`` return the negated adjoint.
+
+    The backward sweep is linear with a zero terminal slice, so the negated
+    adjoint is, value for value, the adjoint of a sign-flipped misfit source:
+    the wrong adjoint the mutation tests need the gradient check to catch.
+    """
+    solve = control.solve_adjoint_discrete
+
+    def flipped(traj, phi_d):
+        adj = solve(traj, phi_d)
+        return dataclasses.replace(adj, gamma1=-adj.gamma1, gamma2=-adj.gamma2)
+
+    monkeypatch.setattr(control, "solve_adjoint_discrete", flipped)

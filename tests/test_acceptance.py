@@ -39,7 +39,14 @@ from morphoctl.kernel import build_kernel
 from morphoctl.linearized import solve_linearized, taylor_test
 from morphoctl.verify import gradient_check_table, run_verify
 
-from conftest import expand, full_laplacian_symbol, make_init, make_params, smooth_random
+from conftest import (
+    expand,
+    flip_misfit_source_sign,
+    full_laplacian_symbol,
+    make_init,
+    make_params,
+    smooth_random,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -286,7 +293,7 @@ def test_acceptance_9_verify(monkeypatch):
     from morphoctl.config import build_problem
 
     sub = build_problem(coarsened(cfg))
-    monkeypatch.setattr(ctl, "_MISFIT_SOURCE_SIGN", -1.0)
+    flip_misfit_source_sign(monkeypatch)
     table = gradient_check_table(sub, n_directions=3)
     worst = max(row[3] for row in table)
     assert worst >= 1e-2, f"mutation went undetected: rel err {worst:.3e}"

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from morphoctl.cli import main
-from morphoctl.fieldio import read_snapshot
+from morphoctl.fieldio import read_snapshot, write_snapshot
+from morphoctl.grid import Grid
+
+from conftest import flip_misfit_source_sign
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -98,9 +101,7 @@ def test_gradcheck_passes(shipped, cfg_path, capsys):
 
 
 def test_gradcheck_fails_on_a_wrong_adjoint_sign(cfg_path, monkeypatch, capsys):
-    from morphoctl import control
-
-    monkeypatch.setattr(control, "_MISFIT_SOURCE_SIGN", -1.0)
+    flip_misfit_source_sign(monkeypatch)
     assert main(["gradcheck", "--config", cfg_path]) == 1
     assert "gradcheck failed: worst relative error" in capsys.readouterr().err
 
@@ -117,6 +118,12 @@ def test_taylor_fails_on_a_scaled_tangent(cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(linearized, "solve_linearized", scaled)
     assert main(["taylor", "--config", cfg_path]) == 1
     assert "taylor failed: orders deviate from 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction", ["noise:0.1,-1", "bogus:1", "constant:inf"])
+def test_bad_taylor_direction_names_the_flag(direction, cfg_path, capsys):
+    assert main(["taylor", "--config", cfg_path, "--direction", direction]) == 2
+    assert "config error: --direction: " in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():
@@ -186,9 +193,24 @@ def test_optimize_stalled_exits_zero(tmp_path, capsys):
 
 def test_verify_small_config(tmp_path, capsys):
     # Without a target and with a control, verify makes its own target and
-    # solves the bounds row again at zero control.
+    # solves the bounds row again at zero control.  With fields read from
+    # 36x36 snapshots, the projection row's coarsened copy keeps their grid.
     controlled = SMALL.replace("target.phi_d = cosine:0.2,1,1,0.7", "control.theta = constant:0.2")
-    for name, text in (("small", SMALL), ("controlled", controlled)):
+    g = Grid(36, 36, 1.0, 1.0)
+    X, Y = g.cell_centers()
+    m0, theta = tmp_path / "m0.mcf", tmp_path / "theta.mcf"
+    write_snapshot(m0, g, 0.0, 0.15 * np.cos(2 * np.pi * X) + 0.1)
+    write_snapshot(theta, g, 0.0, 0.3 + 0.1 * np.cos(2 * np.pi * Y))
+    from_files = SMALL
+    for old, new in [
+        ("grid.nx = 16", "grid.nx = 36"),
+        ("grid.ny = 16", "grid.ny = 36"),
+        ("time.T = 0.02", "time.T = 0.01"),
+        ("init.m0 = cosine:0.15,1,1,0.1", f"init.m0 = file:{m0}"),
+        ("target.phi_d = cosine:0.2,1,1,0.7", f"target.phi_d = twin:file:{theta}"),
+    ]:
+        from_files = from_files.replace(old, new)
+    for name, text in (("small", SMALL), ("controlled", controlled), ("files", from_files)):
         path = tmp_path / f"{name}.cfg"
         path.write_text(text)
         out = tmp_path / name
@@ -269,6 +291,8 @@ def test_oversized_snapshot_header_is_config_error(tmp_path, capsys):
     ("optimize", "opt.step0", "opt.step0 = 100.0", "opt.step0 = inf"),
     ("optimize", "opt.c1", "opt.step0 = 100.0", "opt.step0 = 100.0\nopt.c1 = 1.5"),
     ("simulate", "model.beta", "model.beta = 1.0", "model.beta = inf"),
+    ("simulate", "grid.Lx", "grid.Lx = 1.0", "grid.Lx = inf"),
+    ("simulate", "init.m0", "init.m0 = cosine:0.15,1,1,0.1", "init.m0 = noise:0.1,-1"),
 ])
 def test_rule_breaking_value_names_its_key(command, key, old, new, tmp_path, capsys):
     path = tmp_path / "bad.cfg"

@@ -104,7 +104,9 @@ def test_rule_keys_reported_at_build(tmp_path):
     # load_config only parses; build_problem checks every rule.
     cases = [
         ("grid.nx", "grid.nx = 16", "grid.nx = 3"),
-        ("grid.Lx", "grid.Ly = 1.0", "grid.Ly = -1.0"),
+        ("grid.ny", "grid.ny = 16", "grid.ny = 2"),
+        ("grid.Lx", "grid.Lx = 1.0", "grid.Lx = 0.0"),
+        ("grid.Ly", "grid.Ly = 1.0", "grid.Ly = -1.0"),
         ("kernel.radius", "kernel.radius = 0.25", "kernel.radius = 0.6"),
         ("model.beta", "model.beta = 1.0", "model.beta = -1.0"),
         ("model.alpha", "model.alpha = 1.0", "model.alpha = -0.5"),
@@ -128,7 +130,9 @@ def test_rule_keys_reported_at_build(tmp_path):
         assert exc.value.key == key, exc.value
 
 
-@pytest.mark.parametrize("key", ["model.beta", "model.alpha", "control.delta"])
+@pytest.mark.parametrize(
+    "key", ["model.beta", "model.alpha", "control.delta", "grid.Lx", "grid.Ly"]
+)
 @pytest.mark.parametrize("value", ["inf", "-inf"])
 def test_infinite_model_constants_rejected(tmp_path, key, value):
     cfg = load_config(write_cfg(tmp_path, MINIMAL + f"{key} = {value}\n"))
@@ -292,14 +296,23 @@ def test_snapshot_header_size_checked_before_read(tmp_path, size):
 @pytest.mark.parametrize("content, reason", [
     (b"MCFIELD 1 4 4", "unexpected end of file in header"),
     (b"MCFIELD 1 4 4 " + b"0" * 300 + b"\n", "header line too long"),
+    (b"MCFIELD 1 4 4 " + b"0" * 241 + b".0\n" + b"\x00" * 128, "header line too long"),
     (b"MCFIELD 2 4 4 0.0\n" + b"\x00" * 128, "unsupported version 2"),
     (b"MCFIELD 1 four 4 0.0\n" + b"\x00" * 128, "bad header fields"),
-], ids=["eof", "too-long", "version", "non-numeric"])
+], ids=["eof", "too-long", "257-bytes", "version", "non-numeric"])
 def test_snapshot_header_rejections(tmp_path, content, reason):
     path = tmp_path / "bad_header.mcf"
     path.write_bytes(content)
     with pytest.raises(FormatError, match=reason):
         read_snapshot(path)
+
+
+def test_snapshot_header_of_256_bytes_accepted(tmp_path):
+    header = b"MCFIELD 1 4 4 " + b"0" * 240 + b".0"
+    assert len(header) == 256
+    path = tmp_path / "long_header.mcf"
+    path.write_bytes(header + b"\n" + b"\x00" * 128)
+    assert read_snapshot(path)[:3] == (4, 4, 0.0)
 
 
 def test_twin_target_manufactured(tmp_path):

@@ -23,7 +23,14 @@ from morphoctl.forward import InitData, solve_state
 from morphoctl.grid import Grid, l2
 from morphoctl.linearized import solve_linearized
 
-from conftest import expand, full_laplacian_symbol, make_init, make_params, smooth_random
+from conftest import (
+    expand,
+    flip_misfit_source_sign,
+    full_laplacian_symbol,
+    make_init,
+    make_params,
+    smooth_random,
+)
 
 
 def test_cost_zero_when_on_target(grid16):
@@ -475,9 +482,9 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
     jm = cost(solve_state(init, theta - eps * h, p), theta - eps * h, pd, 1e-3)
     fd = (jp - jm) / (2.0 * eps)
 
-    monkeypatch.setattr(ctl, "_MISFIT_SOURCE_SIGN", -1.0)
+    flip_misfit_source_sign(monkeypatch)
     traj = solve_state(init, theta, p)
-    adj = solve_adjoint_discrete(traj, pd)
+    adj = ctl.solve_adjoint_discrete(traj, pd)
     g = reduced_gradient(adj, theta, 1e-3)
     av = ctl.control_inner(p, g, h)
     assert abs(fd - av) / max(abs(fd), abs(av)) >= 1e-2

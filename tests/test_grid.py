@@ -128,9 +128,8 @@ def test_circ_conv_delta_identity():
     f = rng.standard_normal(g.shape)
     delta = np.zeros(g.shape)
     delta[0, 0] = 1.0 / g.cell_area
-    for method in ("fft", "direct"):
-        out = circ_conv(g, delta, f, method=method)
-        assert np.max(np.abs(out - f)) < 1e-12
+    out = circ_conv(g, delta, f)
+    assert np.max(np.abs(out - f)) < 1e-12
 
 
 def test_circ_conv_normalized_kernel_on_constant():
@@ -157,9 +156,8 @@ def test_circ_conv_matches_double_loop_oracle():
                     s += k[(pj - qj) % g.ny, (pi - qi) % g.nx] * f[qj, qi]
             oracle[pj, pi] = s * g.cell_area
 
-    for method in ("fft", "direct"):
-        out = circ_conv(g, k, f, method=method)
-        assert np.max(np.abs(out - oracle)) < 1e-12
+    out = circ_conv(g, k, f)
+    assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_circ_conv_grid_mismatch():

@@ -62,10 +62,29 @@ def test_gradient_integrates_to_zero_and_kills_constants():
     assert abs(np.sum(k.gjx) * g.cell_area) < 1e-12
     assert abs(np.sum(k.gjy) * g.cell_area) < 1e-12
     const = np.full(g.shape, 2.3)
-    assert np.max(np.abs(circ_conv(g, k.gjx, const))) < 1e-12
     gx, gy = k.grad_conv(np.fft.rfft2(const))
     assert np.max(np.abs(gx)) < 1e-12
     assert np.max(np.abs(gy)) < 1e-12
+    assert np.max(np.abs(k.grad_conv_sum(const, const))) < 1e-12
+
+
+@pytest.mark.parametrize("nx, ny", [(15, 21), (16, 21), (15, 22)])
+def test_fft_convolutions_match_direct_sum(nx, ny):
+    # Odd and non-square sizes: the rfft2 layout's Nyquist and Hermitian bins differ per axis.
+    g = Grid(nx, ny, 1.0, 1.4)
+    k = build_kernel(g, 0.3)
+    rng = np.random.default_rng(nx * ny)
+    f, vx, vy = rng.standard_normal((3, ny, nx))
+    gx, gy = k.grad_conv(np.fft.rfft2(f))
+    pairs = [
+        (k.conv_j(f), circ_conv(g, k.j, f)),
+        (gx, circ_conv(g, k.gjx, f)),
+        (gy, circ_conv(g, k.gjy, f)),
+        (k.grad_conv_sum(vx, vy), circ_conv(g, k.gjx, vx) + circ_conv(g, k.gjy, vy)),
+    ]
+    for fast, direct in pairs:
+        assert np.max(np.abs(direct)) > 0.1
+        assert np.max(np.abs(fast - direct)) < 1e-12
 
 
 def test_report_fields():
