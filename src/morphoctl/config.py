@@ -185,15 +185,6 @@ def load_config(path) -> RunConfig:
         return parse_config_text(fh.read())
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; load(serialize(load(p))) == load(p).
-
-    A float prints as its repr, which is what ``str`` gives a Python float.
-    """
-    values = {f.metadata["key"]: getattr(cfg, f.name) for f in fields(cfg)}
-    return "".join(f"{key} = {value}\n" for key, value in values.items() if value is not None)
-
-
 def _rng_for(seed: int, role: str) -> np.random.Generator:
     return np.random.default_rng([seed, _ROLE_STREAMS.get(role, 9)])
 

@@ -24,9 +24,9 @@ beta > 0 is reported, never asserted, because the two operator orderings
 genuinely differ.  At beta = 0 both solvers perform identical arithmetic.
 
 Both solvers run one shared backward sweep, ``_backward_sweep``: the zero
-terminal slice, the quadrature alignment above, the -alpha gamma2
-reaction and misfit source, the two symmetric implicit solves and the
-blow-up check.  Each solver supplies only its explicit drift terms.
+terminal slice, the quadrature alignment above, the -alpha gamma2 reaction,
+the misfit source and the two symmetric implicit solves, in the time loop of
+``forward._march``.  Each solver supplies only its explicit drift terms.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from .forward import (
     InitData,
     ModelParams,
     Trajectory,
-    _check_finite,
+    _march,
     control_array,
     control_space_time_norm,
     solve_state,
 )
-from .grid import div, grad, inner, l2, rfft2, solve_implicit_diffusion, time_values
+from .grid import grad, inner, l2, rfft2, solve_implicit_diffusion, time_values
 from .linearized import solve_linearized
 
 # Smallest trial step of the line search; a search that shrinks below it fails.
@@ -144,7 +144,7 @@ def cost(traj: Trajectory, theta, phi_d, delta: float) -> float:
 
 
 def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
-    """March the adjoint pair from the zero terminal slice back to index 0.
+    """March the adjoint pair from the zero terminal slice to index 0 by a backward ``_march``.
 
     At state index n the explicit part applied to the incoming (g1, g2)
     before the symmetric implicit solve is
@@ -161,27 +161,27 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     g = p.grid
     dt = p.dt
     pd = control_array(phi_d, p)
-    nt = p.nt
-    g1 = np.zeros((nt + 1, *g.shape))
-    g2 = np.zeros_like(g1)
-    for n in range(nt, 0, -1):
+
+    def step(n, g1, _spec, g2):
         s_n = traj.phi[n] - pd[n - 1]
-        if n == nt:
-            p1 = np.zeros(g.shape)
-            p2 = dt * s_n
+        if n == p.nt:
+            p1, p2 = np.zeros(g.shape), dt * s_n
         else:
             m, phi = traj.m[n], traj.phi[n]
             gmx, gmy = p.kernel.grad_conv(rfft2(m))
-            d1 = grad(g, g1[n])
-            d2 = grad(g, g2[n])
+            d1 = grad(g, g1)
+            d2 = grad(g, g2)
             adv1 = gmx * d1[0] + gmy * d1[1]
             adv2 = gmx * d2[0] + gmy * d2[1]
             e1, e2 = drift(m, phi, d1, d2, adv1, adv2)
-            p1 = g1[n] + dt * e1
-            p2 = g2[n] + dt * (e2 - p.alpha * g2[n] + s_n)
-        g1[n - 1], _ = solve_implicit_diffusion(g, p1, dt)
-        g2[n - 1], _ = solve_implicit_diffusion(g, p2, dt)
-        _check_finite("adjoint blow-up", n, g1[n - 1], g2[n - 1])
+            p1 = g1 + dt * e1
+            p2 = g2 + dt * (e2 - p.alpha * g2 + s_n)
+        g1, _ = solve_implicit_diffusion(g, p1, dt)
+        g2, _ = solve_implicit_diffusion(g, p2, dt)
+        return g1, None, g2
+
+    zero = np.zeros(g.shape)
+    g1, g2 = _march(p, "adjoint blow-up", zero, None, zero, step, backward=True)
     return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
 
 

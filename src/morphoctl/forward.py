@@ -24,12 +24,13 @@ docs/discrete_adjoint.md).
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
 the tangent and backward sweeps in the sibling modules differentiate and
-transpose this exact discrete map.
+transpose this exact discrete map.  All three sweeps run one time loop,
+``_march``, which stores each history and raises :class:`NonFinite` on blow-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,10 +159,23 @@ def step_state(
     return m1, m1_spec, p1
 
 
-def _check_finite(what: str, step: int, *slices: np.ndarray) -> None:
-    """Every sweep's per-step blow-up check: NonFinite("<what> at step <step>") if not finite."""
-    if not all(np.isfinite(s).all() for s in slices):
-        raise NonFinite(f"{what} at step {step}", step=step)
+def _march(params: ModelParams, what: str, a0, spec0, b0, step, backward=False):
+    """Every sweep's time loop: the two (nt+1, ny, nx) histories, seeded (a0, b0) at index 0.
+
+    ``backward`` seeds index nt instead.  ``step(n, a, a_spec, b) -> (a', a'_spec, b')`` makes
+    the slice after n, the spectrum of a carried from ``spec0``.  A step that is not finite
+    raises NonFinite("<what> at step k"), k the step's later index.
+    """
+    a = np.empty((params.nt + 1, *params.grid.shape))
+    b = np.empty_like(a)
+    order = range(params.nt, -1, -1) if backward else range(params.nt + 1)
+    a[order[0]], b[order[0]] = a0, b0
+    spec = spec0
+    for n, new in zip(order, order[1:]):
+        a[new], spec, b[new] = step(n, a[n], spec, b[n])
+        if not (np.isfinite(a[new]).all() and np.isfinite(b[new]).all()):
+            raise NonFinite(f"{what} at step {max(n, new)}", step=max(n, new))
+    return a, b
 
 
 def control_array(theta, params: ModelParams) -> np.ndarray:
@@ -191,16 +205,12 @@ def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
     """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
-    nt = params.nt
-    m = np.empty((nt + 1, *params.grid.shape))
-    phi = np.empty_like(m)
-    m[0] = init.m0
-    phi[0] = init.phi0
-    m_spec = rfft2(m[0])
-    for n in range(nt):
-        m[n + 1], m_spec, phi[n + 1] = step_state(m[n], m_spec, phi[n], th[n], params)
-        _check_finite("blow-up", n + 1, m[n + 1], phi[n + 1])
-    times = np.arange(nt + 1) * params.dt
+    m0 = np.asarray(init.m0, dtype=float)  # as stored; a float32 field would transform in float32
+    m, phi = _march(
+        params, "blow-up", m0, rfft2(m0), init.phi0,
+        lambda n, m, m_spec, phi: step_state(m, m_spec, phi, th[n], params),
+    )
+    times = np.arange(params.nt + 1) * params.dt
     return Trajectory(params=params, times=times, m=m, phi=phi, theta=th)
 
 

@@ -28,7 +28,7 @@ from .forward import (
     InitData,
     ModelParams,
     Trajectory,
-    _check_finite,
+    _march,
     control_array,
     l2_h1_norm,
     solve_state,
@@ -90,15 +90,13 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     """March the tangent system along a stored forward trajectory, carrying phi1's spectrum."""
     params = traj.params
     harr = control_array(h, params)
-    nt = params.nt
-    phi1 = np.zeros((nt + 1, *params.grid.shape))
-    phi2 = np.zeros_like(phi1)
-    phi1_spec = rfft2(phi1[0])
-    for n in range(nt):
-        phi1[n + 1], phi1_spec, phi2[n + 1] = step_linearized(
-            traj.m[n], traj.phi[n], phi1[n], phi1_spec, phi2[n], harr[n], params
-        )
-        _check_finite("tangent blow-up", n + 1, phi1[n + 1], phi2[n + 1])
+    zero = np.zeros(params.grid.shape)
+    phi1, phi2 = _march(
+        params, "tangent blow-up", zero, rfft2(zero), zero,
+        lambda n, phi1, phi1_spec, phi2: step_linearized(
+            traj.m[n], traj.phi[n], phi1, phi1_spec, phi2, harr[n], params
+        ),
+    )
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)
 
 

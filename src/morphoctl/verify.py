@@ -181,6 +181,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
         return max(row[3] for row in table), ""
 
     guard("gradcheck", GRADCHECK_TOL, gradcheck)
+    base_adjoint.cache_clear()  # no later row reads it; freed before the next row's adjoint
 
     # Manufactured optimum: target produced by the configured control itself,
     # delta = 0, so the gradient vanishes identically at theta.

@@ -13,7 +13,6 @@ from morphoctl.config import (
     load_config,
     parse_config_text,
     realize_field,
-    serialize_config,
 )
 from morphoctl.errors import FormatError, ParseError, ValidationError
 from morphoctl.fieldio import read_snapshot, write_snapshot
@@ -203,14 +202,6 @@ def test_non_finite_field_is_reported_under_its_key(key, line):
         build_problem(parse_config_text(MINIMAL + line + "\n"))
     assert exc.value.key == key
     assert "not finite" in exc.value.reason or "range exceeds" in exc.value.reason
-
-
-def test_config_roundtrip(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, MINIMAL))
-    text = serialize_config(cfg)
-    cfg2 = load_config(write_cfg(tmp_path, text, name="round.cfg"))
-    assert cfg2 == cfg
-    assert serialize_config(cfg2) == text
 
 
 def test_cosine_spec_realization():

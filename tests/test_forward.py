@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from morphoctl.config import build_problem, parse_config_text
-from morphoctl.control import control_inner, cost_parts, solve_adjoint_discrete
+from morphoctl.control import (
+    control_inner,
+    cost_parts,
+    solve_adjoint_continuous,
+    solve_adjoint_discrete,
+)
 from morphoctl.errors import DegenerateProbe, NonFinite
 from morphoctl.forward import (
     InitData,
@@ -356,6 +361,34 @@ def test_blowup_raises_nonfinite_with_step(sweep, grid16):
             sweep_fn(traj, series)
         assert exc.value.step == 4
     assert f"blow-up at step {exc.value.step}" in str(exc.value)
+
+
+@pytest.mark.parametrize("k", [0, 4, 9])
+@pytest.mark.parametrize(
+    "sweep, what",
+    [
+        (solve_state, "blow-up"),
+        (solve_linearized, "tangent blow-up"),
+        (solve_adjoint_discrete, "adjoint blow-up"),
+        (solve_adjoint_continuous, "adjoint blow-up"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_nan_slice_is_reported_at_the_step_it_drives(sweep, what, k, grid16):
+    """A NaN in slice k of theta, h or phi_d breaks the step with later index k+1."""
+    p = make_params(grid16, T=0.01)
+    assert p.nt == 10
+    init = make_init(grid16)
+    series = np.zeros((p.nt, *grid16.shape))
+    series[k] = np.nan
+    if sweep is solve_state:
+        args = (init, series, p)
+    else:
+        args = (solve_state(init, np.zeros(grid16.shape), p), series)
+    with pytest.raises(NonFinite) as exc:
+        sweep(*args)
+    assert str(exc.value) == f"{what} at step {k + 1}"
+    assert exc.value.step == k + 1
 
 
 def test_trajectory_norm_helpers(grid16):
