@@ -21,7 +21,7 @@ from .errors import NonFinite, ParseError, ValidationError
 from .fieldio import write_csv, write_snapshot
 from .grid import h1, integral, l2, time_values
 from .kernel import kernel_report
-from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_verify
+from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_verify, target_for
 
 
 def _load(args):
@@ -115,7 +115,10 @@ def cmd_optimize(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
-    table = gradient_check_table(problem, n_directions=5)
+    adj = ctl.solve_adjoint_discrete(  # the base run is freed before the table's own solves
+        fwd.solve_state(problem.init, problem.theta, problem.params), target_for(problem)
+    )
+    table = gradient_check_table(problem, adj)
     print("direction,fd,adjoint,rel_error")
     for i, fd_val, adj_val, rel in table:
         print(f"{i},{fd_val!r},{adj_val!r},{rel!r}")

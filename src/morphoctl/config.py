@@ -31,7 +31,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .control import ControlField, OptConfig
-from .errors import FormatError, ParameterError, ParseError, ValidationError
+from .errors import ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
 from .forward import InitData, ModelParams, control_array, solve_state
 from .grid import Grid, smooth_periodic
@@ -222,7 +222,7 @@ def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
                 raise ValueError(f"snapshot is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
         if not np.isfinite(field).all():
             raise ValueError("field is not finite")
-    except (ValueError, OverflowError, OSError, FormatError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         raise ValidationError(role, f"bad field spec {spec!r}: {exc}")
     return field
 

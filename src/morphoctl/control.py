@@ -61,17 +61,18 @@ class ControlField:
     theta_max: float | np.ndarray = 1.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.theta_min) > np.asarray(self.theta_max)):
+        if not np.all(np.asarray(self.theta_min) <= np.asarray(self.theta_max)):
             raise ValueError("bounds require theta_min <= theta_max")
 
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward multipliers; slice nt is the zero terminal condition."""
+    """Backward multipliers of the run at ``theta``; slice nt is the zero terminal condition."""
 
     params: ModelParams
     gamma1: np.ndarray  # (nt+1, ny, nx)
     gamma2: np.ndarray
+    theta: np.ndarray  # the swept run's traj.theta itself, not a copy
 
 
 @dataclass
@@ -127,19 +128,18 @@ class OptResult:
     adjoint: AdjointTrajectory | None = None  # the discrete adjoint at theta_opt
 
 
-def cost_parts(traj: Trajectory, theta, phi_d, delta: float) -> tuple[float, float]:
-    """(misfit, regularization) halves of the tracking functional."""
+def cost_parts(traj: Trajectory, phi_d, delta: float) -> tuple[float, float]:
+    """(misfit, regularization) halves of the tracking functional at the run's own control."""
     p = traj.params
     g = p.grid
-    th = control_array(theta, p)
     pd = control_array(phi_d, p)
     misfit = sum(v ** 2 for v in time_values(g, lambda g, a, b: l2(g, a - b), traj.phi[1:], pd))
-    reg = sum(v ** 2 for v in time_values(g, l2, th))
+    reg = sum(v ** 2 for v in time_values(g, l2, traj.theta))
     return 0.5 * misfit * p.dt, 0.5 * delta * reg * p.dt
 
 
-def cost(traj: Trajectory, theta, phi_d, delta: float) -> float:
-    misfit, reg = cost_parts(traj, theta, phi_d, delta)
+def cost(traj: Trajectory, phi_d, delta: float) -> float:
+    misfit, reg = cost_parts(traj, phi_d, delta)
     return misfit + reg
 
 
@@ -182,7 +182,7 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
 
     zero = np.zeros(g.shape)
     g1, g2 = _march(p, "adjoint blow-up", zero, None, zero, step, backward=True)
-    return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2)
+    return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2, theta=traj.theta)
 
 
 def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
@@ -251,11 +251,9 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
     return _backward_sweep(traj, phi_d, drift)
 
 
-def reduced_gradient(adj: AdjointTrajectory, theta, delta: float) -> np.ndarray:
-    """Riesz representative of the reduced cost derivative, gamma2 + delta theta."""
-    p = adj.params
-    th = control_array(theta, p)
-    return adj.gamma2[: p.nt] + delta * th
+def reduced_gradient(adj: AdjointTrajectory, delta: float) -> np.ndarray:
+    """Riesz representative of the reduced cost derivative at adj.theta, gamma2 + delta theta."""
+    return adj.gamma2[: adj.params.nt] + delta * adj.theta
 
 
 def project_admissible(theta: np.ndarray, theta_min, theta_max) -> np.ndarray:
@@ -308,7 +306,7 @@ def _bb_step(d_theta: np.ndarray, d_g: np.ndarray, params: ModelParams, opt: Opt
 
 
 def _gauss_newton_trial(
-    traj: Trajectory, theta: np.ndarray, g: np.ndarray, delta: float,
+    traj: Trajectory, g: np.ndarray, delta: float,
     control0: ControlField, opt: OptConfig, result: OptResult,
 ) -> float:
     """First trial of iteration 0: step0 snapped down toward the Gauss-Newton step.
@@ -338,8 +336,8 @@ def _gauss_newton_trial(
     tangent sweep run is counted in ``result.tangent_solves``.
     """
     p = traj.params
-    at_min = (theta <= control0.theta_min) & (g > 0.0)
-    at_max = (theta >= control0.theta_max) & (g < 0.0)
+    at_min = (traj.theta <= control0.theta_min) & (g > 0.0)
+    at_max = (traj.theta >= control0.theta_max) & (g < 0.0)
     d = np.where(at_min | at_max, 0.0, -g)
     dd = control_inner(p, d, d)
     if dd == 0.0:
@@ -396,13 +394,13 @@ def pgd_optimize(
     result = OptResult(theta_opt=theta)
     traj = solve_state(init, theta, params)
     result.forward_solves = 1
-    misfit, reg = cost_parts(traj, theta, phi_d, delta)
+    misfit, reg = cost_parts(traj, phi_d, delta)
     j_cur = misfit + reg
     theta_prev = g_prev = None
 
     for it in range(opt.max_iters + 1):
         adj = result.adjoint = solve_adjoint_discrete(traj, phi_d)  # frees the old one before g
-        g = reduced_gradient(adj, theta, delta)
+        g = reduced_gradient(adj, delta)
         res = stationarity_residual(theta, g, params, tmin, tmax)
 
         result.cost_history.append(j_cur)
@@ -420,7 +418,7 @@ def pgd_optimize(
             return result
 
         if theta_prev is None:
-            s = _gauss_newton_trial(traj, theta, g, delta, control0, opt, result)
+            s = _gauss_newton_trial(traj, g, delta, control0, opt, result)
         else:
             s = _bb_step(theta - theta_prev, g - g_prev, params, opt)
         flat = 4.0 * np.spacing(j_cur)  # a cost change round-off cannot resolve
@@ -432,7 +430,7 @@ def pgd_optimize(
                 break
             traj_t = solve_state(init, trial, params)
             result.forward_solves += 1
-            m_t, r_t = cost_parts(traj_t, trial, phi_d, delta)
+            m_t, r_t = cost_parts(traj_t, phi_d, delta)
             j_t = m_t + r_t
             if abs(j_t - j_cur) <= flat:
                 result.termination = "stalled"
@@ -451,20 +449,15 @@ def pgd_optimize(
 
 
 def projection_characterization_check(
-    theta_opt: np.ndarray,
-    adj: AdjointTrajectory,
-    theta_min,
-    theta_max,
-    delta: float,
+    adj: AdjointTrajectory, theta_min, theta_max, delta: float
 ) -> float:
-    """|theta_opt - Proj(-gamma2 / delta)| in L2(S x Omega).
+    """|theta - Proj(-gamma2 / delta)| in L2(S x Omega), theta = ``adj.theta``.
 
     At a stationary point of the box-constrained problem the control is
-    the pointwise projection of -gamma2/delta, so the gap is bounded by
-    the stationarity residual scaled by 1/delta.
+    the pointwise projection of -gamma2/delta of its own adjoint, so the
+    gap is bounded by the stationarity residual scaled by 1/delta.
     """
     if delta == 0.0:
         raise DeltaZero("projection characterization requires delta > 0")
-    p = adj.params
-    proj = project_admissible(-adj.gamma2[: p.nt] / delta, theta_min, theta_max)
-    return control_space_time_norm(p, theta_opt - proj)
+    proj = project_admissible(-adj.gamma2[: adj.params.nt] / delta, theta_min, theta_max)
+    return control_space_time_norm(adj.params, adj.theta - proj)

@@ -90,7 +90,7 @@ def build_kernel(grid: Grid, radius: float) -> Kernel:
         raise SupportTooLarge(
             f"kernel radius {radius} needs 2 r < min(Lx, Ly) = {min(grid.Lx, grid.Ly)}"
         )
-    if radius < 3.0 * max(grid.hx, grid.hy):
+    if not (radius >= 3.0 * max(grid.hx, grid.hy)):
         raise SupportUnresolved(
             f"kernel radius {radius} below 3 max(hx, hy) = {3.0 * max(grid.hx, grid.hy)}"
         )

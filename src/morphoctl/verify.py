@@ -90,7 +90,7 @@ def _build(cfg: RunConfig) -> Problem:
         return build_problem(cfg)
 
 
-def _target_for(problem: Problem) -> np.ndarray:
+def target_for(problem: Problem) -> np.ndarray:
     if problem.phi_d is not None:
         return problem.phi_d
     X, Y = problem.grid.cell_centers()
@@ -122,7 +122,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 
     @functools.cache
     def base_adjoint():
-        return ctl.solve_adjoint_discrete(base(), _target_for(problem))
+        return ctl.solve_adjoint_discrete(base(), target_for(problem))
 
     def conservation():
         masses = fwd.mass_series(base())
@@ -171,13 +171,13 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     def duality():
         h = _direction(np.random.default_rng([base_seed, 103]), problem)
         tan = lin.solve_linearized(base(), h)
-        return ctl.duality_gap(base(), tan.phi2, base_adjoint(), h, _target_for(problem)), ""
+        return ctl.duality_gap(base(), tan.phi2, base_adjoint(), h, target_for(problem)), ""
 
     guard("adjoint_duality", 1e-10, duality)
 
     # Adjoint gradient against the central finite difference of the cost.
     def gradcheck():
-        table = gradient_check_table(problem, n_directions=3, adj=base_adjoint())
+        table = gradient_check_table(problem, base_adjoint(), n_directions=3)
         return max(row[3] for row in table), ""
 
     guard("gradcheck", GRADCHECK_TOL, gradcheck)
@@ -188,11 +188,8 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     def manufactured():
         traj = base()
         adj = ctl.solve_adjoint_discrete(traj, traj.phi[1:])
-        g = ctl.reduced_gradient(adj, problem.theta, 0.0)
-        res = ctl.stationarity_residual(
-            problem.theta, g, params, cfg.theta_min, cfg.theta_max
-        )
-        return res, ""
+        g = ctl.reduced_gradient(adj, 0.0)
+        return ctl.stationarity_residual(adj.theta, g, params, cfg.theta_min, cfg.theta_max), ""
 
     guard("stationarity_manufactured", 1e-12, manufactured)
 
@@ -202,11 +199,9 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
         sub = _build(coarsened(cfg))
         delta = cfg.delta if cfg.delta > 0 else 1e-3
         opt = replace(sub.opt, max_iters=min(sub.opt.max_iters, 40))
-        res = ctl.pgd_optimize(sub.init, sub.control(), _target_for(sub), sub.params, delta, opt)
+        res = ctl.pgd_optimize(sub.init, sub.control(), target_for(sub), sub.params, delta, opt)
         rho = res.stationarity_history[-1]  # the residual of res.adjoint at theta_opt
-        gap = ctl.projection_characterization_check(
-            res.theta_opt, res.adjoint, cfg.theta_min, cfg.theta_max, delta
-        )
+        gap = ctl.projection_characterization_check(res.adjoint, cfg.theta_min, cfg.theta_max, delta)
         tol = opt.resolved_tol(sub.params)
         bound = 10.0 * max(rho, tol) / delta
         # Report the margin so the row reads pass/fail on measured <= threshold.
@@ -218,32 +213,28 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
 
 
 def gradient_check_table(
-    problem: Problem, n_directions: int = 5, adj: ctl.AdjointTrajectory | None = None
+    problem: Problem, adj: ctl.AdjointTrajectory, n_directions: int = 5
 ) -> list[tuple[int, float, float, float]]:
-    """Rows (index, fd_value, adjoint_value, relative_error) for random directions.
+    """Rows (index, fd_value, adjoint_value, relative_error) for random directions at adj.theta.
 
+    ``adj`` is the discrete adjoint of a run of the problem against :func:`target_for`.
     fd_value is the central difference of the cost with step :data:`FD_EPS`.
-    ``adj``, if given, is the configured control's discrete adjoint against the verify target.
     """
     params = problem.params
-    phi_d = _target_for(problem)
+    phi_d = target_for(problem)
     delta = problem.cfg.delta
-    theta = problem.theta
     rng = np.random.default_rng([problem.cfg.seed, 104])
-
-    if adj is None:
-        adj = ctl.solve_adjoint_discrete(fwd.solve_state(problem.init, theta, params), phi_d)
-    g = ctl.reduced_gradient(adj, theta, delta)
+    g = ctl.reduced_gradient(adj, delta)
 
     def cost_at(t):
-        return ctl.cost(fwd.solve_state(problem.init, t, params), t, phi_d, delta)
+        return ctl.cost(fwd.solve_state(problem.init, t, params), phi_d, delta)
 
     table = []
     for i in range(n_directions):
         h = _direction(rng, problem)
         adj_val = ctl.control_inner(params, g, h)
         step = FD_EPS * h[0]  # h holds one slice over time; so does the step
-        fd_val = (cost_at(theta + step) - cost_at(theta - step)) / (2.0 * FD_EPS)
+        fd_val = (cost_at(adj.theta + step) - cost_at(adj.theta - step)) / (2.0 * FD_EPS)
         rel = abs(fd_val - adj_val) / max(abs(fd_val), abs(adj_val), 1e-300)
         table.append((i, fd_val, adj_val, rel))
     return table

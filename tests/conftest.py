@@ -71,3 +71,9 @@ def flip_misfit_source_sign(monkeypatch):
         return dataclasses.replace(adj, gamma1=-adj.gamma1, gamma2=-adj.gamma2)
 
     monkeypatch.setattr(control, "solve_adjoint_discrete", flipped)
+
+
+def scale_regularization_gradient(monkeypatch, factor):
+    """Make ``control.reduced_gradient`` use ``factor * delta``: a defect in the delta theta term only."""
+    reduced = control.reduced_gradient
+    monkeypatch.setattr(control, "reduced_gradient", lambda adj, delta: reduced(adj, factor * delta))

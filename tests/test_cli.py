@@ -371,7 +371,7 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     def configured(traj):
         return traj.params is main_problem.params and np.array_equal(traj.theta, main_problem.theta)
 
-    target = verify._target_for(main_problem)
+    target = verify.target_for(main_problem)
     assert sum(configured(t) for t, _ in forwards) == 1
     assert sum(configured(t) and np.array_equal(pd, target) for t, pd, _ in adjoints) == 1
     coarse_forwards = [inside for t, inside in forwards if t.params is sub.params]

@@ -36,7 +36,14 @@ from conftest import (
 def test_cost_zero_when_on_target(grid16):
     p = make_params(grid16, T=0.01)
     traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
-    assert cost(traj, traj.theta, traj.phi[1:], 1.0) == 0.0
+    assert cost(traj, traj.phi[1:], 1.0) == 0.0
+
+
+def test_adjoint_carries_its_runs_control(grid16):
+    p = make_params(grid16, T=0.01)
+    traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
+    for solve in (solve_adjoint_discrete, solve_adjoint_continuous):
+        assert solve(traj, traj.phi[1:]).theta is traj.theta
 
 
 def test_cost_closed_forms():
@@ -46,18 +53,24 @@ def test_cost_closed_forms():
     traj = solve_state(init, np.zeros((p.nt, *g.shape)), p)
     # phi stays 0; target -1 puts phi - phi_d = 1 everywhere
     pd = -np.ones((1, *g.shape))
-    assert cost(traj, traj.theta, pd, 0.0) == pytest.approx(0.5, rel=1e-12)
-    theta = np.ones((p.nt, *g.shape))
-    misfit, reg = cost_parts(traj, theta, traj.phi[1:], 2.0)
+    assert cost(traj, pd, 0.0) == pytest.approx(0.5, rel=1e-12)
+    traj1 = solve_state(init, np.ones((p.nt, *g.shape)), p)
+    misfit, reg = cost_parts(traj1, traj1.phi[1:], 2.0)
     assert misfit == 0.0
     assert reg == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta_min, theta_max", [(np.nan, 1.0), (0.0, np.array([[1.0, np.nan]]))])
+def test_control_field_rejects_nan_bounds(theta_min, theta_max):
+    with pytest.raises(ValueError, match="theta_min <= theta_max"):
+        ControlField(np.zeros((1, 1, 2)), theta_min, theta_max)
 
 
 def test_cost_shape_mismatch(grid16):
     p = make_params(grid16, T=0.01)
     traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
     with pytest.raises(ShapeMismatch):
-        cost(traj, traj.theta, np.ones((3, 4, 4)), 1.0)
+        cost(traj, np.ones((3, 4, 4)), 1.0)
 
 
 def test_adjoint_zero_when_on_target(grid16):
@@ -156,9 +169,9 @@ def test_reduced_gradient_on_target_is_regularization(grid16):
     traj = solve_state(make_init(grid16), theta, p)
     adj = solve_adjoint_discrete(traj, traj.phi[1:])
     delta = 0.7
-    g = reduced_gradient(adj, theta, delta)
+    g = reduced_gradient(adj, delta)
     assert np.max(np.abs(g - delta * theta)) == 0.0
-    assert np.max(np.abs(reduced_gradient(adj, theta, 0.0))) == 0.0
+    assert np.max(np.abs(reduced_gradient(adj, 0.0))) == 0.0
 
 
 @GRIDS
@@ -171,12 +184,12 @@ def test_gradient_matches_central_fd(grid, radius):
     delta = 1e-3
     traj = solve_state(init, theta, p)
     adj = solve_adjoint_discrete(traj, pd)
-    g = reduced_gradient(adj, theta, delta)
+    g = reduced_gradient(adj, delta)
     eps = 1e-5
     for _ in range(5):
         h = expand(smooth_random(rng, grid), p.nt)
-        jp = cost(solve_state(init, theta + eps * h, p), theta + eps * h, pd, delta)
-        jm = cost(solve_state(init, theta - eps * h, p), theta - eps * h, pd, delta)
+        jp = cost(solve_state(init, theta + eps * h, p), pd, delta)
+        jm = cost(solve_state(init, theta - eps * h, p), pd, delta)
         fd = (jp - jm) / (2.0 * eps)
         av = ctl.control_inner(p, g, h)
         assert abs(fd - av) / max(abs(fd), abs(av)) < 1e-6
@@ -298,7 +311,7 @@ def test_pgd_bb_seed_needs_few_solves_per_iteration(grid16, monkeypatch):
     assert all(costs[i + 1] <= costs[i] for i in range(len(costs) - 1))
 
 
-def _step0_first_trial(traj, theta, g, delta, control0, opt, result):
+def _step0_first_trial(traj, g, delta, control0, opt, result):
     return opt.step0
 
 
@@ -344,10 +357,10 @@ def test_gauss_newton_first_trial_snaps_to_step0_grid(grid16):
     p, init, control0, phi_d = _small_twin(grid16)
     theta = np.zeros((p.nt, *grid16.shape))
     traj = solve_state(init, theta, p)
-    g = reduced_gradient(solve_adjoint_discrete(traj, phi_d), theta, 1e-3)
+    g = reduced_gradient(solve_adjoint_discrete(traj, phi_d), 1e-3)
     opt = OptConfig(step0=1e5)
     res = ctl.OptResult(theta_opt=theta)
-    s = ctl._gauss_newton_trial(traj, theta, g, 1e-3, control0, opt, res)
+    s = ctl._gauss_newton_trial(traj, g, 1e-3, control0, opt, res)
     assert res.tangent_solves == 1
     # theta = 0 sits at theta_min, so the components with g > 0 are blocked.
     d = np.where(g > 0.0, 0.0, -g)
@@ -363,7 +376,7 @@ def test_gauss_newton_first_trial_snaps_to_step0_grid(grid16):
     # Every component blocked: step0, and no tangent sweep.
     blocked = ctl.OptResult(theta_opt=theta)
     up = np.ones_like(g)
-    assert ctl._gauss_newton_trial(traj, theta, up, 1e-3, control0, opt, blocked) == opt.step0
+    assert ctl._gauss_newton_trial(traj, up, 1e-3, control0, opt, blocked) == opt.step0
     assert blocked.tangent_solves == 0
 
 
@@ -412,7 +425,7 @@ def test_projection_characterization_requires_delta(grid16):
     traj = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
     adj = solve_adjoint_discrete(traj, traj.phi[1:])
     with pytest.raises(DeltaZero):
-        projection_characterization_check(traj.theta, adj, 0.0, 1.0, 0.0)
+        projection_characterization_check(adj, 0.0, 1.0, 0.0)
 
 
 def test_projection_characterization_gap_tracks_residual(grid16):
@@ -432,9 +445,9 @@ def test_projection_characterization_gap_tracks_residual(grid16):
     traj = solve_state(init, res.theta_opt, p)
     adj = solve_adjoint_discrete(traj, phi_d)
     assert res.adjoint.gamma2.tobytes() == adj.gamma2.tobytes()
-    g = reduced_gradient(adj, res.theta_opt, delta)
+    g = reduced_gradient(adj, delta)
     rho = stationarity_residual(res.theta_opt, g, p, 0.0, 1.0)
-    gap = projection_characterization_check(res.theta_opt, adj, 0.0, 1.0, delta)
+    gap = projection_characterization_check(adj, 0.0, 1.0, delta)
     assert gap <= 10.0 * max(rho, 1e-14) / delta
 
     # with stronger regularization the optimum hugs the projected adjoint:
@@ -450,7 +463,7 @@ def test_projection_characterization_gap_tracks_residual(grid16):
     )
     traj_b = solve_state(init, res_big.theta_opt, p)
     adj_b = solve_adjoint_discrete(traj_b, phi_d)
-    gap_b = projection_characterization_check(res_big.theta_opt, adj_b, 0.0, 1.0, delta_big)
+    gap_b = projection_characterization_check(adj_b, 0.0, 1.0, delta_big)
     from morphoctl.forward import control_space_time_norm
 
     scale_b = max(control_space_time_norm(p, res_big.theta_opt), 1e-30)
@@ -466,7 +479,7 @@ def test_unconverged_start_has_large_gap(grid16):
     theta0 = np.zeros_like(theta_star)
     traj0 = solve_state(init, theta0, p)
     adj0 = solve_adjoint_discrete(traj0, phi_d)
-    gap0 = projection_characterization_check(theta0, adj0, 0.0, 1.0, 1e-6)
+    gap0 = projection_characterization_check(adj0, 0.0, 1.0, 1e-6)
     assert gap0 > 1e-3  # reported, large away from stationarity
 
 
@@ -478,14 +491,14 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
     pd = 0.8 * np.ones((1, *grid16.shape))
     h = expand(smooth_random(rng, grid16), p.nt)
     eps = 1e-5
-    jp = cost(solve_state(init, theta + eps * h, p), theta + eps * h, pd, 1e-3)
-    jm = cost(solve_state(init, theta - eps * h, p), theta - eps * h, pd, 1e-3)
+    jp = cost(solve_state(init, theta + eps * h, p), pd, 1e-3)
+    jm = cost(solve_state(init, theta - eps * h, p), pd, 1e-3)
     fd = (jp - jm) / (2.0 * eps)
 
     flip_misfit_source_sign(monkeypatch)
     traj = solve_state(init, theta, p)
     adj = ctl.solve_adjoint_discrete(traj, pd)
-    g = reduced_gradient(adj, theta, 1e-3)
+    g = reduced_gradient(adj, 1e-3)
     av = ctl.control_inner(p, g, h)
     assert abs(fd - av) / max(abs(fd), abs(av)) >= 1e-2
 

@@ -403,7 +403,7 @@ def test_trajectory_norm_helpers(grid16):
     values = [
         control_space_time_norm(p, ctrl),
         l2_h1_norm(p, series),
-        *cost_parts(traj, 0.5 * ctrl, 0.6 * ctrl, 1e-3),
+        *cost_parts(traj, 0.6 * ctrl, 1e-3),
         control_inner(p, ctrl, 0.5 * ctrl),
         tangent_norm(tan),
         phi_balance_defect(traj),

@@ -1,13 +1,16 @@
-"""Every name a ``src/`` module imports is used in that module."""
+"""Every name a module of ``src/``, ``tests/`` or ``scripts/`` imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "morphoctl"
+ROOT = Path(__file__).resolve().parent.parent
 # The package's __init__ imports names only to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(
+    p for d in ("src/morphoctl", "tests", "scripts") for p in (ROOT / d).glob("*.py")
+    if p.name != "__init__.py"
+)
 
 
 def imported_names(tree: ast.Module):

@@ -12,6 +12,8 @@ def test_build_rejects_bad_radii():
         build_kernel(g, 0.5)
     with pytest.raises(SupportUnresolved):
         build_kernel(g, 0.04)
+    with pytest.raises(SupportUnresolved):
+        build_kernel(g, float("nan"))
 
 
 def test_normalization_exact():

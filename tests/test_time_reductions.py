@@ -68,12 +68,12 @@ def every_reduction(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(control, "time_values", recorded)
         step = _gauss_newton_trial(
-            traj, theta, reduced_gradient(adj, theta, 1e-3), 1e-3,
+            traj, reduced_gradient(adj, 1e-3), 1e-3,
             ControlField(theta), OptConfig(step0=1e3), OptResult(theta_opt=theta),
         )
     res = pgd_optimize(init, ControlField(theta), pd, p, 1e-3, OptConfig(max_iters=3, step0=1e3))
     return {
-        "cost_parts": cost_parts(traj, theta, pd, 1e-3),
+        "cost_parts": cost_parts(traj, pd, 1e-3),
         "control_inner": control_inner(p, theta, h),
         "duality_gap": duality_gap(traj, tan.phi2, adj, h, pd),
         "gauss_newton": (step, seen),
@@ -109,9 +109,9 @@ def test_space_time_reductions_hold_a_few_blocks():
     theta = rng.standard_normal((p.nt, *g.shape))
     traj = Trajectory(params=p, times=np.arange(p.nt + 1) * p.dt, m=m, phi=phi, theta=theta)
     assert m.nbytes >= 12.5 * 2**20
-    adj = AdjointTrajectory(params=p, gamma1=m, gamma2=phi)
+    adj = AdjointTrajectory(params=p, gamma1=m, gamma2=phi, theta=theta)
     for name, call in [
-        ("cost_parts", lambda: cost_parts(traj, theta, m[1:], 1e-3)),
+        ("cost_parts", lambda: cost_parts(traj, m[1:], 1e-3)),
         ("control_space_time_norm", lambda: control_space_time_norm(p, theta)),
         ("dt_h_minus_1_norm", lambda: dt_h_minus_1_norm(p, m)),
         ("duality_gap", lambda: duality_gap(traj, m, adj, theta, phi[:-1])),
