@@ -38,6 +38,16 @@ def _load(args):
     return cfg
 
 
+def _build(cfg, need_target=False):
+    """build_problem, then one stderr line if dt exceeds the advisory drift bound."""
+    problem = build_problem(cfg, need_target)
+    dt, bound = problem.params.dt, problem.params.dt_stability_bound()
+    if dt > bound:
+        print(f"warning: dt={dt} exceeds the conservative drift bound {bound:.3e}; "
+              "blow-up is detected at runtime", file=sys.stderr)
+    return problem
+
+
 def _series_rows(g, traj):
     """series.csv rows: the step, its time and the per-slice values of the pair (m, phi)."""
 
@@ -46,12 +56,12 @@ def _series_rows(g, traj):
         return integral(g, m), integral(g, phi), l2(g, m), l2(g, phi), h1(g, m), h1(g, phi), *viol
 
     rows = time_values(g, values, traj.m, traj.phi)
-    return ((n, t, *row) for n, (t, row) in enumerate(zip(traj.times.tolist(), rows)))
+    return ((n, n * traj.params.dt, *row) for n, row in enumerate(rows))
 
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    problem = build_problem(cfg)
+    problem = _build(cfg)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     traj = fwd.solve_state(problem.init, problem.theta, problem.params)
@@ -64,17 +74,17 @@ def cmd_simulate(args) -> int:
     )
     stride = cfg.snapshot_stride
     if stride > 0:
-        nt = problem.params.nt
+        nt, dt = problem.params.nt, problem.params.dt
         for n in sorted({*range(0, nt + 1, stride), nt}):
-            write_snapshot(os.path.join(out, f"m_{n:06d}.mcf"), g, float(traj.times[n]), traj.m[n])
-            write_snapshot(os.path.join(out, f"phi_{n:06d}.mcf"), g, float(traj.times[n]), traj.phi[n])
+            write_snapshot(os.path.join(out, f"m_{n:06d}.mcf"), g, n * dt, traj.m[n])
+            write_snapshot(os.path.join(out, f"phi_{n:06d}.mcf"), g, n * dt, traj.phi[n])
     print(f"simulate: {problem.params.nt} steps written to {out}")
     return 0
 
 
 def cmd_optimize(args) -> int:
     cfg = _load(args)
-    problem = build_problem(cfg, need_target=True)
+    problem = _build(cfg, need_target=True)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     res = ctl.pgd_optimize(
@@ -114,7 +124,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load(args)
-    problem = build_problem(cfg)
+    problem = _build(cfg)
     adj = ctl.solve_adjoint_discrete(  # the base run is freed before the table's own solves
         fwd.solve_state(problem.init, problem.theta, problem.params), target_for(problem)
     )
@@ -132,7 +142,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_taylor(args) -> int:
     cfg = _load(args)
-    problem = build_problem(cfg)
+    problem = _build(cfg)
     try:  # the direction draws on the control.theta noise stream; errors name the flag
         direction = realize_field(problem.grid, args.direction, cfg.seed, "control.theta")
     except ValidationError as exc:
@@ -170,8 +180,8 @@ def cmd_verify(args) -> int:
 
 def cmd_kernel_info(args) -> int:
     cfg = _load(args)
-    problem = build_problem(cfg)
-    for key, value in kernel_report(problem.kernel).items():
+    problem = _build(cfg)
+    for key, value in kernel_report(problem.params.kernel).items():
         print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     return 0
 

@@ -23,7 +23,6 @@ seed is bit-reproducible.
 from __future__ import annotations
 
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
@@ -35,10 +34,7 @@ from .errors import ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
 from .forward import InitData, ModelParams, control_array, solve_state
 from .grid import Grid, smooth_periodic
-from .kernel import Kernel, build_kernel
-
-# Message pattern of build_problem's advisory dt-bound RuntimeWarning, for filters.
-DT_BOUND_WARNING = r"dt=.*exceeds the conservative drift bound"
+from .kernel import build_kernel
 
 _ROLE_STREAMS = {
     "init.m0": 1,
@@ -146,10 +142,8 @@ def _reported_as(key: str):
         raise ValidationError(key, str(exc)) from exc
 
 
-def _assemble(
-    cfg: RunConfig,
-) -> tuple[Grid, Kernel, ModelParams, InitData, ControlField, OptConfig]:
-    """Build the grid, kernel, model, initial data, control and optimizer of a config.
+def _assemble(cfg: RunConfig) -> tuple[Grid, ModelParams, InitData, ControlField, OptConfig]:
+    """Build the grid, model with its kernel, initial data, control and optimizer of a config.
 
     Each rule lives in the constructor that owns the value; this step only
     maps their errors to config keys.
@@ -176,7 +170,7 @@ def _assemble(
         raise ValidationError("io.snapshot_stride", "requires snapshot_stride >= 0")
     with _reported_as("opt.step0"):  # each OptConfig field is the RunConfig field of that name
         opt = OptConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptConfig)})
-    return grid, kernel, params, init, control, opt
+    return grid, params, init, control, opt
 
 
 def load_config(path) -> RunConfig:
@@ -233,7 +227,6 @@ class Problem:
 
     cfg: RunConfig
     grid: Grid
-    kernel: Kernel
     params: ModelParams
     init: InitData
     control_field: ControlField     # theta: (nt, ny, nx) read-only view of one slice
@@ -254,14 +247,9 @@ class Problem:
 def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     """Check every rule of a config, overrides included, and realize every field.
 
-    The one place a config is checked; it warns once if dt exceeds the
-    advisory :meth:`ModelParams.dt_stability_bound`.
+    The one place a config is checked.
     """
-    grid, kernel, params, init, control, opt = _assemble(cfg)
-    if params.dt > params.dt_stability_bound():
-        warnings.warn(f"dt={params.dt} exceeds the conservative drift bound "
-                      f"{params.dt_stability_bound():.3e}; blow-up is detected at runtime",
-                      RuntimeWarning, stacklevel=2)
+    grid, params, init, control, opt = _assemble(cfg)
 
     phi_d = None
     theta_star = None
@@ -284,7 +272,6 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     return Problem(
         cfg=cfg,
         grid=grid,
-        kernel=kernel,
         params=params,
         init=init,
         control_field=control,

@@ -60,9 +60,10 @@ class ModelParams:
     Vmax = 2 beta |gradJ|_L1 (a bound on the drift speed since |m| <= 1)
     and Rmax = alpha.  The bound is advisory: the implicit diffusion keeps
     the scheme stable well beyond it for smooth moderate data, so
-    construction accepts any dt; ``config.build_problem`` warns when a
-    config exceeds it.  Genuine instability is detected at runtime and
-    raised as :class:`NonFinite` with the step index.
+    construction accepts any dt whose histories can be indexed; the
+    command line prints one advisory line when a config exceeds it.
+    Genuine instability is detected at runtime and raised as
+    :class:`NonFinite` with the step index.
     """
 
     grid: Grid
@@ -81,6 +82,8 @@ class ModelParams:
             raise ParameterError("alpha", "alpha must be finite and >= 0")
         if not (0.0 < self.T < np.inf and 0.0 < self.dt < np.inf):
             raise ParameterError("dt", "T and dt must be positive and finite")
+        if not (self.T / self.dt + 1) * self.grid.nx * self.grid.ny < np.iinfo(np.intp).max:
+            raise ParameterError("dt", "T/dt + 1 grid slices exceed the array index range")
         nt = round(self.T / self.dt)
         if nt < 1 or abs(nt * self.dt - self.T) > 1e-12 * max(1.0, self.T):
             raise ParameterError("dt", "T must be an integer multiple of dt")
@@ -124,7 +127,6 @@ class Trajectory:
     """Full time history of one forward solve (the backward sweeps need it all)."""
 
     params: ModelParams
-    times: np.ndarray
     m: np.ndarray      # (nt+1, ny, nx)
     phi: np.ndarray    # (nt+1, ny, nx)
     theta: np.ndarray  # (nt, ny, nx), slice n drives step n -> n+1
@@ -210,8 +212,7 @@ def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
         params, "blow-up", m0, rfft2(m0), init.phi0,
         lambda n, m, m_spec, phi: step_state(m, m_spec, phi, th[n], params),
     )
-    times = np.arange(params.nt + 1) * params.dt
-    return Trajectory(params=params, times=times, m=m, phi=phi, theta=th)
+    return Trajectory(params=params, m=m, phi=phi, theta=th)
 
 
 # Test-only oracle with weak_residual, kept beside step_state so a scheme change edits both.

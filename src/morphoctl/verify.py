@@ -19,7 +19,6 @@ at the configured size.  The suite is deterministic for a fixed config seed.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from . import control as ctl
 from . import forward as fwd
 from . import linearized as lin
-from .config import DT_BOUND_WARNING, Problem, RunConfig, build_problem, coarsened
+from .config import Problem, RunConfig, build_problem, coarsened
 from .fieldio import write_csv
 from .grid import smooth_periodic
 
@@ -83,13 +82,6 @@ def _direction(rng, problem: Problem) -> np.ndarray:
     return fwd.control_array(h, problem.params)
 
 
-def _build(cfg: RunConfig) -> Problem:
-    """build_problem without the advisory dt-bound warning, which verify runs past."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=DT_BOUND_WARNING, category=RuntimeWarning)
-        return build_problem(cfg)
-
-
 def target_for(problem: Problem) -> np.ndarray:
     if problem.phi_d is not None:
         return problem.phi_d
@@ -110,7 +102,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
         except Exception as exc:  # any sub-failure is a failing row, never a crash
             rows.append(VerifyRow(name, float("nan"), threshold, False, f"{type(exc).__name__}: {exc}"))
 
-    problem = _build(cfg)
+    problem = build_problem(cfg)
     params = problem.params
     base_seed = cfg.seed
 
@@ -196,7 +188,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     # Converged projected-gradient run on the coarsened problem, then the
     # pointwise projection characterization of the optimum.
     def projection_row():
-        sub = _build(coarsened(cfg))
+        sub = build_problem(coarsened(cfg))
         delta = cfg.delta if cfg.delta > 0 else 1e-3
         opt = replace(sub.opt, max_iters=min(sub.opt.max_iters, 40))
         res = ctl.pgd_optimize(sub.init, sub.control(), target_for(sub), sub.params, delta, opt)

@@ -52,7 +52,7 @@ def test_simulate_writes_series_and_snapshots(cfg_path, tmp_path, capsys):
     nx, ny, t, values = read_snapshot(out / "m_000000.mcf")
     assert (nx, ny, t) == (16, 16, 0.0)
     assert values.shape == (16, 16)
-    assert (out / "phi_000020.mcf").exists()
+    assert read_snapshot(out / "phi_000020.mcf")[2] == 20 * 1e-3  # slice n sits at n * dt
 
 
 def test_simulate_series_blocks_match_whole_stack(tmp_path, capsys, monkeypatch):
@@ -336,7 +336,8 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     from morphoctl.config import load_config
 
     problems, forwards, adjoints, in_pgd = [], [], [], [False]
-    build, adjoint, pgd = verify._build, control.solve_adjoint_discrete, control.pgd_optimize
+    build = verify.build_problem
+    adjoint, pgd = control.solve_adjoint_discrete, control.pgd_optimize
 
     def built(cfg):
         problems.append(build(cfg))
@@ -360,7 +361,7 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
         finally:
             in_pgd[0] = False
 
-    monkeypatch.setattr(verify, "_build", built)
+    monkeypatch.setattr(verify, "build_problem", built)
     for module in (forward, linearized, control):
         monkeypatch.setattr(module, "solve_state", counted(module.solve_state))
     monkeypatch.setattr(control, "solve_adjoint_discrete", adjoint_solved)
@@ -417,6 +418,35 @@ def test_invalid_config_exits_2_on_every_command(command, tmp_path, capsys):
         path.write_text((SMALL + "seed = 0\n").replace(old, new))
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         assert f"config error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("dt", ["1e-320", "1e-200", "1e-19"])
+def test_unindexable_step_count_exits_2(command, dt, tmp_path, capsys):
+    # T/dt + 1 slices of the grid overflow the index range: a config error, not a traceback.
+    path = tmp_path / "tiny_dt.cfg"
+    path.write_text(SMALL.replace("time.dt = 1e-3", f"time.dt = {dt}"))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "config error: time.dt: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_dt_advisory_is_one_stderr_line(command, cfg_path, tmp_path, capsys):
+    # SMALL's dt exceeds the drift bound; every command but verify says so once.
+    from morphoctl.config import build_problem, load_config
+
+    params = build_problem(load_config(cfg_path)).params
+    advisory = (f"warning: dt={params.dt} exceeds the conservative drift bound "
+                f"{params.dt_stability_bound():.3e}; blow-up is detected at runtime")
+    assert params.dt > params.dt_stability_bound()
+    assert main([command, "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning: dt=")]
+    assert lines == ([] if command == "verify" else [advisory])
+
+
+def test_no_dt_advisory_below_the_bound(capsys):
+    assert main(["kernel-info", "--config", str(CONFIGS / "twin.cfg")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_nan_config_value_exits_2(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 import warnings
 
@@ -8,7 +7,6 @@ import pytest
 from morphoctl import config
 from morphoctl.config import (
     _FIELDS,
-    DT_BOUND_WARNING,
     build_problem,
     load_config,
     parse_config_text,
@@ -39,14 +37,12 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
-def test_dt_bound_warning_fires_once_per_run(tmp_path):
-    # build_problem is the one place the advisory warning is raised.
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        build_problem(load_config(write_cfg(tmp_path, MINIMAL)))
-    hits = [w for w in record if re.search(DT_BOUND_WARNING, str(w.message))]
-    assert len(hits) == 1
-    assert hits[0].category is RuntimeWarning
+def test_build_problem_is_silent_above_the_dt_bound(tmp_path):
+    # The advisory drift bound is the command line's to print, not a library warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problem = build_problem(load_config(write_cfg(tmp_path, MINIMAL)))
+    assert problem.params.dt > problem.params.dt_stability_bound()
 
 
 def test_minimal_config_loads(tmp_path):

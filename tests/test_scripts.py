@@ -8,7 +8,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def test_adjoint_crosscheck_gap_at_runs():
     script = runpy.run_path(str(SCRIPTS / "adjoint_crosscheck.py"))
-    # Its dt exceeds the advisory bound, which only build_problem reports.
+    # Its dt exceeds the advisory bound, which only the command line reports.
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
         gap, ref = script["gap_at"](32, 4.0)

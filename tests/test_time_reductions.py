@@ -107,7 +107,7 @@ def test_space_time_reductions_hold_a_few_blocks():
     rng = np.random.default_rng(47)
     m, phi = rng.standard_normal((2, p.nt + 1, *g.shape))
     theta = rng.standard_normal((p.nt, *g.shape))
-    traj = Trajectory(params=p, times=np.arange(p.nt + 1) * p.dt, m=m, phi=phi, theta=theta)
+    traj = Trajectory(params=p, m=m, phi=phi, theta=theta)
     assert m.nbytes >= 12.5 * 2**20
     adj = AdjointTrajectory(params=p, gamma1=m, gamma2=phi, theta=theta)
     for name, call in [
