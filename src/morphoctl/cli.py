@@ -38,7 +38,7 @@ def _load(args):
     return cfg
 
 
-def _build(cfg, need_target=False):
+def _build(cfg, need_target: bool):
     """build_problem, then one stderr line if dt exceeds the advisory drift bound."""
     problem = build_problem(cfg, need_target)
     dt, bound = problem.params.dt, problem.params.dt_stability_bound()
@@ -61,7 +61,7 @@ def _series_rows(g, traj):
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    problem = _build(cfg)
+    problem = _build(cfg, need_target=False)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     traj = fwd.solve_state(problem.init, problem.theta, problem.params)
@@ -124,7 +124,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load(args)
-    problem = _build(cfg)
+    problem = _build(cfg, need_target=False)
     adj = ctl.solve_adjoint_discrete(  # the base run is freed before the table's own solves
         fwd.solve_state(problem.init, problem.theta, problem.params), target_for(problem)
     )
@@ -142,7 +142,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_taylor(args) -> int:
     cfg = _load(args)
-    problem = _build(cfg)
+    problem = _build(cfg, need_target=False)
     try:  # the direction draws on the control.theta noise stream; errors name the flag
         direction = realize_field(problem.grid, args.direction, cfg.seed, "control.theta")
     except ValidationError as exc:
@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_kernel_info(args) -> int:
     cfg = _load(args)
-    problem = _build(cfg)
+    problem = _build(cfg, need_target=False)
     for key, value in kernel_report(problem.params.kernel).items():
         print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     return 0
