@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

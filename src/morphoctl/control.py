@@ -45,7 +45,7 @@ from .forward import (
     control_space_time_norm,
     solve_state,
 )
-from .grid import grad, inner, l2, rfft2, solve_implicit_diffusion, time_values
+from .grid import grad, inner, l2, solve_implicit_diffusion, time_values
 from .linearized import solve_linearized
 
 # Smallest trial step of the line search; a search that shrinks below it fails.
@@ -155,12 +155,14 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     with (e1, e2) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
     terms, where d1 = grad g1, d2 = grad g2, adv_k = Gm . d_k and
     Gm = gradJ * m at the stored state.  Slice nt - 1 is driven by the
-    misfit source alone.
+    misfit source alone, so the steps read Gm at m_{nt-1}..m_1, made a
+    time block at a time in that order.
     """
     p = traj.params
     g = p.grid
     dt = p.dt
     pd = control_array(phi_d, p)
+    grad_m = p.kernel.grad_conv_slices(traj.m[p.nt - 1 : 0 : -1])
 
     def step(n, g1, _spec, g2):
         s_n = traj.phi[n] - pd[n - 1]
@@ -168,7 +170,7 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
             p1, p2 = np.zeros(g.shape), dt * s_n
         else:
             m, phi = traj.m[n], traj.phi[n]
-            gmx, gmy = p.kernel.grad_conv(rfft2(m))
+            gmx, gmy = next(grad_m)
             d1 = grad(g, g1)
             d2 = grad(g, g2)
             adv1 = gmx * d1[0] + gmy * d1[1]

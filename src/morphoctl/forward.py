@@ -348,13 +348,15 @@ def phi_balance_defect(traj: Trajectory) -> float:
     """Max relative defect of the exact discrete phi balance identity."""
     p = traj.params
     g = p.grid
+    rows = time_values(
+        g, lambda g, new, old, th: (
+            integral(g, new), integral(g, old), integral(g, p.alpha * (1.0 - old) + th)
+        ),
+        traj.phi[1:], traj.phi[: p.nt], traj.theta,
+    )
     worst = 0.0
     scale = max(1.0, abs(integral(g, traj.phi[0])))
-    for n in range(p.nt):
-        lhs = integral(g, traj.phi[n + 1])
-        rhs = integral(g, traj.phi[n]) + p.dt * integral(
-            g, p.alpha * (1.0 - traj.phi[n]) + traj.theta[n]
-        )
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for lhs, old, source in rows:
+        worst = max(worst, abs(lhs - (old + p.dt * source)) / scale)
         scale = max(scale, abs(lhs))
     return worst

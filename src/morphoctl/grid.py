@@ -18,7 +18,8 @@ Conventions used by every module in this package:
   :func:`time_values`, one block of at most ``_BLOCK_BYTES`` at a time:
   memory bounded by the block, and by the stack contract above the same
   bits for any block size.  Callers square (``v ** 2``) and sum those
-  Python floats in time order.
+  Python floats in time order.  The sweeps' transforms of the stored
+  state are cut by the same :func:`time_blocks`.
 * The discrete pairing is ``<f, g> = hx hy sum(f g)`` and all norms derive
   from it.  ``h1`` uses the sum convention ``|f|_L2 + |grad f|_L2``.
 * Differential operators are centered second-order differences with
@@ -185,21 +186,31 @@ def solve_implicit_diffusion(
     return irfft2(uh, grid.shape), uh
 
 
-# Bytes of one block of time_values, all series together: of one series,
-# 32 slices at 64^2, 8 at 128^2 and a whole 100-step history at 32^2.
+# Bytes of one time block, all series together: of one series, 32 slices at
+# 64^2, 8 at 128^2 and a whole 100-step history at 32^2.
 _BLOCK_BYTES = 1 << 20
+
+
+def time_blocks(grid: Grid, per_slice: int, *series):
+    """Yield tuples of blocks of consecutive slices of ``series``, stacks of one length, in order.
+
+    Each block spans as many slices as fit ``_BLOCK_BYTES`` when one slice holds
+    ``per_slice`` fields' worth of bytes, counting the series and what is made from them.
+    """
+    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * per_slice))
+    for a in range(0, len(series[0]), k):
+        yield tuple(s[a : a + k] for s in series)
 
 
 def time_values(grid: Grid, reduce, *series):
     """Yield ``reduce(grid, *blocks)``'s per-slice values as Python floats, in time order.
 
-    ``series`` are stacks of one length, cut into blocks that together hold at most
-    ``_BLOCK_BYTES``.  ``reduce`` returns one value per slice, or a tuple of such
-    arrays, yielded as tuples.
+    ``series`` are stacks of one length, cut by :func:`time_blocks` into blocks that
+    together hold at most ``_BLOCK_BYTES``.  ``reduce`` returns one value per slice, or
+    a tuple of such arrays, yielded as tuples.
     """
-    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * len(series)))
-    for a in range(0, len(series[0]), k):
-        out = reduce(grid, *(s[a : a + k] for s in series))
+    for blocks in time_blocks(grid, len(series), *series):
+        out = reduce(grid, *blocks)
         yield from zip(*(v.tolist() for v in out)) if isinstance(out, tuple) else out.tolist()
 
 

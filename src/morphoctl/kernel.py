@@ -15,7 +15,8 @@ just accurate.
 
 ``Kernel`` holds the package's one FFT convolution, tested against
 ``circ_conv`` at 1e-12.  ``grad_conv`` takes the :func:`morphoctl.grid.rfft2`
-spectrum of its field, so a sweep holding the spectrum spends no transform.
+spectrum of its field, so a sweep holding the spectrum spends no transform;
+``grad_conv_slices`` serves a stored history a time block per transform.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
-from .grid import Grid, integral, irfft2, periodic_reverse, rfft2
+from .grid import Grid, integral, irfft2, periodic_reverse, rfft2, time_blocks
 
 
 def _signed_offsets(n: int, h: float) -> np.ndarray:
@@ -69,6 +70,16 @@ class Kernel:
         ax = irfft2(self._gx_hat * fh, self.grid.shape)
         ay = irfft2(self._gy_hat * fh, self.grid.shape)
         return ax, ay
+
+    def grad_conv_slices(self, stack: np.ndarray):
+        """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block.
+
+        A slice of a block holds about six fields' worth: itself, its spectrum, the
+        two outputs and the transform temporaries.  The stack contract of
+        :mod:`morphoctl.grid` makes each pair bit-identical to a slice's own call.
+        """
+        for (block,) in time_blocks(self.grid, 6, stack):
+            yield from zip(*self.grad_conv(rfft2(block)))
 
     def grad_conv_sum(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """sum_i (d_i j) * v_i, the contraction used by the backward sweeps."""

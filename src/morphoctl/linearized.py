@@ -51,6 +51,7 @@ class TangentTrajectory:
 def step_linearized(
     m_hat: np.ndarray,
     phi_hat: np.ndarray,
+    grad_m: tuple[np.ndarray, np.ndarray],
     phi1: np.ndarray,
     phi1_spec: np.ndarray,
     phi2: np.ndarray,
@@ -59,15 +60,17 @@ def step_linearized(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One step of the exact discrete derivative at (m_hat, phi_hat).
 
+    ``grad_m`` is ``(gmx, gmy)``, gradJ * m_hat: the stored state has no
+    carried spectrum, so the sweep makes it for a time block of stored
+    slices at once (:meth:`morphoctl.kernel.Kernel.grad_conv_slices`).
     ``phi1_spec`` is the rfft2 spectrum of ``phi1``, carried like the
     state's ``m_spec`` in :func:`morphoctl.forward.step_state`.  Returns
-    ``(phi1+, phi1+ spectrum, phi2+)``.  The stored state has no carried
-    spectrum, so ``m_hat`` is transformed here.
+    ``(phi1+, phi1+ spectrum, phi2+)``.
     """
     g = params.grid
     dt = params.dt
     b2 = 2.0 * params.beta
-    gmx, gmy = params.kernel.grad_conv(rfft2(m_hat))
+    gmx, gmy = grad_m
     g1x, g1y = params.kernel.grad_conv(phi1_spec)
 
     c1, a2 = params.mobilities(m_hat, phi_hat)      # both multiply gradJ * phi1
@@ -87,14 +90,18 @@ def step_linearized(
 
 
 def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
-    """March the tangent system along a stored forward trajectory, carrying phi1's spectrum."""
+    """March the tangent system along a stored forward trajectory, carrying phi1's spectrum.
+
+    Step n reads gradJ * m_n, made for m_0..m_{nt-1} a time block at a time.
+    """
     params = traj.params
     harr = control_array(h, params)
+    grad_m = params.kernel.grad_conv_slices(traj.m[: params.nt])
     zero = np.zeros(params.grid.shape)
     phi1, phi2 = _march(
         params, "tangent blow-up", zero, rfft2(zero), zero,
         lambda n, phi1, phi1_spec, phi2: step_linearized(
-            traj.m[n], traj.phi[n], phi1, phi1_spec, phi2, harr[n], params
+            traj.m[n], traj.phi[n], next(grad_m), phi1, phi1_spec, phi2, harr[n], params
         ),
     )
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)

@@ -449,6 +449,17 @@ def test_no_dt_advisory_below_the_bound(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_unallocatable_history_is_one_stderr_line(command, tmp_path, capsys):
+    # 5e12 slices of 32^2 can be indexed but not allocated; numpy refuses at once.
+    path = tmp_path / "huge.cfg"
+    path.write_text((CONFIGS / "twin.cfg").read_text().replace(
+        "time.dt = 5e-5", "time.dt = 1e-15").replace("twin:constant:0.5", "constant:0.5"))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_nan_config_value_exits_2(tmp_path, capsys):
     path = tmp_path / "nan.cfg"
     path.write_text(SMALL.replace("kernel.radius = 0.25", "kernel.radius = nan"))

@@ -504,14 +504,17 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
 
 
 def test_fft_counts_per_step(grid16, monkeypatch):
-    """Real 2-D transforms per step: forward 6, tangent 9, adjoint 10.
+    """Real 2-D transforms per step, counted in slices: forward 6, tangent 9, adjoint 10.
 
     The forward and tangent sweeps carry the spectrum of m and phi1 from
     one implicit solve to the next step, so each takes one rfft2 more, to
     seed it; the adjoint's terminal step makes only its two implicit solves.
     ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
     passes, so a forward transform is one ``rfft`` (then one ``fft``) and
-    an inverse one ``irfft`` (after one ``ifft``).
+    an inverse one ``irfft`` (after one ``ifft``).  A pass over a stack
+    transforms as many slices as the stack's leading extent, so exact
+    counts also pin that the time blocks of gradJ * m transform only the
+    stored slices the steps read.  At 16^2 one block holds all of them.
     """
     p = make_params(grid16, T=0.01)
     rng = np.random.default_rng(36)
@@ -521,25 +524,30 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     pd = 0.8 * np.ones((1, *grid16.shape))
     p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not per step
     passes = ("rfft", "fft", "irfft", "ifft")
-    counts = {}
+    slices, calls = {}, {}
     for name in passes:
-        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            slices[_name] += len(a) if np.ndim(a) == 3 else 1
+            calls[_name] += 1
+            return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
     def sweep(fn, *args):
-        counts.update(dict.fromkeys(passes, 0))
+        slices.update(dict.fromkeys(passes, 0))
+        calls.update(dict.fromkeys(passes, 0))
         out = fn(*args)
         # Each real pass has its complex partner: the same 2-D transforms.
-        assert counts["fft"] == counts["rfft"] and counts["ifft"] == counts["irfft"]
-        return out, {"rfft2": counts["rfft"], "irfft2": counts["irfft"]}
+        for c in (slices, calls):
+            assert c["fft"] == c["rfft"] and c["ifft"] == c["irfft"]
+        return out, {"rfft2": slices["rfft"], "irfft2": slices["irfft"]}, calls["rfft"]
 
     nt = p.nt
     assert nt == 10
-    traj, fwd = sweep(solve_state, init, theta, p)
-    assert fwd == {"rfft2": 2 * nt + 1, "irfft2": 4 * nt}
-    _, tan = sweep(solve_linearized, traj, h)
+    traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
+    assert fwd == {"rfft2": 2 * nt + 1, "irfft2": 4 * nt} and fwd_calls == 2 * nt + 1
+    _, tan, tan_calls = sweep(solve_linearized, traj, h)
     assert tan == {"rfft2": 3 * nt + 1, "irfft2": 6 * nt}
-    _, adj = sweep(solve_adjoint_discrete, traj, pd)
+    _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
     assert adj == {"rfft2": 5 * (nt - 1) + 2, "irfft2": 5 * (nt - 1) + 2}
+    # One block transforms m_0..m_{nt-1} for the tangent and m_{nt-1}..m_1 for the adjoint.
+    assert (tan_calls, adj_calls) == (2 * nt + 2, 4 * (nt - 1) + 3)

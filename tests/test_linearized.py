@@ -28,8 +28,9 @@ def _step(m, phi, theta, p):
 
 
 def _lin(m, phi, f1, f2, h, p):
-    """step_linearized from real fields, seeding the spectrum of f1: (phi1+, phi2+)."""
-    p1, _, p2 = step_linearized(m, phi, f1, np.fft.rfft2(f1), f2, h, p)
+    """step_linearized from real fields, seeding gradJ * m and the spectrum of f1: (phi1+, phi2+)."""
+    gm = p.kernel.grad_conv(np.fft.rfft2(m))
+    p1, _, p2 = step_linearized(m, phi, gm, f1, np.fft.rfft2(f1), f2, h, p)
     return p1, p2
 
 

@@ -17,6 +17,7 @@ from morphoctl.control import (
     duality_gap,
     pgd_optimize,
     reduced_gradient,
+    solve_adjoint_continuous,
     solve_adjoint_discrete,
 )
 from morphoctl.forward import (
@@ -26,6 +27,7 @@ from morphoctl.forward import (
     dt_h_minus_1_norm,
     l2_h1_norm,
     lipschitz_probe,
+    phi_balance_defect,
     solve_state,
 )
 from morphoctl.grid import Grid, time_values
@@ -56,6 +58,7 @@ def every_reduction(monkeypatch):
     traj = solve_state(init, theta, p)
     tan = solve_linearized(traj, h)
     adj = solve_adjoint_discrete(traj, pd)
+    adj_c = solve_adjoint_continuous(traj, pd)
 
     # The Gauss-Newton curvature only moves the snapped first trial, so its
     # per-slice values are recorded as well.
@@ -86,6 +89,11 @@ def every_reduction(monkeypatch):
         "tangent_norm": tangent_norm(tan),
         "taylor_test": taylor_test(init, traj, h),
         "series_rows": list(cli._series_rows(G, traj)),
+        "phi_balance_defect": phi_balance_defect(traj),
+        # The sweeps take gradJ * m from time blocks of the stored state.
+        "tangent": (tan.phi1.tobytes(), tan.phi2.tobytes()),
+        "adjoint_discrete": (adj.gamma1.tobytes(), adj.gamma2.tobytes()),
+        "adjoint_continuous": (adj_c.gamma1.tobytes(), adj_c.gamma2.tobytes()),
     }
 
 
@@ -102,6 +110,8 @@ def test_block_size_cannot_change_a_bit(monkeypatch):
 
 def test_space_time_reductions_hold_a_few_blocks():
     # A 64^2, 400-step history is 12.5 MiB; a block is 1 MiB over all its series.
+    # A sweep holds its two output histories, a block of gradJ * m and a step's
+    # temporaries: the histories' bytes are not counted against it.
     g = Grid(64, 64, 1.0, 1.0)
     p = make_params(g, T=0.4, dt=1e-3)
     rng = np.random.default_rng(47)
@@ -110,18 +120,26 @@ def test_space_time_reductions_hold_a_few_blocks():
     traj = Trajectory(params=p, m=m, phi=phi, theta=theta)
     assert m.nbytes >= 12.5 * 2**20
     adj = AdjointTrajectory(params=p, gamma1=m, gamma2=phi, theta=theta)
-    for name, call in [
-        ("cost_parts", lambda: cost_parts(traj, m[1:], 1e-3)),
-        ("control_space_time_norm", lambda: control_space_time_norm(p, theta)),
-        ("dt_h_minus_1_norm", lambda: dt_h_minus_1_norm(p, m)),
-        ("duality_gap", lambda: duality_gap(traj, m, adj, theta, phi[:-1])),
+    p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not the sweeps'
+    for name, call, histories in [
+        ("cost_parts", lambda: cost_parts(traj, m[1:], 1e-3), ()),
+        ("control_space_time_norm", lambda: control_space_time_norm(p, theta), ()),
+        ("dt_h_minus_1_norm", lambda: dt_h_minus_1_norm(p, m), ()),
+        ("duality_gap", lambda: duality_gap(traj, m, adj, theta, phi[:-1]), ()),
+        ("phi_balance_defect", lambda: phi_balance_defect(traj), ()),
+        ("solve_linearized", lambda: solve_linearized(traj, theta), ("phi1", "phi2")),
+        ("solve_adjoint_discrete", lambda: solve_adjoint_discrete(traj, m[1:]),
+         ("gamma1", "gamma2")),
+        ("solve_adjoint_continuous", lambda: solve_adjoint_continuous(traj, m[1:]),
+         ("gamma1", "gamma2")),
     ]:
         tracemalloc.start()
         try:
-            call()
+            out = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        peak -= sum(getattr(out, h).nbytes for h in histories)
         assert peak <= 4 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
 
 
