@@ -27,8 +27,9 @@ from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_v
 def _load(args):
     """Parse the config and apply the overrides, without building it.
 
-    The command builds the problem once, and that build is the check: an
-    invalid config, overrides included, exits 2 from there.
+    main loads once and hands the config to the command, which builds the
+    problem once; that build is the check: an invalid config, overrides
+    included, exits 2 from there.
     """
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -59,8 +60,7 @@ def _series_rows(g, traj):
     return ((n, n * traj.params.dt, *row) for n, row in enumerate(rows))
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(args, cfg) -> int:
     problem = _build(cfg, need_target=False)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -82,8 +82,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load(args)
+def cmd_optimize(args, cfg) -> int:
     problem = _build(cfg, need_target=True)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -122,8 +121,7 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _load(args)
+def cmd_gradcheck(args, cfg) -> int:
     problem = _build(cfg, need_target=False)
     adj = ctl.solve_adjoint_discrete(  # the base run is freed before the table's own solves
         fwd.solve_state(problem.init, problem.theta, problem.params), target_for(problem)
@@ -140,8 +138,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def cmd_taylor(args) -> int:
-    cfg = _load(args)
+def cmd_taylor(args, cfg) -> int:
     problem = _build(cfg, need_target=False)
     try:  # the direction draws on the control.theta noise stream; errors name the flag
         direction = realize_field(problem.grid, args.direction, cfg.seed, "control.theta")
@@ -161,8 +158,7 @@ def cmd_taylor(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _load(args)
+def cmd_verify(args, cfg) -> int:
     report = run_verify(cfg)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -178,8 +174,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_kernel_info(args) -> int:
-    cfg = _load(args)
+def cmd_kernel_info(args, cfg) -> int:
     problem = _build(cfg, need_target=False)
     for key, value in kernel_report(problem.params.kernel).items():
         print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
@@ -211,7 +206,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, _load(args))
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -142,45 +142,10 @@ def _reported_as(key: str):
         raise ValidationError(key, str(exc)) from exc
 
 
-def _assemble(cfg: RunConfig) -> tuple[Grid, ModelParams, InitData, ControlField, OptConfig]:
-    """Build the grid, model with its kernel, initial data, control and optimizer of a config.
-
-    Each rule lives in the constructor that owns the value; this step only
-    maps their errors to config keys.
-    """
-    with _reported_as("grid.nx"):
-        grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    with _reported_as("kernel.radius"):
-        kernel = build_kernel(grid, cfg.radius)
-    with _reported_as("time.dt"):
-        params = ModelParams(
-            grid=grid, kernel=kernel, beta=cfg.beta, alpha=cfg.alpha, T=cfg.T, dt=cfg.dt
-        )
-    m0 = realize_field(grid, cfg.m0_spec, cfg.seed, "init.m0")
-    phi0 = realize_field(grid, cfg.phi0_spec, cfg.seed, "init.phi0")
-    with _reported_as("init.m0"):
-        init = InitData(m0=m0, phi0=phi0)
-    theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
-    with _reported_as("control.theta_min"):
-        control = ControlField(theta, cfg.theta_min, cfg.theta_max)
-    # delta is an argument of pgd_optimize and the stride one of simulate, not fields of any object.
-    if not (0.0 <= cfg.delta < math.inf):
-        raise ValidationError("control.delta", "requires 0 <= delta < inf")
-    if cfg.snapshot_stride < 0:
-        raise ValidationError("io.snapshot_stride", "requires snapshot_stride >= 0")
-    with _reported_as("opt.step0"):  # each OptConfig field is the RunConfig field of that name
-        opt = OptConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptConfig)})
-    return grid, params, init, control, opt
-
-
 def load_config(path) -> RunConfig:
     """Read and parse a config file; :func:`build_problem` checks its rules."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def _rng_for(seed: int, role: str) -> np.random.Generator:
-    return np.random.default_rng([seed, _ROLE_STREAMS.get(role, 9)])
 
 
 def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
@@ -208,8 +173,8 @@ def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
             amp, passes = float(amp_s), int(passes_s)
             if passes < 0:
                 raise ValueError("noise needs passes >= 0")
-            noise = _rng_for(seed, role).uniform(-amp, amp, size=grid.shape)
-            field = smooth_periodic(noise, passes)
+            rng = np.random.default_rng([seed, _ROLE_STREAMS[role]])
+            field = smooth_periodic(rng.uniform(-amp, amp, size=grid.shape), passes)
         else:
             nx, ny, _t, field = read_snapshot(rest)
             if (ny, nx) != grid.shape:
@@ -247,9 +212,35 @@ class Problem:
 def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     """Check every rule of a config, overrides included, and realize every field.
 
-    The one place a config is checked.
+    The one path from a RunConfig to the objects of a run, and the one place a
+    config is checked: each rule lives in the constructor that owns the value,
+    and this step only maps their errors to config keys.
     """
-    grid, params, init, control, opt = _assemble(cfg)
+    with _reported_as("grid.nx"):
+        grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
+    with _reported_as("kernel.radius"):
+        kernel = build_kernel(grid, cfg.radius)
+    with _reported_as("time.dt"):
+        params = ModelParams(
+            grid=grid, kernel=kernel, beta=cfg.beta, alpha=cfg.alpha, T=cfg.T, dt=cfg.dt
+        )
+    # delta is an argument of pgd_optimize, the stride one of simulate and the seed one
+    # of realize_field, not fields of any object; the seed is checked before it is used.
+    if not (0.0 <= cfg.delta < math.inf):
+        raise ValidationError("control.delta", "requires 0 <= delta < inf")
+    if cfg.snapshot_stride < 0:
+        raise ValidationError("io.snapshot_stride", "requires snapshot_stride >= 0")
+    if cfg.seed < 0:
+        raise ValidationError("seed", "requires seed >= 0")
+    m0 = realize_field(grid, cfg.m0_spec, cfg.seed, "init.m0")
+    phi0 = realize_field(grid, cfg.phi0_spec, cfg.seed, "init.phi0")
+    with _reported_as("init.m0"):
+        init = InitData(m0=m0, phi0=phi0)
+    theta = control_array(realize_field(grid, cfg.theta_spec, cfg.seed, "control.theta"), params)
+    with _reported_as("control.theta_min"):
+        control = ControlField(theta, cfg.theta_min, cfg.theta_max)
+    with _reported_as("opt.step0"):  # each OptConfig field is the RunConfig field of that name
+        opt = OptConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptConfig)})
 
     phi_d = None
     theta_star = None

@@ -274,6 +274,17 @@ def test_seed_override_is_validated(tmp_path, capsys):
     out = tmp_path / "s25"
     assert main(["simulate", "--config", str(path), "--out-dir", str(out), "--seed", "25"]) == 2
     assert "config error: init.m0: " in capsys.readouterr().err
+    # A negative seed is the seed's own error, before any noise field draws on it.
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out), "--seed", "-1"]) == 2
+    assert "config error: seed: " in capsys.readouterr().err
+
+
+def test_out_dir_that_is_a_file_is_an_io_error(cfg_path, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err  # after the advisory line SMALL's dt draws
+    assert err.splitlines()[-1] == f"io error: [Errno 17] File exists: {str(out)!r}"
 
 
 def test_oversized_snapshot_header_is_config_error(tmp_path, capsys):
@@ -293,6 +304,10 @@ def test_oversized_snapshot_header_is_config_error(tmp_path, capsys):
     ("simulate", "model.beta", "model.beta = 1.0", "model.beta = inf"),
     ("simulate", "grid.Lx", "grid.Lx = 1.0", "grid.Lx = inf"),
     ("simulate", "init.m0", "init.m0 = cosine:0.15,1,1,0.1", "init.m0 = noise:0.1,-1"),
+    ("simulate", "init.m0", "init.m0 = cosine:0.15,1,1,0.1", "init.m0 = cosine:1,2"),
+    ("simulate", "grid.nx", "grid.nx = 16", "grid.nx = 1.5"),
+    ("simulate", "line 2", "grid.nx = 16", "grid.nx ="),
+    ("gradcheck", "seed", "opt.step0 = 100.0", "opt.step0 = 100.0\nseed = -1"),
 ])
 def test_rule_breaking_value_names_its_key(command, key, old, new, tmp_path, capsys):
     path = tmp_path / "bad.cfg"
@@ -397,13 +412,13 @@ def test_each_command_builds_its_problem_once(command, cfg_path, tmp_path, monke
     from morphoctl import config
 
     builds = []
-    assemble = config._assemble
+    build_kernel = config.build_kernel
 
-    def counted(cfg):
-        builds.append(cfg)
-        return assemble(cfg)
+    def counted(grid, radius):
+        builds.append(radius)
+        return build_kernel(grid, radius)
 
-    monkeypatch.setattr(config, "_assemble", counted)
+    monkeypatch.setattr(config, "build_kernel", counted)
     assert main([command, "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
     # verify also builds the coarsened copy its optimization rows run on.
     assert len(builds) == (2 if command == "verify" else 1)
@@ -411,9 +426,10 @@ def test_each_command_builds_its_problem_once(command, cfg_path, tmp_path, monke
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_exits_2_on_every_command(command, tmp_path, capsys):
-    # A broken rule, and a control spec that only building the problem realizes.
+    # A broken rule, a control spec that only building the problem realizes, and a seed.
     for key, old, new in (("grid.nx", "grid.nx = 16", "grid.nx = 3"),
-                          ("control.theta", "seed = 0", "control.theta = bogus:1")):
+                          ("control.theta", "seed = 0", "control.theta = bogus:1"),
+                          ("seed", "seed = 0", "seed = -1")):
         path = tmp_path / "bad.cfg"
         path.write_text((SMALL + "seed = 0\n").replace(old, new))
         assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2

@@ -95,7 +95,7 @@ def test_comments_and_blank_lines(tmp_path):
 
 
 def test_rule_keys_reported_at_build(tmp_path):
-    # One case per owning constructor, plus the delta rule config keeps.
+    # One case per owning constructor, plus the delta, stride and seed rules config keeps.
     # load_config only parses; build_problem checks every rule.
     cases = [
         ("grid.nx", "grid.nx = 16", "grid.nx = 3"),
@@ -115,6 +115,7 @@ def test_rule_keys_reported_at_build(tmp_path):
         ("opt.c1", "seed = 0", "opt.c1 = 0.0"),
         ("opt.max_iters", "seed = 0", "opt.max_iters = -1"),
         ("io.snapshot_stride", "seed = 0", "io.snapshot_stride = -5"),
+        ("seed", "seed = 0", "seed = -1"),
     ]
     for key, old, new in cases:
         text = (MINIMAL + "seed = 0\n").replace(old, new)
@@ -147,9 +148,11 @@ def test_load_config_only_parses(tmp_path):
 
 def test_load_then_build_assembles_once(tmp_path, monkeypatch):
     builds = []
-    assemble = config._assemble
-    monkeypatch.setattr(config, "_assemble", lambda cfg: builds.append(cfg) or assemble(cfg))
-    build_problem(load_config(write_cfg(tmp_path, MINIMAL)))
+    build_kernel = config.build_kernel
+    monkeypatch.setattr(config, "build_kernel", lambda g, r: builds.append(r) or build_kernel(g, r))
+    cfg = load_config(write_cfg(tmp_path, MINIMAL))
+    assert builds == []
+    build_problem(cfg)
     assert len(builds) == 1
 
 
