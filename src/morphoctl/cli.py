@@ -27,9 +27,9 @@ from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_v
 def _load(args):
     """Parse the config and apply the overrides, without building it.
 
-    main loads once and hands the config to the command, which builds the
-    problem once; that build is the check: an invalid config, overrides
-    included, exits 2 from there.
+    main calls it once and hands the config to the command. The command
+    builds the problem once, and that build is the check: an invalid
+    config, overrides included, exits 2 from there.
     """
     cfg = load_config(args.config)
     if args.seed is not None:
