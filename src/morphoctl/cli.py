@@ -19,7 +19,7 @@ from . import linearized as lin
 from .config import build_problem, load_config, realize_field
 from .errors import NonFinite, ParseError, ValidationError
 from .fieldio import write_csv, write_snapshot
-from .grid import h1, integral, l2, time_values
+from .grid import h1, integral, l2
 from .kernel import kernel_report
 from .verify import GRADCHECK_TOL, TAYLOR_ORDER_TOL, gradient_check_table, run_verify, target_for
 
@@ -49,36 +49,28 @@ def _build(cfg, need_target: bool):
     return problem
 
 
-def _series_rows(g, traj):
-    """series.csv rows: the step, its time and the per-slice values of the pair (m, phi)."""
-
-    def values(g, m, phi):
-        viol = fwd.ordering_violations(g, m, phi)
-        return integral(g, m), integral(g, phi), l2(g, m), l2(g, phi), h1(g, m), h1(g, phi), *viol
-
-    rows = time_values(g, values, traj.m, traj.phi)
-    return ((n, n * traj.params.dt, *row) for n, row in enumerate(rows))
-
-
 def cmd_simulate(args, cfg) -> int:
     problem = _build(cfg, need_target=False)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    traj = fwd.solve_state(problem.init, problem.theta, problem.params)
+    g, nt, dt, stride = problem.grid, problem.params.nt, problem.params.dt, cfg.snapshot_stride
 
-    g = problem.grid
+    def rows():
+        """Each slice's series.csv row, its snapshots written first when it falls on the stride."""
+        for n, m, phi in fwd.state_steps(problem.init, problem.theta, problem.params):
+            if stride > 0 and (n % stride == 0 or n == nt):
+                write_snapshot(os.path.join(out, f"m_{n:06d}.mcf"), g, n * dt, m)
+                write_snapshot(os.path.join(out, f"phi_{n:06d}.mcf"), g, n * dt, phi)
+            viol = map(float, fwd.ordering_violations(g, m, phi))
+            yield (n, n * dt, integral(g, m), integral(g, phi), l2(g, m), l2(g, phi),
+                   h1(g, m), h1(g, phi), *viol)
+
     write_csv(
         os.path.join(out, "series.csv"),
         "n,t,mass_m,mass_phi,l2_m,l2_phi,h1_m,h1_phi,viol_m,viol_phi",
-        _series_rows(g, traj),
+        rows(),
     )
-    stride = cfg.snapshot_stride
-    if stride > 0:
-        nt, dt = problem.params.nt, problem.params.dt
-        for n in sorted({*range(0, nt + 1, stride), nt}):
-            write_snapshot(os.path.join(out, f"m_{n:06d}.mcf"), g, n * dt, traj.m[n])
-            write_snapshot(os.path.join(out, f"phi_{n:06d}.mcf"), g, n * dt, traj.phi[n])
-    print(f"simulate: {problem.params.nt} steps written to {out}")
+    print(f"simulate: {nt} steps written to {out}")
     return 0
 
 

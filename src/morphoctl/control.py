@@ -41,6 +41,7 @@ from .forward import (
     ModelParams,
     Trajectory,
     _march,
+    _store,
     control_array,
     control_space_time_norm,
     solve_state,
@@ -183,7 +184,7 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
         return g1, None, g2
 
     zero = np.zeros(g.shape)
-    g1, g2 = _march(p, "adjoint blow-up", zero, None, zero, step, backward=True)
+    g1, g2 = _store(p, _march(p, "adjoint blow-up", zero, None, zero, step, backward=True))
     return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2, theta=traj.theta)
 
 

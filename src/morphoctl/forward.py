@@ -25,7 +25,8 @@ Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
 the tangent and backward sweeps in the sibling modules differentiate and
 transpose this exact discrete map.  All three sweeps run one time loop,
-``_march``, which stores each history and raises :class:`NonFinite` on blow-up.
+``_march``, which yields each slice and raises :class:`NonFinite` on blow-up;
+``_store`` keeps a march's histories, and :func:`state_steps` streams the state.
 """
 
 from __future__ import annotations
@@ -162,21 +163,29 @@ def step_state(
 
 
 def _march(params: ModelParams, what: str, a0, spec0, b0, step, backward=False):
-    """Every sweep's time loop: the two (nt+1, ny, nx) histories, seeded (a0, b0) at index 0.
+    """Every sweep's time loop: yield ``(n, a_n, b_n)`` in march order, seeded (a0, b0) at index 0.
 
     ``backward`` seeds index nt instead.  ``step(n, a, a_spec, b) -> (a', a'_spec, b')`` makes
     the slice after n, the spectrum of a carried from ``spec0``.  A step that is not finite
-    raises NonFinite("<what> at step k"), k the step's later index.
+    raises NonFinite("<what> at step k"), k its later index, in place of numpy's warnings.
     """
+    order = range(params.nt, -1, -1) if backward else range(params.nt + 1)
+    a, spec, b = a0, spec0, b0
+    yield order[0], a, b
+    for n, new in zip(order, order[1:]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, spec, b = step(n, a, spec, b)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise NonFinite(f"{what} at step {max(n, new)}", step=max(n, new))
+        yield new, a, b
+
+
+def _store(params: ModelParams, steps) -> tuple[np.ndarray, np.ndarray]:
+    """A march's two (nt+1, ny, nx) histories: the one place a history is allocated."""
     a = np.empty((params.nt + 1, *params.grid.shape))
     b = np.empty_like(a)
-    order = range(params.nt, -1, -1) if backward else range(params.nt + 1)
-    a[order[0]], b[order[0]] = a0, b0
-    spec = spec0
-    for n, new in zip(order, order[1:]):
-        a[new], spec, b[new] = step(n, a[n], spec, b[n])
-        if not (np.isfinite(a[new]).all() and np.isfinite(b[new]).all()):
-            raise NonFinite(f"{what} at step {max(n, new)}", step=max(n, new))
+    for n, a_n, b_n in steps:
+        a[n], b[n] = a_n, b_n
     return a, b
 
 
@@ -199,19 +208,24 @@ def control_array(theta, params: ModelParams) -> np.ndarray:
     return arr
 
 
-def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
-    """March the state nt steps, storing every intermediate field.
+def state_steps(init: InitData, theta, params: ModelParams):
+    """The state march's slices ``(n, m_n, phi_n)``, n = 0..nt; the set-up runs on the call.
 
-    The spectrum of m is carried from step to step, so only the first
-    step transforms a stored field.
+    The spectrum of m is carried from step to step, so only the seed is transformed.
     """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
-    m0 = np.asarray(init.m0, dtype=float)  # as stored; a float32 field would transform in float32
-    m, phi = _march(
-        params, "blow-up", m0, rfft2(m0), init.phi0,
+    m0 = np.asarray(init.m0, dtype=float)  # a float32 field would transform in float32
+    return _march(
+        params, "blow-up", m0, rfft2(m0), np.asarray(init.phi0, dtype=float),
         lambda n, m, m_spec, phi: step_state(m, m_spec, phi, th[n], params),
     )
+
+
+def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
+    """March the state nt steps, storing every intermediate field."""
+    th = control_array(theta, params)
+    m, phi = _store(params, state_steps(init, th, params))
     return Trajectory(params=params, m=m, phi=phi, theta=th)
 
 
@@ -305,7 +319,7 @@ def lipschitz_probe(init: InitData, theta1, theta2, params: ModelParams) -> floa
     """Ratio of state-difference norms to the control-difference norm.
 
     Numerically probes the Lipschitz continuity of the control-to-state
-    map: two forward solves, then
+    map: two forward runs, streamed in lockstep, then
     (|m1-m2|_{L2(S;H1)} + |phi1-phi2|_{L2(S;H1)}) / |theta1-theta2|_{L2(SxOmega)}.
     """
     t1 = control_array(theta1, params)
@@ -313,12 +327,10 @@ def lipschitz_probe(init: InitData, theta1, theta2, params: ModelParams) -> floa
     denom = control_space_time_norm(params, t1 - t2)
     if denom < 1e-14:
         raise DegenerateProbe("controls differ by less than 1e-14")
-    a = solve_state(init, t1, params)
-    b = solve_state(init, t2, params)
-    rows = time_values(
-        params.grid, lambda g, am, bm, ap, bp: (h1(g, am - bm), h1(g, ap - bp)),
-        a.m[1:], b.m[1:], a.phi[1:], b.phi[1:],
-    )
+    steps = zip(state_steps(init, t1, params), state_steps(init, t2, params))
+    next(steps)  # both runs start from init
+    rows = [(h1(params.grid, am - bm), h1(params.grid, ap - bp))
+            for (_, am, ap), (_, bm, bp) in steps]
     dm, dp = (float(np.sqrt(sum(v ** 2 for v in col) * params.dt)) for col in zip(*rows))
     return (dm + dp) / denom
 

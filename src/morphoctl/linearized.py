@@ -29,9 +29,10 @@ from .forward import (
     ModelParams,
     Trajectory,
     _march,
+    _store,
     control_array,
     l2_h1_norm,
-    solve_state,
+    state_steps,
 )
 from .grid import div, l2, rfft2, solve_implicit_diffusion, time_values
 
@@ -98,12 +99,12 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     harr = control_array(h, params)
     grad_m = params.kernel.grad_conv_slices(traj.m[: params.nt])
     zero = np.zeros(params.grid.shape)
-    phi1, phi2 = _march(
+    phi1, phi2 = _store(params, _march(
         params, "tangent blow-up", zero, rfft2(zero), zero,
         lambda n, phi1, phi1_spec, phi2: step_linearized(
             traj.m[n], traj.phi[n], next(grad_m), phi1, phi1_spec, phi2, harr[n], params
         ),
-    )
+    ))
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)
 
 
@@ -130,21 +131,21 @@ def taylor_test(init: InitData, base: Trajectory, h) -> dict:
     derivative of a polynomial step map), and the first-order quotients
     |S(theta+eps h) - S(theta)| / eps, which approach |DS h|.
     """
-    th, params = base.theta, base.params
+    th, params, g = base.theta, base.params, base.params.grid
     harr = control_array(h, params)
     tan = solve_linearized(base, harr)
     tnorm = tangent_norm(tan)
 
     def rung(eps):
-        """(remainder, first-order quotient) at eps; the perturbed run is freed on return."""
-        pert = solve_state(init, th + eps * harr, params)
+        """(remainder, first-order quotient) at eps; the perturbed run is streamed."""
 
-        def norms(g, pm, bm, pp, bp, t1, t2):
-            dm, dp = pm - bm, pp - bp
-            return l2(g, dm - eps * t1), l2(g, dp - eps * t2), l2(g, dm), l2(g, dp)
+        def norms(n, pm, pp):
+            dm, dp = pm - base.m[n], pp - base.phi[n]
+            return l2(g, dm - eps * tan.phi1[n]), l2(g, dp - eps * tan.phi2[n]), l2(g, dm), l2(g, dp)
 
-        series = (pert.m, base.m, pert.phi, base.phi, tan.phi1, tan.phi2)
-        rows = list(time_values(params.grid, norms, *(s[1:] for s in series)))
+        steps = state_steps(init, th + eps * harr, params)
+        next(steps)  # both runs start from init
+        rows = [norms(*s) for s in steps]
         rem = sum(a ** 2 + b ** 2 for a, b, _, _ in rows)
         fd = sum(c ** 2 + d ** 2 for _, _, c, d in rows)
         return float(np.sqrt(rem * params.dt)), float(np.sqrt(fd * params.dt)) / eps

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,8 @@ def test_simulate_series_blocks_match_whole_stack(tmp_path, capsys, monkeypatch)
     path = tmp_path / "long.cfg"
     path.write_text(SMALL.replace("time.T = 0.02", "time.T = 0.1"))
     problem = build_problem(load_config(str(path)))
+    # simulate reduces one slice at a time; by grid's stack contract its rows equal
+    # the whole-stack values below whatever the block budget of the reductions.
     monkeypatch.setattr(grid, "_BLOCK_BYTES", 32 * 2 * 8 * 16 * 16)  # 32 slices of m and phi at 16^2
     slices = problem.params.nt + 1
     assert slices > 2 * 32 and slices % 32  # last block partial
@@ -88,10 +91,23 @@ def test_kernel_info_prints_key_values(cfg_path, capsys):
     assert {"integral", "max_value", "support_cells", "odd_residual"} <= keys
 
 
-@pytest.mark.parametrize("shipped", [None, "twin.cfg"], ids=["small", "twin"])
-def test_gradcheck_passes(shipped, cfg_path, capsys):
-    # twin.cfg's cost is ~5e-9, so a too-small FD step meets round-off there.
+@pytest.mark.parametrize("shipped, edits", [
+    (None, {}),
+    ("twin.cfg", {}),
+    ("twin.cfg", {"time.T = 0.005": "time.T = 5e-4", "control.delta = 1e-6": "control.delta = 1e5"}),
+], ids=["small", "twin", "twin-large-delta"])
+def test_gradcheck_passes(shipped, edits, cfg_path, tmp_path, capsys):
+    # twin.cfg's cost is ~5e-9, so a too-small FD step meets round-off there. At a
+    # large delta the regularization dwarfs the misfit: its round-off must not swamp
+    # the misfit's difference.
     path = cfg_path if shipped is None else str(CONFIGS / shipped)
+    if edits:
+        text = Path(path).read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        path = str(tmp_path / "edited.cfg")
+        Path(path).write_text(text)
     assert main(["gradcheck", "--config", path]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "direction,fd,adjoint,rel_error"
@@ -229,7 +245,6 @@ BLOWUP = SMALL.replace("time.dt = 1e-3", "time.dt = 2e-2").replace(
 ).replace("init.phi0 = constant:0.6", "init.phi0 = constant:0.95")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_records_blowup_as_failing_rows(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BLOWUP)
@@ -246,7 +261,6 @@ def test_verify_records_blowup_as_failing_rows(tmp_path, capsys):
     assert all("NonFinite: blow-up at step" in ln for ln in failed)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_blowup_exits_1(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(BLOWUP)
@@ -254,6 +268,63 @@ def test_simulate_blowup_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "solver blow-up: blow-up at step" in err
     assert err.count("blow-up at step") == 1
+
+
+def test_simulate_blowup_keeps_the_output_before_it(tmp_path, capsys):
+    # simulate writes each row and snapshot as its slice is made: a blow-up at
+    # step 11 leaves the rows n = 0..10 and the snapshots at the stride before it.
+    path = tmp_path / "bad.cfg"
+    path.write_text(BLOWUP)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+    assert "solver blow-up: blow-up at step 11" in capsys.readouterr().err
+    lines = (out / "series.csv").read_text().splitlines()
+    assert lines[0] == "n,t,mass_m,mass_phi,l2_m,l2_phi,h1_m,h1_phi,viol_m,viol_phi"
+    assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(11))
+    assert sorted(p.name for p in out.glob("*.mcf")) == [
+        "m_000000.mcf", "m_000010.mcf", "phi_000000.mcf", "phi_000010.mcf"
+    ]
+
+
+def test_blowup_is_one_stderr_line_in_a_process(tmp_path):
+    # pytest's warning filters hide what a real process prints: numpy's overflow
+    # warnings must not reach stderr around the one blow-up line.
+    twin = (CONFIGS / "twin.cfg").read_text().replace("time.T = 0.005", "time.T = 5e-4")
+    cases = [
+        (BLOWUP, ["warning: dt=0.02 exceeds the conservative drift bound 1.072e-05; "
+                  "blow-up is detected at runtime", "solver blow-up: blow-up at step 11"]),
+        (twin.replace("model.beta = 0.5", "model.beta = 1e308"),
+         ["solver blow-up: blow-up at step 1"]),
+    ]
+    for i, (text, expected) in enumerate(cases):
+        path = tmp_path / f"bad{i}.cfg"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphoctl", "simulate", "--config", str(path),
+             "--out-dir", str(tmp_path / f"out{i}")],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == expected
+
+
+def test_simulate_memory_does_not_grow_with_the_step_count(tmp_path, capsys):
+    # simulate stores no history: its peak at 400 steps is the peak at 50 steps.
+    text = SMALL.replace("grid.nx = 16", "grid.nx = 32").replace(
+        "grid.ny = 16", "grid.ny = 32").replace("io.snapshot_stride = 10", "io.snapshot_stride = 0")
+    peaks = []
+    for T in ("0.05", "0.05", "0.4"):  # the first run warms the caches and is not measured
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace("time.T = 0.02", f"time.T = {T}"))
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _, short, long = peaks
+    assert long - short <= 0.25 * 2**20, f"{short / 2**20:.3f} -> {long / 2**20:.3f} MiB"
 
 
 def test_missing_config_key_exit_code(tmp_path, capsys):
@@ -346,11 +417,13 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     # The configured control's forward run and its discrete adjoint against the
     # verify target are solved once, and the rows that need them share them.
     # On the coarsened copy every solve is pgd_optimize's: the projection row
-    # reads the adjoint at the optimum from its result.
+    # reads the adjoint at the optimum from its result. The runs the Lipschitz
+    # and Taylor rows stream, stored by no solve_state, are never the configured one.
     from morphoctl import control, forward, linearized, verify
     from morphoctl.config import load_config
 
     problems, forwards, adjoints, in_pgd = [], [], [], [False]
+    streamed, storing = [], [False]
     build = verify.build_problem
     adjoint, pgd = control.solve_adjoint_discrete, control.pgd_optimize
 
@@ -360,10 +433,22 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
 
     def counted(solve):
         def solved(init, theta, params):
-            forwards.append((solve(init, theta, params), in_pgd[0]))
+            storing[0] = True
+            try:
+                forwards.append((solve(init, theta, params), in_pgd[0]))
+            finally:
+                storing[0] = False
             return forwards[-1][0]
 
         return solved
+
+    def watched(steps):
+        def stepped(init, theta, params):
+            if not storing[0]:
+                streamed.append((params, theta))
+            return steps(init, theta, params)
+
+        return stepped
 
     def adjoint_solved(traj, phi_d):
         adjoints.append((traj, phi_d, in_pgd[0]))
@@ -377,19 +462,24 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
             in_pgd[0] = False
 
     monkeypatch.setattr(verify, "build_problem", built)
-    for module in (forward, linearized, control):
+    for module in (forward, control):
         monkeypatch.setattr(module, "solve_state", counted(module.solve_state))
+    for module in (forward, linearized):
+        monkeypatch.setattr(module, "state_steps", watched(module.state_steps))
     monkeypatch.setattr(control, "solve_adjoint_discrete", adjoint_solved)
     monkeypatch.setattr(control, "pgd_optimize", optimized)
     assert verify.run_verify(load_config(cfg_path)).all_passed
     main_problem, sub = problems  # the second is the coarsened copy
 
-    def configured(traj):
-        return traj.params is main_problem.params and np.array_equal(traj.theta, main_problem.theta)
+    def configured(params, theta):
+        return params is main_problem.params and np.array_equal(theta, main_problem.theta)
 
     target = verify.target_for(main_problem)
-    assert sum(configured(t) for t, _ in forwards) == 1
-    assert sum(configured(t) and np.array_equal(pd, target) for t, pd, _ in adjoints) == 1
+    assert sum(configured(t.params, t.theta) for t, _ in forwards) == 1
+    assert len(streamed) == 5 * 2 + 4  # five Lipschitz pairs and four Taylor rungs
+    assert not any(configured(params, theta) for params, theta in streamed)
+    assert sum(configured(t.params, t.theta) and np.array_equal(pd, target)
+               for t, pd, _ in adjoints) == 1
     coarse_forwards = [inside for t, inside in forwards if t.params is sub.params]
     coarse_adjoints = [inside for t, _, inside in adjoints if t.params is sub.params]
     assert coarse_forwards and all(coarse_forwards)
@@ -465,9 +555,10 @@ def test_no_dt_advisory_below_the_bound(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("command", ["gradcheck", "optimize"])
 def test_unallocatable_history_is_one_stderr_line(command, tmp_path, capsys):
     # 5e12 slices of 32^2 can be indexed but not allocated; numpy refuses at once.
+    # simulate stores no history, so it is not among the commands here.
     path = tmp_path / "huge.cfg"
     path.write_text((CONFIGS / "twin.cfg").read_text().replace(
         "time.dt = 5e-5", "time.dt = 1e-15").replace("twin:constant:0.5", "constant:0.5"))

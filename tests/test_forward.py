@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,7 +330,6 @@ def test_spatial_convergence_second_order():
     assert 3.5 <= errs[1] / errs[2] <= 4.5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("sweep", ["forward", "tangent", "adjoint"])
 def test_blowup_raises_nonfinite_with_step(sweep, grid16):
     if sweep == "forward":
@@ -352,6 +354,28 @@ def test_blowup_raises_nonfinite_with_step(sweep, grid16):
             sweep_fn(traj, series)
         assert exc.value.step == 4
     assert f"blow-up at step {exc.value.step}" in str(exc.value)
+
+
+def test_histories_have_one_home():
+    # Every (nt+1, ny, nx) history is allocated in forward._store, so a byte
+    # budget for the stored runs has one place to count.
+    src = Path(__file__).resolve().parents[1] / "src" / "morphoctl"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and node.func.attr in {"empty", "zeros", "ones", "full"}):
+                continue
+            shape = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg == "shape"), None)
+            if shape is not None and re.search(r"\bnt \+ 1\b", ast.unparse(shape)):
+                owner = max((d for d in defs if d.lineno <= node.lineno <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                found.append(f"{path.name}:{owner.name if owner else '<module>'}")
+    assert found == ["forward.py:_store"]
 
 
 @pytest.mark.parametrize("k", [0, 4, 9])

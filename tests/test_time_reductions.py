@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from morphoctl import cli, control, grid
+from morphoctl import control, grid
 from morphoctl.control import (
     AdjointTrajectory,
     ControlField,
@@ -88,7 +88,6 @@ def every_reduction(monkeypatch):
         "bounds_check": bounds_check(traj),
         "tangent_norm": tangent_norm(tan),
         "taylor_test": taylor_test(init, traj, h),
-        "series_rows": list(cli._series_rows(G, traj)),
         "phi_balance_defect": phi_balance_defect(traj),
         # The sweeps take gradJ * m from time blocks of the stored state.
         "tangent": (tan.phi1.tobytes(), tan.phi2.tobytes()),
