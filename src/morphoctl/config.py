@@ -188,15 +188,15 @@ def realize_field(grid: Grid, spec: str, seed: int, role: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything realized and ready to run."""
+    """Everything realized and ready to run; the target only for a command that reads one."""
 
     cfg: RunConfig
     grid: Grid
     params: ModelParams
     init: InitData
     control_field: ControlField     # theta: (nt, ny, nx) read-only view of one slice
-    phi_d: np.ndarray | None        # (nt, ny, nx) target: read-only view of one slice,
-                                    # a twin's phi history from index 1, or None
+    phi_d: np.ndarray | None        # (nt, ny, nx) target, built with need_target only: read-only
+                                    # view of one slice or a twin's phi history from index 1
     theta_star: np.ndarray | None   # twin ground truth, read-only view of one slice
     opt: OptConfig                  # optimizer settings from the config
 
@@ -214,7 +214,8 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
 
     The one path from a RunConfig to the objects of a run, and the one place a
     config is checked: each rule lives in the constructor that owns the value,
-    and this step only maps their errors to config keys.
+    and this step only maps their errors to config keys.  A target is checked on
+    every build but realized, a twin's forward run included, only with ``need_target``.
     """
     with _reported_as("grid.nx"):
         grid = Grid(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
@@ -242,8 +243,7 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     with _reported_as("opt.step0"):  # each OptConfig field is the RunConfig field of that name
         opt = OptConfig(**{f.name: getattr(cfg, f.name) for f in fields(OptConfig)})
 
-    phi_d = None
-    theta_star = None
+    phi_d = theta_star = None
     if cfg.phi_d_spec is not None:
         kind, _, rest = cfg.phi_d_spec.partition(":")
         if kind == "twin":
@@ -253,10 +253,10 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
             except ValidationError as exc:
                 raise ValidationError("target.phi_d", exc.reason) from exc
             theta_star = control_array(star, params)
-            phi_d = solve_state(init, theta_star, params).phi[1:]
+            phi_d = solve_state(init, theta_star, params).phi[1:] if need_target else None
         else:
             pd = realize_field(grid, cfg.phi_d_spec, cfg.seed, "target.phi_d")
-            phi_d = control_array(pd, params)
+            phi_d = control_array(pd, params) if need_target else None
     elif need_target:
         raise ValidationError("target.phi_d", "required for optimization")
 
@@ -276,10 +276,14 @@ def coarsened(cfg: RunConfig) -> RunConfig:
     """Shrink grid/time for budgeted verification sub-runs, preserving dt scaling.
 
     The copy has at most 100 steps of the configured dt, and at most 32 cells
-    per side unless a field spec reads a snapshot, which fixes the grid.
+    per side or as many as the kernel radius needs, unless a snapshot fixes the grid.
     """
     specs = (cfg.m0_spec, cfg.phi0_spec, cfg.theta_spec, cfg.phi_d_spec or "")
     reads_file = any(s.removeprefix("twin:").startswith("file:") for s in specs)
     nx, ny = (cfg.nx, cfg.ny) if reads_file else (min(cfg.nx, 32), min(cfg.ny, 32))
+    while nx < cfg.nx and cfg.radius < 3.0 * (cfg.Lx / nx):  # build_kernel's rule
+        nx += 1
+    while ny < cfg.ny and cfg.radius < 3.0 * (cfg.Ly / ny):
+        ny += 1
     nt = min(round(cfg.T / cfg.dt), 100)
     return replace(cfg, nx=nx, ny=ny, T=nt * cfg.dt)

@@ -128,7 +128,8 @@ def taylor_test(init: InitData, base: Trajectory, h) -> dict:
     r(eps) = |S(theta+eps h) - S(theta) - eps DS h|
     in the discrete L2(S x Omega)^2 norm on (m, phi), the observed orders
     log(r_i / r_{i+1}) / log(eps_i / eps_{i+1}) (= 2 for an exact
-    derivative of a polynomial step map), and the first-order quotients
+    derivative of a polynomial step map), the Taylor gate's measure, the largest
+    |order - 2| with a non-finite order read as inf, and the first-order quotients
     |S(theta+eps h) - S(theta)| / eps, which approach |DS h|.
     """
     th, params, g = base.theta, base.params, base.params.grid
@@ -162,6 +163,7 @@ def taylor_test(init: InitData, base: Trajectory, h) -> dict:
         "eps": list(EPS_LADDER),
         "remainders": remainders,
         "orders": orders,
+        "order_gap": max(abs(o - 2.0) if np.isfinite(o) else np.inf for o in orders),
         "first_order_quotients": fd_norms,
         "tangent_norm": tnorm,
     }

@@ -293,8 +293,10 @@ def test_blowup_is_one_stderr_line_in_a_process(tmp_path):
     cases = [
         (BLOWUP, ["warning: dt=0.02 exceeds the conservative drift bound 1.072e-05; "
                   "blow-up is detected at runtime", "solver blow-up: blow-up at step 11"]),
+        # simulate reads no target, so its own run blows up, after the advisory line.
         (twin.replace("model.beta = 0.5", "model.beta = 1e308"),
-         ["solver blow-up: blow-up at step 1"]),
+         ["warning: dt=5e-05 exceeds the conservative drift bound 0.000e+00; "
+          "blow-up is detected at runtime", "solver blow-up: blow-up at step 1"]),
     ]
     for i, (text, expected) in enumerate(cases):
         path = tmp_path / f"bad{i}.cfg"
@@ -427,8 +429,8 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     build = verify.build_problem
     adjoint, pgd = control.solve_adjoint_discrete, control.pgd_optimize
 
-    def built(cfg):
-        problems.append(build(cfg))
+    def built(cfg, need_target):
+        problems.append(build(cfg, need_target))
         return problems[-1]
 
     def counted(solve):
@@ -474,7 +476,7 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     def configured(params, theta):
         return params is main_problem.params and np.array_equal(theta, main_problem.theta)
 
-    target = verify.target_for(main_problem)
+    target = main_problem.phi_d
     assert sum(configured(t.params, t.theta) for t, _ in forwards) == 1
     assert len(streamed) == 5 * 2 + 4  # five Lipschitz pairs and four Taylor rungs
     assert not any(configured(params, theta) for params, theta in streamed)
@@ -516,9 +518,11 @@ def test_each_command_builds_its_problem_once(command, cfg_path, tmp_path, monke
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_invalid_config_exits_2_on_every_command(command, tmp_path, capsys):
-    # A broken rule, a control spec that only building the problem realizes, and a seed.
+    # A broken rule, a control spec that only building the problem realizes, a target
+    # spec, checked whether or not the command reads a target, and a seed.
     for key, old, new in (("grid.nx", "grid.nx = 16", "grid.nx = 3"),
                           ("control.theta", "seed = 0", "control.theta = bogus:1"),
+                          ("target.phi_d", "cosine:0.2,1,1,0.7", "twin:bogus:1"),
                           ("seed", "seed = 0", "seed = -1")):
         path = tmp_path / "bad.cfg"
         path.write_text((SMALL + "seed = 0\n").replace(old, new))
@@ -553,6 +557,53 @@ def test_dt_advisory_is_one_stderr_line(command, cfg_path, tmp_path, capsys):
 def test_no_dt_advisory_below_the_bound(capsys):
     assert main(["kernel-info", "--config", str(CONFIGS / "twin.cfg")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_kernel_info_makes_no_target(tmp_path, capsys):
+    # The twin target's forward run blows up at step 8; kernel-info reads no target.
+    path = tmp_path / "steep.cfg"
+    path.write_text((CONFIGS / "twin.cfg").read_text().replace("model.beta = 0.5", "model.beta = 1000"))
+    assert main(["kernel-info", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("integral=")
+
+
+@pytest.mark.parametrize("command, solves", [
+    ("simulate", 0), ("taylor", 0), ("kernel-info", 0), ("gradcheck", 1),
+])
+def test_twin_target_is_solved_only_by_a_command_that_reads_it(
+    command, solves, tmp_path, monkeypatch, capsys
+):
+    from morphoctl import config
+
+    calls = []
+    solve = config.solve_state
+
+    def counted(init, theta, params):
+        calls.append(theta)
+        return solve(init, theta, params)
+
+    monkeypatch.setattr(config, "solve_state", counted)
+    path = tmp_path / "twin.cfg"
+    path.write_text((CONFIGS / "twin.cfg").read_text().replace("time.T = 0.005", "time.T = 1e-3"))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == solves
+
+
+def test_simulate_memory_is_the_same_with_a_twin_target(tmp_path, capsys):
+    # simulate reads no target, so a twin target costs it no forward run and no history.
+    twin = (CONFIGS / "twin.cfg").read_text()
+    peaks = []
+    for text in (twin, twin, twin.replace("twin:constant:0.5", "constant:0.5")):  # the first warms up
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    _, with_twin, constant = peaks
+    assert with_twin - constant <= 0.1 * 2**20, f"{constant / 2**20:.3f} -> {with_twin / 2**20:.3f} MiB"
 
 
 @pytest.mark.parametrize("command", ["gradcheck", "optimize"])

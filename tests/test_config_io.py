@@ -8,6 +8,7 @@ from morphoctl import config
 from morphoctl.config import (
     _FIELDS,
     build_problem,
+    coarsened,
     load_config,
     parse_config_text,
     realize_field,
@@ -308,7 +309,7 @@ def test_snapshot_header_of_256_bytes_accepted(tmp_path):
 def test_twin_target_manufactured(tmp_path):
     text = MINIMAL + "target.phi_d = twin:constant:0.4\n"
     cfg = load_config(write_cfg(tmp_path, text))
-    problem = build_problem(cfg)
+    problem = build_problem(cfg, need_target=True)
     assert problem.theta_star is not None
     assert np.all(problem.theta_star == 0.4)
     assert not problem.theta_star.flags.writeable
@@ -344,7 +345,7 @@ def test_time_constant_series_stay_one_slice(tmp_path):
     history = round(cfg.T / cfg.dt) * cfg.ny * cfg.nx * 8
     tracemalloc.start()
     try:
-        problem = build_problem(cfg)
+        problem = build_problem(cfg, need_target=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -385,3 +386,19 @@ def test_default_radius(tmp_path):
     big = text.replace("grid.nx = 16", "grid.nx = 64").replace("grid.ny = 16", "grid.ny = 64")
     cfg = load_config(write_cfg(tmp_path, big, name="big.cfg"))
     assert cfg.radius == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("radius, Lx, cells", [
+    ("0.1", "1.0", (32, 32)),
+    ("0.09375", "1.0", (32, 32)),  # 3 / 32: 32 cells resolve it exactly
+    ("0.06", "1.0", (50, 50)),     # 32 cells would not: the fewest that do
+    ("0.06", "0.8", (40, 50)),     # each side on its own
+])
+def test_coarsened_grid_resolves_the_kernel_radius(radius, Lx, cells):
+    # verify's projection row runs on the coarsened copy of a config valid at 64^2.
+    text = MINIMAL.replace("grid.nx = 16", "grid.nx = 64").replace("grid.ny = 16", "grid.ny = 64")
+    cfg = parse_config_text(text.replace("grid.Lx = 1.0", f"grid.Lx = {Lx}").replace(
+        "kernel.radius = 0.25", f"kernel.radius = {radius}"))
+    build_problem(cfg)
+    sub = build_problem(coarsened(cfg))
+    assert sub.grid.shape == cells[::-1]

@@ -1,5 +1,5 @@
 """Every name a module of ``src/``, ``tests/`` or ``scripts/`` imports is used in that module,
-and every function ``src/`` defines is referenced somewhere."""
+and every function and module-level constant ``src/`` defines is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -12,6 +12,12 @@ MODULES = sorted(
     p for d in ("src/morphoctl", "tests", "scripts") for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )
+# Where a reference to a name of src/ counts.
+REFERRING = ("src/morphoctl", "tests", "scripts", "perfbench")
+
+
+def parsed(*dirs):
+    return [ast.parse(p.read_text(encoding="utf-8")) for d in dirs for p in (ROOT / d).glob("*.py")]
 
 
 def imported_names(tree: ast.Module):
@@ -34,12 +40,22 @@ def test_every_imported_name_is_used(path):
 
 def test_every_module_function_is_referenced():
     # A helper that loses its last caller fails here; a name or attribute anywhere counts.
-    trees = [ast.parse(p.read_text(encoding="utf-8"))
-             for d in ("src/morphoctl", "tests", "scripts", "perfbench") for p in (ROOT / d).glob("*.py")]
     used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
-    defined = {node.name
-               for p in (ROOT / "src/morphoctl").glob("*.py")
-               for node in ast.parse(p.read_text(encoding="utf-8")).body
+            for tree in parsed(*REFERRING) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = {node.name for tree in parsed("src/morphoctl") for node in tree.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
     assert sorted(defined - used) == []
+
+
+def test_every_module_constant_is_read():
+    # A constant that loses its last reader fails here; a read by name or an attribute counts.
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in parsed(*REFERRING) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    defined = {target.id for tree in parsed("src/morphoctl") for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name) and not target.id.startswith("__")}
+    assert sorted(defined - read) == []

@@ -176,6 +176,7 @@ def test_taylor_orders_quadratic(grid16):
     init = make_init(grid16)
     out = taylor_test(init, solve_state(init, theta, p), h)
     assert all(1.9 <= o <= 2.1 for o in out["orders"])
+    assert out["order_gap"] == max(abs(o - 2.0) for o in out["orders"])
     # first-order quotient approaches the tangent norm
     assert out["first_order_quotients"][-1] == pytest.approx(out["tangent_norm"], rel=0.01)
 
@@ -186,6 +187,7 @@ def test_taylor_zero_direction(grid16):
     init = make_init(grid16)
     out = taylor_test(init, solve_state(init, theta, p), np.zeros_like(theta))
     assert all(r == 0.0 for r in out["remainders"])
+    assert out["order_gap"] == np.inf  # 0/0 orders fail the gate
 
 
 def test_tangent_norm_positive(grid16):

@@ -8,7 +8,7 @@ import pytest
 import morphoctl.control as ctl
 from morphoctl.config import build_problem, coarsened, load_config
 from morphoctl.forward import solve_state
-from morphoctl.verify import GRADCHECK_TOL, _random_admissible, gradient_check_table, target_for
+from morphoctl.verify import GRADCHECK_TOL, _random_admissible, gradient_check_table
 
 from conftest import scale_regularization_gradient
 
@@ -17,14 +17,14 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
 
 @pytest.mark.parametrize("factor", [1.0, 0.0, 0.5, 2.0])
 def test_gradient_check_sees_the_delta_theta_term(factor, monkeypatch):
-    problem = build_problem(coarsened(load_config(CONFIG)))
+    problem = build_problem(coarsened(load_config(CONFIG)), need_target=True)
     assert problem.cfg.delta > 0.0
     # At the configured control, 0, the delta theta term vanishes; an interior draw tests it.
     theta = _random_admissible(np.random.default_rng(0), problem)
     run = solve_state(problem.init, theta, problem.params)
-    adj = ctl.solve_adjoint_discrete(run, target_for(problem))
+    adj = ctl.solve_adjoint_discrete(run, problem.phi_d)
     scale_regularization_gradient(monkeypatch, factor)
-    worst = max(row[3] for row in gradient_check_table(problem, adj, n_directions=3))
+    _, worst = gradient_check_table(problem, adj, n_directions=3)
     if factor == 1.0:
         assert worst <= GRADCHECK_TOL
     else:
