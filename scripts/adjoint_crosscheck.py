@@ -29,8 +29,7 @@ from morphoctl.kernel import build_kernel
 def gap_at(n: int, beta: float) -> tuple[float, float]:
     g = Grid(n, n, 1.0, 1.0)
     X, Y = g.cell_centers()
-    p = ModelParams(grid=g, kernel=build_kernel(g, 0.1), beta=beta, alpha=1.0,
-                    T=0.05, dt=1e-3)
+    p = ModelParams(kernel=build_kernel(g, 0.1), beta=beta, alpha=1.0, T=0.05, dt=1e-3)
     init = InitData(
         m0=0.1 + 0.3 * np.cos(10 * np.pi * X) * np.cos(6 * np.pi * Y),
         phi0=np.full(g.shape, 0.7),

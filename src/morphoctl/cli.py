@@ -135,8 +135,7 @@ def cmd_taylor(args, cfg) -> int:
     except ValidationError as exc:
         raise ValidationError("--direction", exc.reason) from exc
     h = fwd.control_array(direction, problem.params)
-    base = fwd.solve_state(problem.init, problem.theta, problem.params)
-    out = lin.taylor_test(problem.init, base, h)
+    out = lin.taylor_test(fwd.solve_state(problem.init, problem.theta, problem.params), h)
     print("eps,remainder,first_order_quotient")
     for e, r, q in zip(out["eps"], out["remainders"], out["first_order_quotients"]):
         print(f"{e!r},{r!r},{q!r}")

@@ -34,7 +34,7 @@ from .errors import ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
 from .forward import InitData, ModelParams, control_array, solve_state
 from .grid import Grid, smooth_periodic
-from .kernel import build_kernel
+from .kernel import build_kernel, smallest_radius
 
 _ROLE_STREAMS = {
     "init.m0": 1,
@@ -222,9 +222,7 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
     with _reported_as("kernel.radius"):
         kernel = build_kernel(grid, cfg.radius)
     with _reported_as("time.dt"):
-        params = ModelParams(
-            grid=grid, kernel=kernel, beta=cfg.beta, alpha=cfg.alpha, T=cfg.T, dt=cfg.dt
-        )
+        params = ModelParams(kernel=kernel, beta=cfg.beta, alpha=cfg.alpha, T=cfg.T, dt=cfg.dt)
     # delta is an argument of pgd_optimize, the stride one of simulate and the seed one
     # of realize_field, not fields of any object; the seed is checked before it is used.
     if not (0.0 <= cfg.delta < math.inf):
@@ -275,15 +273,15 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
 def coarsened(cfg: RunConfig) -> RunConfig:
     """Shrink grid/time for budgeted verification sub-runs, preserving dt scaling.
 
-    The copy has at most 100 steps of the configured dt, and at most 32 cells
-    per side or as many as the kernel radius needs, unless a snapshot fixes the grid.
+    The copy has at most 100 steps of the configured dt, and at most 32 cells per side or the
+    fewest that resolve the radius (kernel.smallest_radius), unless a snapshot fixes the grid.
     """
     specs = (cfg.m0_spec, cfg.phi0_spec, cfg.theta_spec, cfg.phi_d_spec or "")
     reads_file = any(s.removeprefix("twin:").startswith("file:") for s in specs)
     nx, ny = (cfg.nx, cfg.ny) if reads_file else (min(cfg.nx, 32), min(cfg.ny, 32))
-    while nx < cfg.nx and cfg.radius < 3.0 * (cfg.Lx / nx):  # build_kernel's rule
+    while nx < cfg.nx and cfg.radius < smallest_radius(cfg.Lx / nx):
         nx += 1
-    while ny < cfg.ny and cfg.radius < 3.0 * (cfg.Ly / ny):
+    while ny < cfg.ny and cfg.radius < smallest_radius(cfg.Ly / ny):
         ny += 1
     nt = min(round(cfg.T / cfg.dt), 100)
     return replace(cfg, nx=nx, ny=ny, T=nt * cfg.dt)

@@ -54,7 +54,7 @@ from .kernel import Kernel
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model constants plus the discretization they run on.
+    """Model constants plus the discretization they run on; ``grid`` is the kernel's own.
 
     ``dt_stability_bound`` documents the conservative explicit-drift
     positivity bound dt <= h^2 / (4 Vmax h + 2 Rmax h^2) with
@@ -67,7 +67,6 @@ class ModelParams:
     :class:`NonFinite` with the step index.
     """
 
-    grid: Grid
     kernel: Kernel
     beta: float
     alpha: float
@@ -88,6 +87,10 @@ class ModelParams:
         nt = round(self.T / self.dt)
         if nt < 1 or abs(nt * self.dt - self.T) > 1e-12 * max(1.0, self.T):
             raise ParameterError("dt", "T must be an integer multiple of dt")
+
+    @property
+    def grid(self) -> Grid:
+        return self.kernel.grid
 
     @property
     def nt(self) -> int:

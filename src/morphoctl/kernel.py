@@ -91,20 +91,24 @@ class Kernel:
         return integral(self.grid, np.hypot(self.gjx, self.gjy))
 
 
+def smallest_radius(h: float) -> float:
+    """Smallest kernel radius cells of width h resolve, 3 h (build_kernel's and coarsened's rule)."""
+    return 3.0 * h
+
+
 def build_kernel(grid: Grid, radius: float) -> Kernel:
     """Construct the normalized kernel on the given grid.
 
-    The support must fit inside half the domain (no self-overlap under
-    periodization) and span at least three cells so the bump is resolved.
+    The support must fit inside half the domain (no self-overlap under periodization)
+    and be resolved, radius >= smallest_radius(max(hx, hy)), or 3 L / n on each axis.
     """
     if 2.0 * radius >= min(grid.Lx, grid.Ly):
         raise SupportTooLarge(
             f"kernel radius {radius} needs 2 r < min(Lx, Ly) = {min(grid.Lx, grid.Ly)}"
         )
-    if not (radius >= 3.0 * max(grid.hx, grid.hy)):
-        raise SupportUnresolved(
-            f"kernel radius {radius} below 3 max(hx, hy) = {3.0 * max(grid.hx, grid.hy)}"
-        )
+    least = smallest_radius(max(grid.hx, grid.hy))
+    if not (radius >= least):
+        raise SupportUnresolved(f"kernel radius {radius} below 3 max(hx, hy) = {least}")
 
     ox = _signed_offsets(grid.nx, grid.hx)
     oy = _signed_offsets(grid.ny, grid.hy)

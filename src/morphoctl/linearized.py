@@ -38,6 +38,10 @@ from .grid import div, l2, rfft2, solve_implicit_diffusion, time_values
 
 # Perturbation sizes of the Taylor test, halving from 1e-1: three orders from four rungs.
 EPS_LADDER = (1e-1, 5e-2, 2.5e-2, 1.25e-2)
+# The ladder doubles, at most LADDER_DOUBLINGS times, until its smallest remainder stands
+# FLOOR_FACTOR round-off floors up; 100 keeps both shipped configs on EPS_LADDER.
+FLOOR_FACTOR = 100.0
+LADDER_DOUBLINGS = 8
 
 
 @dataclass(frozen=True)
@@ -120,19 +124,27 @@ def tangent_stability_norm(tan: TangentTrajectory) -> float:
     return l2_h1_norm(tan.params, tan.phi1) + l2_h1_norm(tan.params, tan.phi2)
 
 
-def taylor_test(init: InitData, base: Trajectory, h) -> dict:
+def taylor_test(base: Trajectory, h) -> dict:
     """Remainder decay of S(theta + eps h) against the tangent prediction.
 
-    ``base`` is the caller's run S(theta) from ``init``, giving theta and
-    params.  Returns, for each eps of :data:`EPS_LADDER`, the remainders
+    ``base`` is the caller's run S(theta): it gives theta, params and the start
+    ``InitData(base.m[0], base.phi[0])``.  Returns, for each eps of the ladder, the remainders
     r(eps) = |S(theta+eps h) - S(theta) - eps DS h|
     in the discrete L2(S x Omega)^2 norm on (m, phi), the observed orders
     log(r_i / r_{i+1}) / log(eps_i / eps_{i+1}) (= 2 for an exact
     derivative of a polynomial step map), the Taylor gate's measure, the largest
     |order - 2| with a non-finite order read as inf, and the first-order quotients
     |S(theta+eps h) - S(theta)| / eps, which approach |DS h|.
+
+    The ladder is :data:`EPS_LADDER`, doubled, at most :data:`LADDER_DOUBLINGS` times,
+    while its smallest remainder is below :data:`FLOOR_FACTOR` round-off floors (the
+    same norm of one ulp of the base state per cell).  The measure reads only the orders
+    whose two remainders reach that level.  If none does while the top rung's change
+    |S(theta+eps h) - S(theta)| does, the tangent predicts every rung to round-off and
+    the measure is 0; if nothing moves, as along a zero direction, it is inf.
     """
     th, params, g = base.theta, base.params, base.params.grid
+    init = InitData(base.m[0], base.phi[0])
     harr = control_array(h, params)
     tan = solve_linearized(base, harr)
     tnorm = tangent_norm(tan)
@@ -151,19 +163,34 @@ def taylor_test(init: InitData, base: Trajectory, h) -> dict:
         fd = sum(c ** 2 + d ** 2 for _, _, c, d in rows)
         return float(np.sqrt(rem * params.dt)), float(np.sqrt(fd * params.dt)) / eps
 
-    remainders, fd_norms = map(list, zip(*map(rung, EPS_LADDER)))
+    # The round-off floor: the remainders' norm of one ulp of the base state in each cell.
+    ulps = time_values(g, lambda g, m, p: (l2(g, np.spacing(m)), l2(g, np.spacing(p))),
+                       base.m[1:], base.phi[1:])
+    least = FLOOR_FACTOR * float(np.sqrt(sum(a ** 2 + b ** 2 for a, b in ulps) * params.dt))
+    ladder = list(EPS_LADDER)
+    rungs = [rung(eps) for eps in ladder]
+    for _ in range(LADDER_DOUBLINGS):
+        if rungs[-1][0] >= least:
+            break
+        ladder = [2.0 * ladder[0], *ladder[:-1]]  # the ratios stay; one new rung on top
+        rungs = [rung(ladder[0]), *rungs[:-1]]
+    remainders, fd_norms = map(list, zip(*rungs))
 
     orders = []
-    for i in range(len(EPS_LADDER) - 1):
+    for i in range(len(ladder) - 1):
         num = remainders[i] / remainders[i + 1] if remainders[i + 1] > 0 else np.nan
-        den = EPS_LADDER[i] / EPS_LADDER[i + 1]
+        den = ladder[i] / ladder[i + 1]
         orders.append(float(np.log(num) / np.log(den)) if np.isfinite(num) else np.nan)
+    # Only an order whose two remainders stand above the floor reads the derivative.
+    read = [abs(o - 2.0) if np.isfinite(o) else np.inf
+            for o, hi, lo in zip(orders, remainders, remainders[1:]) if min(hi, lo) >= least]
+    moved = fd_norms[0] * ladder[0] >= least
 
     return {
-        "eps": list(EPS_LADDER),
+        "eps": ladder,
         "remainders": remainders,
         "orders": orders,
-        "order_gap": max(abs(o - 2.0) if np.isfinite(o) else np.inf for o in orders),
+        "order_gap": max(read) if read else (0.0 if moved else np.inf),
         "first_order_quotients": fd_norms,
         "tangent_norm": tnorm,
     }

@@ -74,8 +74,8 @@ class VerifyReport:
 
 
 def _random_admissible(rng, problem: Problem) -> np.ndarray:
-    cfg = problem.cfg
-    u = smooth_periodic(rng.uniform(cfg.theta_min, cfg.theta_max, size=problem.grid.shape), 2)
+    box = problem.control()
+    u = smooth_periodic(rng.uniform(box.theta_min, box.theta_max, size=problem.grid.shape), 2)
     return fwd.control_array(u, problem.params)
 
 
@@ -152,7 +152,7 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     def taylor():
         rng = np.random.default_rng([base_seed, 102])
         h = _direction(rng, problem)
-        return lin.taylor_test(problem.init, base(), h)["order_gap"], ""
+        return lin.taylor_test(base(), h)["order_gap"], ""
 
     guard("taylor_order_gap", TAYLOR_ORDER_TOL, taylor)
 
@@ -174,10 +174,10 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     # Manufactured optimum: target produced by the configured control itself,
     # delta = 0, so the gradient vanishes identically at theta.
     def manufactured():
-        traj = base()
+        traj, box = base(), problem.control()
         adj = ctl.solve_adjoint_discrete(traj, traj.phi[1:])
         g = ctl.reduced_gradient(adj, 0.0)
-        return ctl.stationarity_residual(adj.theta, g, params, cfg.theta_min, cfg.theta_max), ""
+        return ctl.stationarity_residual(adj.theta, g, params, box.theta_min, box.theta_max), ""
 
     guard("stationarity_manufactured", 1e-12, manufactured)
 
@@ -186,10 +186,10 @@ def run_verify(cfg: RunConfig) -> VerifyReport:
     def projection_row():
         sub = build_problem(coarsened(problem.cfg), need_target=True)
         delta = cfg.delta if cfg.delta > 0 else 1e-3
-        opt = replace(sub.opt, max_iters=min(sub.opt.max_iters, 40))
-        res = ctl.pgd_optimize(sub.init, sub.control(), sub.phi_d, sub.params, delta, opt)
+        opt, box = replace(sub.opt, max_iters=min(sub.opt.max_iters, 40)), sub.control()
+        res = ctl.pgd_optimize(sub.init, box, sub.phi_d, sub.params, delta, opt)
         rho = res.stationarity_history[-1]  # the residual of res.adjoint at theta_opt
-        gap = ctl.projection_characterization_check(res.adjoint, cfg.theta_min, cfg.theta_max, delta)
+        gap = ctl.projection_characterization_check(res.adjoint, box.theta_min, box.theta_max, delta)
         tol = opt.resolved_tol(sub.params)
         bound = 10.0 * max(rho, tol) / delta
         # Report the margin so the row reads pass/fail on measured <= threshold.

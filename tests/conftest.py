@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from morphoctl import control
+from morphoctl import control, forward, linearized
 from morphoctl.forward import InitData, ModelParams
 from morphoctl.grid import Grid, smooth_periodic
-from morphoctl.kernel import build_kernel
+from morphoctl.kernel import Kernel, build_kernel
 
 
 def smooth_random(rng, grid, passes=2, scale=1.0):
@@ -41,14 +41,7 @@ def grid32():
 
 
 def make_params(grid, beta=1.0, alpha=1.0, T=0.02, dt=1e-3, radius=0.25):
-    return ModelParams(
-        grid=grid,
-        kernel=build_kernel(grid, radius),
-        beta=beta,
-        alpha=alpha,
-        T=T,
-        dt=dt,
-    )
+    return ModelParams(kernel=build_kernel(grid, radius), beta=beta, alpha=alpha, T=T, dt=dt)
 
 
 def make_init(grid, m_amp=0.2, m_off=0.0, phi_const=0.6):
@@ -77,3 +70,33 @@ def scale_regularization_gradient(monkeypatch, factor):
     """Make ``control.reduced_gradient`` use ``factor * delta``: a defect in the delta theta term only."""
     reduced = control.reduced_gradient
     monkeypatch.setattr(control, "reduced_gradient", lambda adj, delta: reduced(adj, factor * delta))
+
+
+def halve_theta_in_step_state(monkeypatch):
+    """Make ``forward.step_state`` take half its control slice: a defect of the state solve only."""
+    step = forward.step_state
+
+    def halved(m, m_spec, phi, theta_slice, params):
+        return step(m, m_spec, phi, 0.5 * theta_slice, params)
+
+    monkeypatch.setattr(forward, "step_state", halved)
+
+
+def use_continuous_adjoint(monkeypatch):
+    """Put the PDE-form adjoint in place of the discrete one: consistent, but not the transpose."""
+    monkeypatch.setattr(control, "solve_adjoint_discrete", control.solve_adjoint_continuous)
+
+
+def zero_grad_conv_sum(monkeypatch):
+    """Make ``Kernel.grad_conv_sum`` return zeros: the backward sweeps drop their convolution."""
+    monkeypatch.setattr(Kernel, "grad_conv_sum", lambda self, vx, vy: np.zeros(self.grid.shape))
+
+
+def negate_grad_m_in_step_linearized(monkeypatch):
+    """Make ``linearized.step_linearized`` read -gradJ * m: a sign defect of the tangent only."""
+    step = linearized.step_linearized
+
+    def negated(m_hat, phi_hat, grad_m, *rest):
+        return step(m_hat, phi_hat, (-grad_m[0], -grad_m[1]), *rest)
+
+    monkeypatch.setattr(linearized, "step_linearized", negated)

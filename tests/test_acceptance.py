@@ -69,7 +69,7 @@ def criterion(num, name):
 @criterion(1, "conservation")
 def test_acceptance_1_conservation():
     g = Grid(64, 64, 1.0, 1.0)
-    p = ModelParams(grid=g, kernel=build_kernel(g, 0.1), beta=1.0, alpha=1.0, T=0.5, dt=1e-3)
+    p = ModelParams(kernel=build_kernel(g, 0.1), beta=1.0, alpha=1.0, T=0.5, dt=1e-3)
     assert p.nt == 500
     init = make_init(g, m_amp=0.15, m_off=0.1)
     rng = np.random.default_rng(0)
@@ -112,7 +112,7 @@ def test_acceptance_2_analytic_limits():
 @criterion(3, "phase-separation bounds")
 def test_acceptance_3_bounds():
     g = Grid(64, 64, 1.0, 1.0)
-    p = ModelParams(grid=g, kernel=build_kernel(g, 0.1), beta=1.0, alpha=1.0, T=0.5, dt=1e-3)
+    p = ModelParams(kernel=build_kernel(g, 0.1), beta=1.0, alpha=1.0, T=0.5, dt=1e-3)
     init = make_init(g, m_amp=0.2, m_off=0.0, phi_const=0.6)
     traj = solve_state(init, np.zeros((p.nt, *g.shape)), p)
     rep = bounds_check(traj)
@@ -163,7 +163,7 @@ def test_acceptance_5_taylor():
     base = solve_state(init, theta, p)
     for _ in range(3):
         h = expand(smooth_random(rng, g), p.nt)
-        out = taylor_test(init, base, h)
+        out = taylor_test(base, h)
         assert all(1.9 <= o <= 2.1 for o in out["orders"]), out["orders"]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s"

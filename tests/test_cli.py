@@ -160,6 +160,28 @@ def test_taylor_prints_table(cfg_path, capsys):
     assert all(1.9 <= o <= 2.1 for o in orders)
 
 
+@pytest.mark.parametrize("edits, top", [
+    ({}, 0.1),
+    ({"time.T = 0.005": "time.T = 5e-4"}, 1.6),
+    ({"time.T = 0.005": "time.T = 2e-3",
+      "init.m0 = cosine:0.2,1,1,0.0": "init.m0 = noise:0.1,2"}, 0.8),
+], ids=["twin", "twin-10-steps", "twin-noise-m0"])
+def test_taylor_ladder_rises_above_the_round_off_floor(edits, top, tmp_path, capsys):
+    # On the two edited configs the fixed ladder's last remainders fell to round-off
+    # (orders 1.97, 1.58, 0.42 and 1.997, 1.960, 1.53); the doubled ladder reads 2.
+    text = (CONFIGS / "twin.cfg").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "edited.cfg"
+    path.write_text(text)
+    assert main(["taylor", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    eps = [float(line.split(",")[0]) for line in out[1:-1]]
+    assert eps == [top / 2 ** k for k in range(4)]
+    assert all(abs(float(o) - 2.0) <= 0.1 for o in out[-1].split(",")[1:])
+
+
 def test_optimize_writes_history_and_result(cfg_path, tmp_path, capsys):
     out = tmp_path / "opt"
     assert main(["optimize", "--config", cfg_path, "--out-dir", str(out)]) == 0

@@ -13,9 +13,10 @@ from morphoctl.config import (
     parse_config_text,
     realize_field,
 )
-from morphoctl.errors import FormatError, ParseError, ValidationError
+from morphoctl.errors import FormatError, ParseError, SupportUnresolved, ValidationError
 from morphoctl.fieldio import read_snapshot, write_snapshot
 from morphoctl.grid import Grid
+from morphoctl.kernel import build_kernel
 
 MINIMAL = """
 grid.nx = 16
@@ -402,3 +403,20 @@ def test_coarsened_grid_resolves_the_kernel_radius(radius, Lx, cells):
     build_problem(cfg)
     sub = build_problem(coarsened(cfg))
     assert sub.grid.shape == cells[::-1]
+
+
+@pytest.mark.parametrize("L, n", [(1.0, 34), (1.3, 41), (0.7, 35)])
+def test_coarsened_and_build_kernel_agree_at_the_resolution_boundary(L, n):
+    # At radius 3 (L / n) exactly, n cells resolve the kernel; at the next float below, n + 1.
+    # In each case 3 L / n rounds to another float, so the rule's form is pinned too.
+    exact = 3.0 * (L / n)
+    for radius, cells in ((exact, n), (float(np.nextafter(exact, 0.0)), n + 1)):
+        text = MINIMAL
+        for old, new in (("nx = 16", "nx = 64"), ("ny = 16", "ny = 64"), ("Lx = 1.0", f"Lx = {L}"),
+                         ("Ly = 1.0", f"Ly = {L}"), ("radius = 0.25", f"radius = {radius!r}")):
+            text = text.replace(old, new)
+        sub = coarsened(parse_config_text(text))
+        assert (sub.nx, sub.ny, sub.radius) == (cells, cells, radius)
+        build_kernel(Grid(cells, cells, L, L), radius)
+        with pytest.raises(SupportUnresolved):
+            build_kernel(Grid(cells - 1, cells - 1, L, L), radius)

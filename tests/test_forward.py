@@ -40,11 +40,19 @@ from conftest import expand, full_laplacian_symbol, make_init, make_params, smoo
 def test_model_params_validation(grid16):
     k = build_kernel(grid16, 0.25)
     with pytest.raises(ValueError):
-        ModelParams(grid=grid16, kernel=k, beta=-1.0, alpha=1.0, T=0.1, dt=1e-3)
+        ModelParams(kernel=k, beta=-1.0, alpha=1.0, T=0.1, dt=1e-3)
     with pytest.raises(ValueError):
-        ModelParams(grid=grid16, kernel=k, beta=1.0, alpha=-0.1, T=0.1, dt=1e-3)
+        ModelParams(kernel=k, beta=1.0, alpha=-0.1, T=0.1, dt=1e-3)
     with pytest.raises(ValueError):
-        ModelParams(grid=grid16, kernel=k, beta=1.0, alpha=1.0, T=0.1, dt=3e-3)
+        ModelParams(kernel=k, beta=1.0, alpha=1.0, T=0.1, dt=3e-3)
+
+
+def test_params_read_their_grid_from_their_kernel(grid16):
+    # The grid has one source, so a kernel cannot run beside a grid it was not built on.
+    problem = build_problem(parse_config_text(OVER_BOUND))
+    for params in (make_params(grid16), problem.params):
+        assert params.grid is params.kernel.grid
+    assert "grid" not in {f.name for f in dataclasses.fields(ModelParams)}
 
 
 # make_init(grid16) and make_params(grid16, beta=5.0, T=0.01) as a config;
@@ -69,7 +77,7 @@ def test_dt_bound_warns_but_runs(grid16):
     k = build_kernel(grid16, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = ModelParams(grid=grid16, kernel=k, beta=5.0, alpha=1.0, T=0.01, dt=1e-3)
+        p = ModelParams(kernel=k, beta=5.0, alpha=1.0, T=0.01, dt=1e-3)
         problem = build_problem(parse_config_text(OVER_BOUND))
     assert p.dt > p.dt_stability_bound()
     assert problem.params.dt_stability_bound() == p.dt_stability_bound()

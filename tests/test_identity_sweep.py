@@ -1,5 +1,5 @@
-"""The exactness identities on random admissible problems: odd and non-square grids,
-random model constants, kernel radii, horizons and time steps."""
+"""The exactness identities and the Taylor gate on random admissible problems: odd and
+non-square grids, random model constants, kernel radii, horizons and time steps."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from morphoctl.control import duality_gap, solve_adjoint_discrete
 from morphoctl.forward import InitData, mass_series, phi_balance_defect, solve_state
 from morphoctl.grid import Grid
-from morphoctl.linearized import solve_linearized
+from morphoctl.linearized import solve_linearized, taylor_test
+from morphoctl.verify import TAYLOR_ORDER_TOL
 
 from conftest import make_params, smooth_random
 
@@ -46,3 +47,5 @@ def test_mass_balance_and_duality_are_exact(problem):
     assert phi_balance_defect(traj) <= 1e-12
     adj = solve_adjoint_discrete(traj, phi_d)
     assert duality_gap(traj, solve_linearized(traj, h).phi2, adj, h, phi_d) <= 1e-10
+    # beta = 0 draws are affine: their remainders stay at round-off and the gate reads 0.
+    assert taylor_test(traj, h)["order_gap"] <= TAYLOR_ORDER_TOL

@@ -174,7 +174,7 @@ def test_taylor_orders_quadratic(grid16):
     theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
     h = expand(smooth_random(rng, grid16), p.nt)
     init = make_init(grid16)
-    out = taylor_test(init, solve_state(init, theta, p), h)
+    out = taylor_test(solve_state(init, theta, p), h)
     assert all(1.9 <= o <= 2.1 for o in out["orders"])
     assert out["order_gap"] == max(abs(o - 2.0) for o in out["orders"])
     # first-order quotient approaches the tangent norm
@@ -185,7 +185,7 @@ def test_taylor_zero_direction(grid16):
     p = make_params(grid16, T=0.01)
     theta = np.zeros((p.nt, *grid16.shape))
     init = make_init(grid16)
-    out = taylor_test(init, solve_state(init, theta, p), np.zeros_like(theta))
+    out = taylor_test(solve_state(init, theta, p), np.zeros_like(theta))
     assert all(r == 0.0 for r in out["remainders"])
     assert out["order_gap"] == np.inf  # 0/0 orders fail the gate
 
@@ -227,8 +227,9 @@ def test_space_time_norms_slice_by_slice_keep_the_stacked_bits():
     denom = control_space_time_norm(p, theta - (theta + 0.05 * h))
     assert lipschitz_probe(init, theta, theta + 0.05 * h, p) == stacked / denom
 
-    out = taylor_test(init, base, h)
-    for eps, rem, fd in zip(EPS_LADDER, out["remainders"], out["first_order_quotients"]):
+    out = taylor_test(base, h)
+    assert out["eps"] == list(EPS_LADDER)  # no remainder is near the round-off floor
+    for eps, rem, fd in zip(out["eps"], out["remainders"], out["first_order_quotients"]):
         pert = solve_state(init, theta + eps * h, p)
         dm = pert.m[1:] - base.m[1:]
         dp = pert.phi[1:] - base.phi[1:]

@@ -87,7 +87,7 @@ def every_reduction(monkeypatch):
         "lipschitz_probe": lipschitz_probe(init, theta, theta + 0.05 * h, p),
         "bounds_check": bounds_check(traj),
         "tangent_norm": tangent_norm(tan),
-        "taylor_test": taylor_test(init, traj, h),
+        "taylor_test": taylor_test(traj, h),
         "phi_balance_defect": phi_balance_defect(traj),
         # The sweeps take gradJ * m from time blocks of the stored state.
         "tangent": (tan.phi1.tobytes(), tan.phi2.tobytes()),
