@@ -26,7 +26,10 @@ genuinely differ.  At beta = 0 both solvers perform identical arithmetic.
 Both solvers run one shared backward sweep, ``_backward_sweep``: the zero
 terminal slice, the quadrature alignment above, the -alpha gamma2 reaction,
 the misfit source and the two symmetric implicit solves, in the time loop of
-``forward._march``.  Each solver supplies only its explicit drift terms.
+``forward._march``.  Each solver supplies only its explicit drift terms.  The
+discrete solver hands its kernel contraction to the sweep, which folds it into
+the gamma1 solve's spectrum; a step then transforms 9 slices, its four fields
+in one call on the grids where a time block holds them (``grid.one_call``).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .forward import (
     control_space_time_norm,
     solve_state,
 )
-from .grid import grad, inner, l2, solve_implicit_diffusion, time_values
+from .grid import grad, inner, irfft2, l2, rfft2_each, solve_implicit_diffusion, time_values
 from .linearized import solve_linearized
 
 # Smallest trial step of the line search; a search that shrinks below it fails.
@@ -150,14 +153,18 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     At state index n the explicit part applied to the incoming (g1, g2)
     before the symmetric implicit solve is
 
-        p1 = g1 + dt e1
+        p1 = g1 + dt (e1 - sum_i gradJ_i * v_i)
         p2 = g2 + dt (e2 - alpha g2 + phi_n - phi_d,n)
 
-    with (e1, e2) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
+    with (e1, e2, v) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
     terms, where d1 = grad g1, d2 = grad g2, adv_k = Gm . d_k and
-    Gm = gradJ * m at the stored state.  Slice nt - 1 is driven by the
-    misfit source alone, so the steps read Gm at m_{nt-1}..m_1, made a
-    time block at a time in that order.
+    Gm = gradJ * m at the stored state; ``v`` is a pair (vx, vy), or empty for
+    no contraction.  The contraction is taken in the spectral domain: its
+    spectrum (:meth:`Kernel.grad_conv_sum`) is subtracted from the spectrum of the
+    rest of p1, which the solve transforms anyway, and p1, p2, vx and vy are
+    transformed together (:func:`morphoctl.grid.rfft2_each`).  Slice nt - 1 is
+    driven by the misfit source alone, so the steps read Gm at m_{nt-1}..m_1,
+    made a time block at a time in that order.
     """
     p = traj.params
     g = p.grid
@@ -165,22 +172,29 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     pd = control_array(phi_d, p)
     grad_m = p.kernel.grad_conv_slices(traj.m[p.nt - 1 : 0 : -1])
 
-    def step(n, g1, _spec, g2):
+    def explicit(n, g1, g2):
+        """(p1 without its contraction, p2, *v) at state index n.
+
+        The gradients and drift terms are freed on return, before the transforms, so
+        the step holds no more fields at once than it did with the contraction on the grid.
+        """
         s_n = traj.phi[n] - pd[n - 1]
         if n == p.nt:
-            p1, p2 = np.zeros(g.shape), dt * s_n
-        else:
-            m, phi = traj.m[n], traj.phi[n]
-            gmx, gmy = next(grad_m)
-            d1 = grad(g, g1)
-            d2 = grad(g, g2)
-            adv1 = gmx * d1[0] + gmy * d1[1]
-            adv2 = gmx * d2[0] + gmy * d2[1]
-            e1, e2 = drift(m, phi, d1, d2, adv1, adv2)
-            p1 = g1 + dt * e1
-            p2 = g2 + dt * (e2 - p.alpha * g2 + s_n)
-        g1, _ = solve_implicit_diffusion(g, p1, dt)
-        g2, _ = solve_implicit_diffusion(g, p2, dt)
+            return np.zeros(g.shape), dt * s_n
+        gmx, gmy = next(grad_m)
+        d1 = grad(g, g1)
+        d2 = grad(g, g2)
+        adv1 = gmx * d1[0] + gmy * d1[1]
+        adv2 = gmx * d2[0] + gmy * d2[1]
+        e1, e2, v = drift(traj.m[n], traj.phi[n], d1, d2, adv1, adv2)
+        return g1 + dt * e1, g2 + dt * (e2 - p.alpha * g2 + s_n), *v
+
+    def step(n, g1, _spec, g2):
+        p1_hat, p2_hat, *v_hat = rfft2_each(g, *explicit(n, g1, g2))
+        if v_hat:
+            p1_hat = p1_hat - dt * p.kernel.grad_conv_sum(*v_hat)
+        g1, _ = solve_implicit_diffusion(g, p1_hat, dt)
+        g2, _ = solve_implicit_diffusion(g, p2_hat, dt)
         return g1, None, g2
 
     zero = np.zeros(g.shape)
@@ -203,8 +217,9 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
 
     where Gm = gradJ * m.  The two convolved sums are one contraction,
     sum_i gradJ_i * (cm d_i g1 + cp d_i g2) with cm = 2 beta (phi - m^2)
-    and cp = 2 beta m (1 - phi), since the contraction is linear.  The
-    source sign makes the duality identity
+    and cp = 2 beta m (1 - phi), since the contraction is linear; the sweep
+    subtracts its spectrum from that of the rest of p1 before the solve, the
+    same map, since rfft2 is linear too.  The source sign makes the duality identity
 
         sum_n <phi2_n, phi_n - phi_d,n> dt = sum_n <h_n, gamma2_n> dt
 
@@ -215,9 +230,8 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
 
     def drift(m, phi, d1, d2, adv1, adv2):
         cm, cp = params.mobilities(m, phi)
-        conv = params.kernel.grad_conv_sum(cm * d1[0] + cp * d2[0], cm * d1[1] + cp * d2[1])
-        e1 = -2.0 * b2 * m * adv1 + b2 * (1.0 - phi) * adv2 - conv
-        return e1, b2 * adv1 - b2 * m * adv2
+        e1 = -2.0 * b2 * m * adv1 + b2 * (1.0 - phi) * adv2
+        return e1, b2 * adv1 - b2 * m * adv2, (cm * d1[0] + cp * d2[0], cm * d1[1] + cp * d2[1])
 
     return _backward_sweep(traj, phi_d, drift)
 
@@ -242,14 +256,16 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
     for cross-validation only; the optimizer never calls it.
     """
     params = traj.params
+    g = params.grid
     b2 = 2.0 * params.beta
 
     def drift(m, phi, d1, d2, adv1, adv2):
         cm, cp = params.mobilities(m, phi)
-        k1 = params.kernel.grad_conv_sum(*d1)
-        k2 = params.kernel.grad_conv_sum(*d2)
+        d1x, d1y, d2x, d2y = rfft2_each(g, *d1, *d2)
+        k1 = irfft2(params.kernel.grad_conv_sum(d1x, d1y), g.shape)
+        k2 = irfft2(params.kernel.grad_conv_sum(d2x, d2y), g.shape)
         e1 = -2.0 * b2 * m * adv1 + cm * k1 + b2 * (1.0 - phi) * adv2 + cp * k2
-        return e1, -b2 * adv1 - b2 * m * adv2
+        return e1, -b2 * adv1 - b2 * m * adv2, ()
 
     return _backward_sweep(traj, phi_d, drift)
 

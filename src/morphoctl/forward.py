@@ -19,7 +19,9 @@ obeys the exact discrete balance
 ``gradJ * m`` is taken from the rfft2 spectrum of m that the previous
 step's implicit solve made, so a step transforms no stored field; the
 carried spectrum equals ``rfft2(m)`` in exact arithmetic (see
-docs/discrete_adjoint.md).
+docs/discrete_adjoint.md).  A step transforms its two right-hand sides
+together (:func:`morphoctl.grid.rfft2_each`), in one call on the grids where a
+time block holds them.
 
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
@@ -46,6 +48,7 @@ from .grid import (
     integral,
     l2,
     rfft2,
+    rfft2_each,
     solve_implicit_diffusion,
     time_values,
 )
@@ -160,8 +163,9 @@ def step_state(
         - dt * div(g, cp * gmx, cp * gmy)
         + dt * (params.alpha * (1.0 - phi) + theta_slice)
     )
-    m1, m1_spec = solve_implicit_diffusion(g, rhs_m, dt)
-    p1, _ = solve_implicit_diffusion(g, rhs_p, dt)
+    rhs_m_hat, rhs_p_hat = rfft2_each(g, rhs_m, rhs_p)
+    m1, m1_spec = solve_implicit_diffusion(g, rhs_m_hat, dt)
+    p1, _ = solve_implicit_diffusion(g, rhs_p_hat, dt)
     return m1, m1_spec, p1
 
 

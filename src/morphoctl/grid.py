@@ -42,6 +42,11 @@ Conventions used by every module in this package:
   large share of a transform at the optimizer's 32².  One home also keeps
   every transform countable in one place.  ``h_minus_1`` uses the complex
   ``fft2``, which is not a real transform.
+* A step's independent fields (its two right-hand sides, a kernel-gradient
+  pair, the adjoint's four fields) are transformed as one stack in one call
+  where one time block holds them (:func:`one_call`, :func:`rfft2_each`), and
+  one call per field on larger grids, where copying them into a stack costs
+  more than the calls it saves.  The bits are the same either way.
 * The ``h_minus_1`` norm uses the same basis with the continuous
   wavenumber convention ``kappa = (2 pi ktilde_x / Lx, 2 pi ktilde_y / Ly)``
   (``ktilde`` the signed integer DFT frequency)::
@@ -173,22 +178,32 @@ def irfft2(fh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def solve_implicit_diffusion(
-    grid: Grid, rhs: np.ndarray, dt: float
+    grid: Grid, rhs_hat: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis.
+    """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis, from ``rhs_hat = rfft2(rhs)``.
 
-    Multiplies ``rfft2(rhs)`` by a cached ``1 / (1 - dt lam)``: numpy's complex-by-real
+    Multiplies ``rhs_hat`` by a cached ``1 / (1 - dt lam)``: numpy's complex-by-real
     division does the same, so ``u`` has its bits.  Returns ``(u, uh)``, ``uh`` the
     rfft2 spectrum ``u`` was made from; it equals ``rfft2(u)`` in exact arithmetic,
     so a sweep can carry it to the next step instead of transforming ``u`` again.
+    Taking the spectrum lets a step transform its two right-hand sides in one call
+    (:func:`rfft2_each`) and add a term to a spectrum before the solve.
     """
-    uh = rfft2(rhs) * _implicit_multiplier(grid, dt)
+    uh = rhs_hat * _implicit_multiplier(grid, dt)
     return irfft2(uh, grid.shape), uh
 
 
 # Bytes of one time block, all series together: of one series, 32 slices at
 # 64^2, 8 at 128^2 and a whole 100-step history at 32^2.
 _BLOCK_BYTES = 1 << 20
+# Fields' worth of bytes one transformed slice holds: itself, its spectrum, the
+# outputs and the transform temporaries.
+TRANSFORM_FIELDS = 6
+
+
+def _block_len(grid: Grid, per_slice: int) -> int:
+    """Slices in one time block when one slice holds ``per_slice`` fields' worth of bytes."""
+    return max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * per_slice))
 
 
 def time_blocks(grid: Grid, per_slice: int, *series):
@@ -197,9 +212,29 @@ def time_blocks(grid: Grid, per_slice: int, *series):
     Each block spans as many slices as fit ``_BLOCK_BYTES`` when one slice holds
     ``per_slice`` fields' worth of bytes, counting the series and what is made from them.
     """
-    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * per_slice))
+    k = _block_len(grid, per_slice)
     for a in range(0, len(series[0]), k):
         yield tuple(s[a : a + k] for s in series)
+
+
+def one_call(grid: Grid, count: int) -> bool:
+    """Whether a step transforms a stack of ``count`` fields in one call.
+
+    It does where one time block holds ``count`` transformed slices, the blocks the
+    sweeps transform gradJ * m in.  At the default budget that is a pair up to 104^2
+    and four fields up to 73^2, where numpy's fixed cost per call is most of a
+    transform.  From 128^2 each field has its own call, which there costs less than
+    copying the fields into a stack.
+    """
+    return _block_len(grid, TRANSFORM_FIELDS) >= count
+
+
+def rfft2_each(grid: Grid, *fields: np.ndarray):
+    """The :func:`rfft2` spectra of ``fields``, in order: of their stack in one call where
+    :func:`one_call` says so, of each field in its own call otherwise; the same bits."""
+    if one_call(grid, len(fields)):
+        return rfft2(np.stack(fields))
+    return [rfft2(f) for f in fields]
 
 
 def time_values(grid: Grid, reduce, *series):

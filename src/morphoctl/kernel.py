@@ -17,6 +17,10 @@ just accurate.
 ``circ_conv`` at 1e-12.  ``grad_conv`` takes the :func:`morphoctl.grid.rfft2`
 spectrum of its field, so a sweep holding the spectrum spends no transform;
 ``grad_conv_slices`` serves a stored history a time block per transform.
+``grad_conv`` inverse-transforms its two components in one call where
+:func:`morphoctl.grid.one_call` says a block holds the pair, and one call each
+otherwise.  ``grad_conv_sum`` stays in the spectral domain: it takes and returns
+spectra, so the adjoint adds its contraction to a spectrum it transforms anyway.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
-from .grid import Grid, integral, irfft2, periodic_reverse, rfft2, time_blocks
+from .grid import (
+    TRANSFORM_FIELDS, Grid, integral, irfft2, one_call, periodic_reverse, rfft2, time_blocks,
+)
 
 
 def _signed_offsets(n: int, h: float) -> np.ndarray:
@@ -57,6 +63,11 @@ class Kernel:
     def _gy_hat(self) -> np.ndarray:
         return rfft2(self.gjy) * self.grid.cell_area
 
+    @cached_property
+    def _g_hat(self) -> np.ndarray:
+        """The stack of ``_gx_hat`` and ``_gy_hat``, made from them with no transform of its own."""
+        return np.stack([self._gx_hat, self._gy_hat])
+
     def conv_j(self, f: np.ndarray) -> np.ndarray:
         """j * f (discrete integral convolution)."""
         return irfft2(self._j_hat * rfft2(f), self.grid.shape)
@@ -65,11 +76,15 @@ class Kernel:
         """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.
 
         The sweeps pass the spectrum their implicit solve already made;
-        a caller holding only the field passes ``grid.rfft2(f)``.
+        a caller holding only the field passes ``grid.rfft2(f)``.  A ``(k, ny, nx//2+1)``
+        stack of spectra gives two ``(k, ny, nx)`` stacks.  Where a block holds the pair,
+        its two products are one broadcast product and one inverse call, the same bits.
         """
-        ax = irfft2(self._gx_hat * fh, self.grid.shape)
-        ay = irfft2(self._gy_hat * fh, self.grid.shape)
-        return ax, ay
+        if one_call(self.grid, 2):
+            g = self._g_hat if fh.ndim == 2 else self._g_hat[:, None]
+            ax, ay = irfft2(g * fh, self.grid.shape)
+            return ax, ay
+        return irfft2(self._gx_hat * fh, self.grid.shape), irfft2(self._gy_hat * fh, self.grid.shape)
 
     def grad_conv_slices(self, stack: np.ndarray):
         """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block.
@@ -78,13 +93,16 @@ class Kernel:
         two outputs and the transform temporaries.  The stack contract of
         :mod:`morphoctl.grid` makes each pair bit-identical to a slice's own call.
         """
-        for (block,) in time_blocks(self.grid, 6, stack):
+        for (block,) in time_blocks(self.grid, TRANSFORM_FIELDS, stack):
             yield from zip(*self.grad_conv(rfft2(block)))
 
-    def grad_conv_sum(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """sum_i (d_i j) * v_i, the contraction used by the backward sweeps."""
-        sh = self._gx_hat * rfft2(vx) + self._gy_hat * rfft2(vy)
-        return irfft2(sh, self.grid.shape)
+    def grad_conv_sum(self, vxh: np.ndarray, vyh: np.ndarray) -> np.ndarray:
+        """The rfft2 spectrum of sum_i (d_i j) * v_i, from those of v_x and v_y.
+
+        The backward sweeps' contraction: the discrete adjoint subtracts it from a
+        right-hand side's spectrum, the continuous one inverse-transforms it.
+        """
+        return self._gx_hat * vxh + self._gy_hat * vyh
 
     def grad_l1(self) -> float:
         """Discrete L1 norm of the gradient samples, sum |gj| hx hy."""

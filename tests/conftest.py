@@ -88,8 +88,8 @@ def use_continuous_adjoint(monkeypatch):
 
 
 def zero_grad_conv_sum(monkeypatch):
-    """Make ``Kernel.grad_conv_sum`` return zeros: the backward sweeps drop their convolution."""
-    monkeypatch.setattr(Kernel, "grad_conv_sum", lambda self, vx, vy: np.zeros(self.grid.shape))
+    """Make ``Kernel.grad_conv_sum`` return a zero spectrum: the backward sweeps drop their convolution."""
+    monkeypatch.setattr(Kernel, "grad_conv_sum", lambda self, vxh, vyh: np.zeros_like(vxh))
 
 
 def negate_grad_m_in_step_linearized(monkeypatch):

@@ -20,6 +20,7 @@ from morphoctl.control import (
 )
 from morphoctl.errors import DeltaZero, NonFinite, ParameterError, ShapeMismatch
 from morphoctl.forward import InitData, solve_state
+import morphoctl.grid as gridmod
 from morphoctl.grid import Grid, l2
 from morphoctl.linearized import solve_linearized
 
@@ -504,17 +505,21 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
 
 
 def test_fft_counts_per_step(grid16, monkeypatch):
-    """Real 2-D transforms per step, counted in slices: forward 6, tangent 9, adjoint 10.
+    """Real 2-D transforms per step, counted in slices: forward 6, tangent 9, adjoint 9.
 
     The forward and tangent sweeps carry the spectrum of m and phi1 from
     one implicit solve to the next step, so each takes one rfft2 more, to
-    seed it; the adjoint's terminal step makes only its two implicit solves.
+    seed it; the adjoint's terminal step makes only its two implicit solves,
+    and its kernel contraction stays a spectrum, folded into the gamma1 solve.
     ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
     passes, so a forward transform is one ``rfft`` (then one ``fft``) and
-    an inverse one ``irfft`` (after one ``ifft``).  A pass over a stack
-    transforms as many slices as the stack's leading extent, so exact
-    counts also pin that the time blocks of gradJ * m transform only the
-    stored slices the steps read.  At 16^2 one block holds all of them.
+    an inverse one ``irfft`` (after one ``ifft``).  A pass transforms as many
+    slices as its input has over the leading axes, so exact counts also pin
+    that the time blocks of gradJ * m transform only the stored slices the
+    steps read.  The numpy calls are pinned too: at 16^2 one block holds every
+    stored slice and each step's stack (its two right-hand sides, the two
+    components of gradJ * v, the adjoint's four fields) goes in one call; at a
+    budget of one slice per block every slice has its own call.
     """
     p = make_params(grid16, T=0.01)
     rng = np.random.default_rng(36)
@@ -527,7 +532,7 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     slices, calls = {}, {}
     for name in passes:
         def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            slices[_name] += len(a) if np.ndim(a) == 3 else 1
+            slices[_name] += int(np.prod(np.shape(a)[:-2]))
             calls[_name] += 1
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
@@ -539,15 +544,27 @@ def test_fft_counts_per_step(grid16, monkeypatch):
         # Each real pass has its complex partner: the same 2-D transforms.
         for c in (slices, calls):
             assert c["fft"] == c["rfft"] and c["ifft"] == c["irfft"]
-        return out, {"rfft2": slices["rfft"], "irfft2": slices["irfft"]}, calls["rfft"]
+        return out, {"rfft2": slices["rfft"], "irfft2": slices["irfft"]}, (
+            {"rfft2": calls["rfft"], "irfft2": calls["irfft"]}
+        )
 
     nt = p.nt
     assert nt == 10
-    traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
-    assert fwd == {"rfft2": 2 * nt + 1, "irfft2": 4 * nt} and fwd_calls == 2 * nt + 1
-    _, tan, tan_calls = sweep(solve_linearized, traj, h)
-    assert tan == {"rfft2": 3 * nt + 1, "irfft2": 6 * nt}
-    _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
-    assert adj == {"rfft2": 5 * (nt - 1) + 2, "irfft2": 5 * (nt - 1) + 2}
-    # One block transforms m_0..m_{nt-1} for the tangent and m_{nt-1}..m_1 for the adjoint.
-    assert (tan_calls, adj_calls) == (2 * nt + 2, 4 * (nt - 1) + 3)
+    fwd_slices = {"rfft2": 2 * nt + 1, "irfft2": 4 * nt}
+    tan_slices = {"rfft2": 3 * nt + 1, "irfft2": 6 * nt}
+    adj_slices = {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2}
+    # One stack call per step for the right-hand sides (and the adjoint's contraction
+    # fields), one for each gradJ * v pair, one per solve; one block for gradJ * m.
+    stacked = (
+        {"rfft2": nt + 1, "irfft2": 3 * nt},
+        {"rfft2": nt + 2, "irfft2": 3 * nt + 1},
+        {"rfft2": nt + 1, "irfft2": 2 * nt + 1},
+    )
+    one_slice = gridmod.TRANSFORM_FIELDS * 8 * grid16.nx * grid16.ny
+    for budget, expected_calls in ((gridmod._BLOCK_BYTES, stacked), (one_slice, None)):
+        monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
+        traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
+        _, tan, tan_calls = sweep(solve_linearized, traj, h)
+        _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
+        assert (fwd, tan, adj) == (fwd_slices, tan_slices, adj_slices)
+        assert (fwd_calls, tan_calls, adj_calls) == (expected_calls or (fwd, tan, adj))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from morphoctl.errors import SupportTooLarge, SupportUnresolved
-from morphoctl.grid import Grid, circ_conv, periodic_reverse
+import morphoctl.grid as gridmod
+from morphoctl.grid import Grid, circ_conv, one_call, periodic_reverse, rfft2_each
 from morphoctl.kernel import _signed_offsets, build_kernel, kernel_report
 
 
@@ -67,7 +68,8 @@ def test_gradient_integrates_to_zero_and_kills_constants():
     gx, gy = k.grad_conv(np.fft.rfft2(const))
     assert np.max(np.abs(gx)) < 1e-12
     assert np.max(np.abs(gy)) < 1e-12
-    assert np.max(np.abs(k.grad_conv_sum(const, const))) < 1e-12
+    const_hat = np.fft.rfft2(const)
+    assert np.max(np.abs(np.fft.irfft2(k.grad_conv_sum(const_hat, const_hat), s=g.shape))) < 1e-12
 
 
 @pytest.mark.parametrize("nx, ny", [(15, 21), (16, 21), (15, 22)])
@@ -82,7 +84,10 @@ def test_fft_convolutions_match_direct_sum(nx, ny):
         (k.conv_j(f), circ_conv(g, k.j, f)),
         (gx, circ_conv(g, k.gjx, f)),
         (gy, circ_conv(g, k.gjy, f)),
-        (k.grad_conv_sum(vx, vy), circ_conv(g, k.gjx, vx) + circ_conv(g, k.gjy, vy)),
+        (
+            np.fft.irfft2(k.grad_conv_sum(np.fft.rfft2(vx), np.fft.rfft2(vy)), s=g.shape),
+            circ_conv(g, k.gjx, vx) + circ_conv(g, k.gjy, vy),
+        ),
     ]
     for fast, direct in pairs:
         assert np.max(np.abs(direct)) > 0.1
@@ -162,3 +167,35 @@ def test_normalization_invariant_under_refinement():
         vals.append(k.j[0, 0])
     # center sample converges; successive changes shrink
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
+
+
+@pytest.mark.parametrize("nx, ny", [(128, 128), (201, 183)])
+@pytest.mark.parametrize("count", [2, 4])
+def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, monkeypatch):
+    # Where a time block holds a step's stack, its fields are transformed in one call and
+    # the kernel pair is one broadcast product; every byte must be the per-field form's.
+    # Past 256 KiB numpy elides a temporary operand and multiplies in place, which for a
+    # complex product can give other bits; both sizes hold stacks past that, and at
+    # 201 x 183 one spectrum is past it too.
+    g = Grid(nx, ny, 1.0, 1.3)
+    k = build_kernel(g, 0.1)
+    fields = np.random.default_rng(nx + count).standard_normal((count, ny, nx))
+    per_field = [np.fft.rfft2(f) for f in fields]
+    monkeypatch.setattr(gridmod, "_BLOCK_BYTES", count * gridmod.TRANSFORM_FIELDS * 8 * nx * ny)
+    assert one_call(g, count)
+    stacked = rfft2_each(g, *fields)
+    assert isinstance(stacked, np.ndarray) and stacked.shape[0] == count
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, per_field))
+
+    def per_field_pair(fh):
+        return [np.fft.irfft2(gh * fh, s=g.shape) for gh in (k._gx_hat, k._gy_hat)]
+
+    for fh, ref in zip(stacked, per_field):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(k.grad_conv(fh), per_field_pair(ref)))
+    # A block of spectra, as grad_conv_slices passes: each slice's pair keeps its bytes.
+    block = k.grad_conv(stacked)
+    for i, ref in enumerate(per_field):
+        assert all(a[i].tobytes() == b.tobytes() for a, b in zip(block, per_field_pair(ref)))
+    # The adjoint's contraction from views of the stack, against separate spectra.
+    contraction = k.grad_conv_sum(stacked[0], stacked[1])
+    assert contraction.tobytes() == (k._gx_hat * per_field[0] + k._gy_hat * per_field[1]).tobytes()

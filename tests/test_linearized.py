@@ -6,8 +6,10 @@ from morphoctl.forward import (
     integral,
     lipschitz_probe,
     solve_state,
+    state_steps,
     step_state,
 )
+import morphoctl.linearized as lin
 from morphoctl.grid import Grid, h1, l2
 from morphoctl.linearized import (
     EPS_LADDER,
@@ -188,6 +190,22 @@ def test_taylor_zero_direction(grid16):
     out = taylor_test(solve_state(init, theta, p), np.zeros_like(theta))
     assert all(r == 0.0 for r in out["remainders"])
     assert out["order_gap"] == np.inf  # 0/0 orders fail the gate
+
+
+def test_taylor_along_a_zero_direction_keeps_its_ladder(grid16, monkeypatch):
+    # Along h = 0 no rung can move, so the ladder is not doubled: four perturbed runs.
+    p = make_params(grid16, T=0.01)
+    base = solve_state(make_init(grid16), np.zeros((p.nt, *grid16.shape)), p)
+    runs = []
+
+    def counted(*args):
+        runs.append(None)
+        return state_steps(*args)
+
+    monkeypatch.setattr(lin, "state_steps", counted)
+    out = taylor_test(base, np.zeros((p.nt, *grid16.shape)))
+    assert out["eps"] == list(EPS_LADDER) and len(runs) == len(EPS_LADDER)
+    assert out["order_gap"] == np.inf
 
 
 def test_tangent_norm_positive(grid16):
