@@ -140,6 +140,10 @@ def cmd_taylor(args, cfg) -> int:
     for e, r, q in zip(out["eps"], out["remainders"], out["first_order_quotients"]):
         print(f"{e!r},{r!r},{q!r}")
     print("orders," + ",".join(repr(o) for o in out["orders"]))
+    unread = [str(i) for i, read in enumerate(out["read"], 1) if not read]
+    if unread:
+        print(f"taylor: orders {','.join(unread)} not read by the gate: "
+              "a remainder below the round-off floor", file=sys.stderr)
     if out["order_gap"] > TAYLOR_ORDER_TOL:
         print(f"taylor failed: orders deviate from 2 by {out['order_gap']:.3f}", file=sys.stderr)
         return 1

@@ -29,7 +29,8 @@ the misfit source and the two symmetric implicit solves, in the time loop of
 ``forward._march``.  Each solver supplies only its explicit drift terms.  The
 discrete solver hands its kernel contraction to the sweep, which folds it into
 the gamma1 solve's spectrum; a step then transforms 9 slices, its four fields
-in one call on the grids where a time block holds them (``grid.one_call``).
+in one call and gamma1, gamma2 back in one more on the grids where a time
+block holds them (``grid.stack_len``).
 """
 
 from __future__ import annotations
@@ -49,7 +50,9 @@ from .forward import (
     control_space_time_norm,
     solve_state,
 )
-from .grid import grad, inner, irfft2, l2, rfft2_each, solve_implicit_diffusion, time_values
+from .grid import (
+    grad, inner, irfft2, irfft2_each, l2, rfft2_each, solve_implicit_diffusion, time_values,
+)
 from .linearized import solve_linearized
 
 # Smallest trial step of the line search; a search that shrinks below it fails.
@@ -162,7 +165,8 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     no contraction.  The contraction is taken in the spectral domain: its
     spectrum (:meth:`Kernel.grad_conv_sum`) is subtracted from the spectrum of the
     rest of p1, which the solve transforms anyway, and p1, p2, vx and vy are
-    transformed together (:func:`morphoctl.grid.rfft2_each`).  Slice nt - 1 is
+    transformed together (:func:`morphoctl.grid.rfft2_each`), as are the two
+    solved spectra back (:func:`morphoctl.grid.irfft2_each`).  Slice nt - 1 is
     driven by the misfit source alone, so the steps read Gm at m_{nt-1}..m_1,
     made a time block at a time in that order.
     """
@@ -189,12 +193,13 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
         e1, e2, v = drift(traj.m[n], traj.phi[n], d1, d2, adv1, adv2)
         return g1 + dt * e1, g2 + dt * (e2 - p.alpha * g2 + s_n), *v
 
-    def step(n, g1, _spec, g2):
+    def step(n, g1, _pair, g2):
         p1_hat, p2_hat, *v_hat = rfft2_each(g, *explicit(n, g1, g2))
         if v_hat:
             p1_hat = p1_hat - dt * p.kernel.grad_conv_sum(*v_hat)
-        g1, _ = solve_implicit_diffusion(g, p1_hat, dt)
-        g2, _ = solve_implicit_diffusion(g, p2_hat, dt)
+        g1_hat = solve_implicit_diffusion(g, p1_hat, dt)
+        g2_hat = solve_implicit_diffusion(g, p2_hat, dt)
+        g1, g2 = irfft2_each(g, g1_hat, g2_hat)
         return g1, None, g2
 
     zero = np.zeros(g.shape)

@@ -16,12 +16,13 @@ obeys the exact discrete balance
 
     sum(phi_{n+1}) h^2 = sum(phi_n) h^2 + dt sum(alpha (1 - phi_n) + theta_n) h^2.
 
-``gradJ * m`` is taken from the rfft2 spectrum of m that the previous
-step's implicit solve made, so a step transforms no stored field; the
-carried spectrum equals ``rfft2(m)`` in exact arithmetic (see
+``gradJ * m`` is made by the previous step, from the rfft2 spectrum its
+implicit solve made m from, so a step transforms no stored field; that
+spectrum equals ``rfft2(m)`` in exact arithmetic (see
 docs/discrete_adjoint.md).  A step transforms its two right-hand sides
-together (:func:`morphoctl.grid.rfft2_each`), in one call on the grids where a
-time block holds them.
+together (:func:`morphoctl.grid.rfft2_each`) and inverse-transforms m+, phi+
+and the pair gradJ * m+ together (:func:`morphoctl.grid.irfft2_each`): one
+call each way on the grids where a time block holds them.
 
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
@@ -46,6 +47,7 @@ from .grid import (
     h_minus_1,
     inner,
     integral,
+    irfft2_each,
     l2,
     rfft2,
     rfft2_each,
@@ -141,21 +143,21 @@ class Trajectory:
 
 def step_state(
     m: np.ndarray,
-    m_spec: np.ndarray,
+    grad_m: tuple[np.ndarray, np.ndarray],
     phi: np.ndarray,
     theta_slice: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One IMEX Euler step of the state system.
 
-    ``m_spec`` is the rfft2 spectrum of ``m``: the previous step's, or
-    ``grid.rfft2(m)`` to start.  Returns ``(m1, m1_spec, phi1)``, with
-    ``m1_spec`` the spectrum the implicit solve made ``m1`` from, which
-    the next step takes instead of transforming ``m1`` again.
+    ``grad_m`` is ``(gmx, gmy)``, gradJ * m: the previous step's, or
+    ``kernel.grad_conv(grid.rfft2(m))`` to start.  Returns ``(m1, grad_m1, phi1)``,
+    with ``grad_m1`` made from the spectrum the implicit solve made ``m1`` from,
+    which the next step takes instead of transforming ``m1`` again.
     """
     g = params.grid
     dt = params.dt
-    gmx, gmy = params.kernel.grad_conv(m_spec)
+    gmx, gmy = grad_m
     cm, cp = params.mobilities(m, phi)
     rhs_m = m - dt * div(g, cm * gmx, cm * gmy)
     rhs_p = (
@@ -164,24 +166,26 @@ def step_state(
         + dt * (params.alpha * (1.0 - phi) + theta_slice)
     )
     rhs_m_hat, rhs_p_hat = rfft2_each(g, rhs_m, rhs_p)
-    m1, m1_spec = solve_implicit_diffusion(g, rhs_m_hat, dt)
-    p1, _ = solve_implicit_diffusion(g, rhs_p_hat, dt)
-    return m1, m1_spec, p1
+    m1_hat = solve_implicit_diffusion(g, rhs_m_hat, dt)
+    p1_hat = solve_implicit_diffusion(g, rhs_p_hat, dt)
+    m1, p1, gx1, gy1 = irfft2_each(g, m1_hat, p1_hat, *params.kernel.grad_hat(m1_hat))
+    return m1, (gx1, gy1), p1
 
 
-def _march(params: ModelParams, what: str, a0, spec0, b0, step, backward=False):
+def _march(params: ModelParams, what: str, a0, grad0, b0, step, backward=False):
     """Every sweep's time loop: yield ``(n, a_n, b_n)`` in march order, seeded (a0, b0) at index 0.
 
-    ``backward`` seeds index nt instead.  ``step(n, a, a_spec, b) -> (a', a'_spec, b')`` makes
-    the slice after n, the spectrum of a carried from ``spec0``.  A step that is not finite
-    raises NonFinite("<what> at step k"), k its later index, in place of numpy's warnings.
+    ``backward`` seeds index nt instead.  ``step(n, a, grad_a, b) -> (a', grad_a', b')`` makes
+    the slice after n, the kernel-gradient pair gradJ * a carried from ``grad0``.  A step that
+    is not finite raises NonFinite("<what> at step k"), k its later index, in place of
+    numpy's warnings.
     """
     order = range(params.nt, -1, -1) if backward else range(params.nt + 1)
-    a, spec, b = a0, spec0, b0
+    a, grad_a, b = a0, grad0, b0
     yield order[0], a, b
     for n, new in zip(order, order[1:]):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, spec, b = step(n, a, spec, b)
+            a, grad_a, b = step(n, a, grad_a, b)
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFinite(f"{what} at step {max(n, new)}", step=max(n, new))
         yield new, a, b
@@ -218,14 +222,15 @@ def control_array(theta, params: ModelParams) -> np.ndarray:
 def state_steps(init: InitData, theta, params: ModelParams):
     """The state march's slices ``(n, m_n, phi_n)``, n = 0..nt; the set-up runs on the call.
 
-    The spectrum of m is carried from step to step, so only the seed is transformed.
+    gradJ * m is carried from step to step, so only the seed is transformed.
     """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
     m0 = np.asarray(init.m0, dtype=float)  # a float32 field would transform in float32
     return _march(
-        params, "blow-up", m0, rfft2(m0), np.asarray(init.phi0, dtype=float),
-        lambda n, m, m_spec, phi: step_state(m, m_spec, phi, th[n], params),
+        params, "blow-up", m0, params.kernel.grad_conv(rfft2(m0)),
+        np.asarray(init.phi0, dtype=float),
+        lambda n, m, grad_m, phi: step_state(m, grad_m, phi, th[n], params),
     )
 
 

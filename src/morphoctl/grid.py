@@ -42,11 +42,12 @@ Conventions used by every module in this package:
   large share of a transform at the optimizer's 32².  One home also keeps
   every transform countable in one place.  ``h_minus_1`` uses the complex
   ``fft2``, which is not a real transform.
-* A step's independent fields (its two right-hand sides, a kernel-gradient
-  pair, the adjoint's four fields) are transformed as one stack in one call
-  where one time block holds them (:func:`one_call`, :func:`rfft2_each`), and
-  one call per field on larger grids, where copying them into a stack costs
-  more than the calls it saves.  The bits are the same either way.
+* A step's independent fields (its right-hand sides or the adjoint's four
+  fields, its solved spectra and a kernel-gradient pair) are transformed in
+  stacks of as many as one time block holds (:func:`stack_len`,
+  :func:`rfft2_each`, :func:`irfft2_each`), and one call per field on larger
+  grids, where copying them into a stack costs more than the calls it saves.
+  The bits are the same either way.
 * The ``h_minus_1`` norm uses the same basis with the continuous
   wavenumber convention ``kappa = (2 pi ktilde_x / Lx, 2 pi ktilde_y / Ly)``
   (``ktilde`` the signed integer DFT frequency)::
@@ -177,20 +178,17 @@ def irfft2(fh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(fh, axis=-2), n=shape[-1])
 
 
-def solve_implicit_diffusion(
-    grid: Grid, rhs_hat: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (I - dt Lap_h) u = rhs exactly in the DFT eigenbasis, from ``rhs_hat = rfft2(rhs)``.
+def solve_implicit_diffusion(grid: Grid, rhs_hat: np.ndarray, dt: float) -> np.ndarray:
+    """The rfft2 spectrum of u solving (I - dt Lap_h) u = rhs, from ``rhs_hat = rfft2(rhs)``.
 
     Multiplies ``rhs_hat`` by a cached ``1 / (1 - dt lam)``: numpy's complex-by-real
-    division does the same, so ``u`` has its bits.  Returns ``(u, uh)``, ``uh`` the
-    rfft2 spectrum ``u`` was made from; it equals ``rfft2(u)`` in exact arithmetic,
-    so a sweep can carry it to the next step instead of transforming ``u`` again.
-    Taking the spectrum lets a step transform its two right-hand sides in one call
+    division does the same, so ``irfft2`` of the result has its bits.  A step makes
+    ``u`` with the rest of its inverse transforms (:func:`irfft2_each`) and can carry
+    the spectrum, which equals ``rfft2(u)`` in exact arithmetic, to the next step.
+    Taking the spectrum lets a step transform its right-hand sides in one call
     (:func:`rfft2_each`) and add a term to a spectrum before the solve.
     """
-    uh = rhs_hat * _implicit_multiplier(grid, dt)
-    return irfft2(uh, grid.shape), uh
+    return rhs_hat * _implicit_multiplier(grid, dt)
 
 
 # Bytes of one time block, all series together: of one series, 32 slices at
@@ -217,24 +215,38 @@ def time_blocks(grid: Grid, per_slice: int, *series):
         yield tuple(s[a : a + k] for s in series)
 
 
-def one_call(grid: Grid, count: int) -> bool:
-    """Whether a step transforms a stack of ``count`` fields in one call.
+def stack_len(grid: Grid, count: int) -> int:
+    """Fields per call when a step transforms ``count`` fields together.
 
-    It does where one time block holds ``count`` transformed slices, the blocks the
-    sweeps transform gradJ * m in.  At the default budget that is a pair up to 104^2
-    and four fields up to 73^2, where numpy's fixed cost per call is most of a
-    transform.  From 128^2 each field has its own call, which there costs less than
-    copying the fields into a stack.
+    A call's stack holds at most the slices one time block holds when a slice holds
+    ``TRANSFORM_FIELDS`` fields' worth (the blocks the sweeps transform gradJ * m in),
+    and the fewest such calls share the fields evenly.  At the default budget four
+    fields go in one call up to 73^2 and as two pairs up to 104^2, where numpy's fixed
+    cost per call is most of a transform.  From 128^2 each field has its own call,
+    which there costs less than copying the fields into a stack.
     """
-    return _block_len(grid, TRANSFORM_FIELDS) >= count
+    calls = -(-count // _block_len(grid, TRANSFORM_FIELDS))
+    return -(-count // calls)
 
 
-def rfft2_each(grid: Grid, *fields: np.ndarray):
-    """The :func:`rfft2` spectra of ``fields``, in order: of their stack in one call where
-    :func:`one_call` says so, of each field in its own call otherwise; the same bits."""
-    if one_call(grid, len(fields)):
-        return rfft2(np.stack(fields))
-    return [rfft2(f) for f in fields]
+def _each(grid: Grid, transform, fields) -> list[np.ndarray]:
+    """``transform`` of each of ``fields``, in order, over stacks of :func:`stack_len` fields."""
+    k = stack_len(grid, len(fields))
+    if k == 1:
+        return [transform(f) for f in fields]
+    return [out for a in range(0, len(fields), k) for out in transform(np.stack(fields[a : a + k]))]
+
+
+def rfft2_each(grid: Grid, *fields: np.ndarray) -> list[np.ndarray]:
+    """The :func:`rfft2` spectra of ``fields``, in order, in stacks of :func:`stack_len`
+    fields a call; the bits of a call per field."""
+    return _each(grid, rfft2, fields)
+
+
+def irfft2_each(grid: Grid, *spectra: np.ndarray) -> list[np.ndarray]:
+    """The :func:`irfft2` fields of ``spectra`` on ``grid``, in order, in stacks of
+    :func:`stack_len` spectra a call; the bits of a call per spectrum."""
+    return _each(grid, lambda fh: irfft2(fh, grid.shape), spectra)
 
 
 def time_values(grid: Grid, reduce, *series):

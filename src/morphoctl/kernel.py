@@ -14,13 +14,15 @@ that symmetry to transpose the nonlocal drift, so it must be exact, not
 just accurate.
 
 ``Kernel`` holds the package's one FFT convolution, tested against
-``circ_conv`` at 1e-12.  ``grad_conv`` takes the :func:`morphoctl.grid.rfft2`
-spectrum of its field, so a sweep holding the spectrum spends no transform;
-``grad_conv_slices`` serves a stored history a time block per transform.
-``grad_conv`` inverse-transforms its two components in one call where
-:func:`morphoctl.grid.one_call` says a block holds the pair, and one call each
-otherwise.  ``grad_conv_sum`` stays in the spectral domain: it takes and returns
-spectra, so the adjoint adds its contraction to a spectrum it transforms anyway.
+``circ_conv`` at 1e-12.  It works from the :func:`morphoctl.grid.rfft2`
+spectrum of its field, so a sweep holding the spectrum spends no transform.
+``grad_hat`` stays in the spectral domain: the forward and tangent sweeps
+inverse-transform its pair with the rest of a step's fields, in one call where a
+time block holds them.  ``grad_conv`` makes the pair's fields itself, in one call
+where :func:`morphoctl.grid.stack_len` pairs two fields and one call each
+otherwise; it seeds the forward sweep, and ``grad_conv_slices`` serves a stored
+history a time block per transform.  ``grad_conv_sum`` takes and returns spectra,
+so the adjoint adds its contraction to a spectrum it transforms anyway.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
 from .grid import (
-    TRANSFORM_FIELDS, Grid, integral, irfft2, one_call, periodic_reverse, rfft2, time_blocks,
+    TRANSFORM_FIELDS, Grid, integral, irfft2, periodic_reverse, rfft2, stack_len, time_blocks,
 )
 
 
@@ -72,19 +74,26 @@ class Kernel:
         """j * f (discrete integral convolution)."""
         return irfft2(self._j_hat * rfft2(f), self.grid.shape)
 
+    def grad_hat(self, fh: np.ndarray) -> np.ndarray:
+        """The rfft2 spectra of both components of (grad j) * f, stacked, from f's spectrum ``fh``.
+
+        One broadcast product of the stacked symbols with ``fh``, or with each slice of a
+        ``(k, ny, nx//2+1)`` stack of spectra; the bits of a product per component.
+        """
+        return (self._g_hat if fh.ndim == 2 else self._g_hat[:, None]) * fh
+
     def grad_conv(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.
 
-        The sweeps pass the spectrum their implicit solve already made;
-        a caller holding only the field passes ``grid.rfft2(f)``.  A ``(k, ny, nx//2+1)``
-        stack of spectra gives two ``(k, ny, nx)`` stacks.  Where a block holds the pair,
-        its two products are one broadcast product and one inverse call, the same bits.
+        A caller holding only the field passes ``grid.rfft2(f)``.  A stack of spectra
+        gives two ``(k, ny, nx)`` stacks.  Where a block holds the pair, it is inverse-
+        transformed in one call, the same bits.
         """
-        if one_call(self.grid, 2):
-            g = self._g_hat if fh.ndim == 2 else self._g_hat[:, None]
-            ax, ay = irfft2(g * fh, self.grid.shape)
+        pair = self.grad_hat(fh)
+        if stack_len(self.grid, 2) == 2:
+            ax, ay = irfft2(pair, self.grid.shape)
             return ax, ay
-        return irfft2(self._gx_hat * fh, self.grid.shape), irfft2(self._gy_hat * fh, self.grid.shape)
+        return irfft2(pair[0], self.grid.shape), irfft2(pair[1], self.grid.shape)
 
     def grad_conv_slices(self, stack: np.ndarray):
         """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block.

@@ -34,7 +34,7 @@ from .forward import (
     l2_h1_norm,
     state_steps,
 )
-from .grid import div, l2, rfft2, rfft2_each, solve_implicit_diffusion, time_values
+from .grid import div, irfft2_each, l2, rfft2_each, solve_implicit_diffusion, time_values
 
 # Perturbation sizes of the Taylor test, halving from 1e-1: three orders from four rungs.
 EPS_LADDER = (1e-1, 5e-2, 2.5e-2, 1.25e-2)
@@ -58,25 +58,24 @@ def step_linearized(
     phi_hat: np.ndarray,
     grad_m: tuple[np.ndarray, np.ndarray],
     phi1: np.ndarray,
-    phi1_spec: np.ndarray,
+    grad_phi1: tuple[np.ndarray, np.ndarray],
     phi2: np.ndarray,
     h_slice: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One step of the exact discrete derivative at (m_hat, phi_hat).
 
     ``grad_m`` is ``(gmx, gmy)``, gradJ * m_hat: the stored state has no
-    carried spectrum, so the sweep makes it for a time block of stored
+    carried pair, so the sweep makes it for a time block of stored
     slices at once (:meth:`morphoctl.kernel.Kernel.grad_conv_slices`).
-    ``phi1_spec`` is the rfft2 spectrum of ``phi1``, carried like the
-    state's ``m_spec`` in :func:`morphoctl.forward.step_state`.  Returns
-    ``(phi1+, phi1+ spectrum, phi2+)``.
+    ``grad_phi1`` is gradJ * phi1, carried like the state's ``grad_m`` in
+    :func:`morphoctl.forward.step_state`.  Returns ``(phi1+, gradJ * phi1+, phi2+)``.
     """
     g = params.grid
     dt = params.dt
     b2 = 2.0 * params.beta
     gmx, gmy = grad_m
-    g1x, g1y = params.kernel.grad_conv(phi1_spec)
+    g1x, g1y = grad_phi1
 
     c1, a2 = params.mobilities(m_hat, phi_hat)      # both multiply gradJ * phi1
     a1 = b2 * (phi2 - 2.0 * m_hat * phi1)          # multiplies gradJ * m_hat
@@ -90,24 +89,26 @@ def step_linearized(
     )
 
     rhs1_hat, rhs2_hat = rfft2_each(g, rhs1, rhs2)
-    p1, p1_spec = solve_implicit_diffusion(g, rhs1_hat, dt)
-    p2, _ = solve_implicit_diffusion(g, rhs2_hat, dt)
-    return p1, p1_spec, p2
+    p1_hat = solve_implicit_diffusion(g, rhs1_hat, dt)
+    p2_hat = solve_implicit_diffusion(g, rhs2_hat, dt)
+    p1, p2, g1x, g1y = irfft2_each(g, p1_hat, p2_hat, *params.kernel.grad_hat(p1_hat))
+    return p1, (g1x, g1y), p2
 
 
 def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
-    """March the tangent system along a stored forward trajectory, carrying phi1's spectrum.
+    """March the tangent system along a stored forward trajectory, carrying gradJ * phi1.
 
-    Step n reads gradJ * m_n, made for m_0..m_{nt-1} a time block at a time.
+    Step n reads gradJ * m_n, made for m_0..m_{nt-1} a time block at a time.  The zero
+    initial slice has a zero pair, so nothing is transformed to seed it.
     """
     params = traj.params
     harr = control_array(h, params)
     grad_m = params.kernel.grad_conv_slices(traj.m[: params.nt])
     zero = np.zeros(params.grid.shape)
     phi1, phi2 = _store(params, _march(
-        params, "tangent blow-up", zero, rfft2(zero), zero,
-        lambda n, phi1, phi1_spec, phi2: step_linearized(
-            traj.m[n], traj.phi[n], next(grad_m), phi1, phi1_spec, phi2, harr[n], params
+        params, "tangent blow-up", zero, (zero, zero), zero,
+        lambda n, phi1, grad_phi1, phi2: step_linearized(
+            traj.m[n], traj.phi[n], next(grad_m), phi1, grad_phi1, phi2, harr[n], params
         ),
     ))
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)
@@ -141,7 +142,7 @@ def taylor_test(base: Trajectory, h) -> dict:
     while its smallest remainder is below :data:`FLOOR_FACTOR` round-off floors (the
     same norm of one ulp of the base state per cell); along an identically zero ``h``
     it is not doubled.  The measure reads only the orders
-    whose two remainders reach that level.  If none does while the top rung's change
+    whose two remainders reach that level; ``read`` flags them, one flag per order.  If none does while the top rung's change
     |S(theta+eps h) - S(theta)| does, the tangent predicts every rung to round-off and
     the measure is 0; if nothing moves, as along a zero direction, it is inf.
     """
@@ -184,15 +185,16 @@ def taylor_test(base: Trajectory, h) -> dict:
         den = ladder[i] / ladder[i + 1]
         orders.append(float(np.log(num) / np.log(den)) if np.isfinite(num) else np.nan)
     # Only an order whose two remainders stand above the floor reads the derivative.
-    read = [abs(o - 2.0) if np.isfinite(o) else np.inf
-            for o, hi, lo in zip(orders, remainders, remainders[1:]) if min(hi, lo) >= least]
+    read = [min(hi, lo) >= least for hi, lo in zip(remainders, remainders[1:])]
+    gaps = [abs(o - 2.0) if np.isfinite(o) else np.inf for o, r in zip(orders, read) if r]
     moved = fd_norms[0] * ladder[0] >= least
 
     return {
         "eps": ladder,
         "remainders": remainders,
         "orders": orders,
-        "order_gap": max(read) if read else (0.0 if moved else np.inf),
+        "read": read,
+        "order_gap": max(gaps) if gaps else (0.0 if moved else np.inf),
         "first_order_quotients": fd_norms,
         "tangent_norm": tnorm,
     }

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morphoctl.control as ctl
+import morphoctl.forward as fwdmod
 from morphoctl.control import (
     ControlField,
     OptConfig,
@@ -21,6 +22,7 @@ from morphoctl.control import (
 from morphoctl.errors import DeltaZero, NonFinite, ParameterError, ShapeMismatch
 from morphoctl.forward import InitData, solve_state
 import morphoctl.grid as gridmod
+import morphoctl.linearized as linmod
 from morphoctl.grid import Grid, l2
 from morphoctl.linearized import solve_linearized
 
@@ -507,19 +509,23 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
 def test_fft_counts_per_step(grid16, monkeypatch):
     """Real 2-D transforms per step, counted in slices: forward 6, tangent 9, adjoint 9.
 
-    The forward and tangent sweeps carry the spectrum of m and phi1 from
-    one implicit solve to the next step, so each takes one rfft2 more, to
-    seed it; the adjoint's terminal step makes only its two implicit solves,
-    and its kernel contraction stays a spectrum, folded into the gamma1 solve.
-    ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
+    The forward and tangent sweeps carry gradJ * m and gradJ * phi1 from one
+    step to the next, made from the spectrum the step's implicit solve made, so
+    the forward takes one rfft2 and one pair of irfft2 more to seed it and makes
+    one unused pair at its last step; the tangent's zero seed is a zero pair,
+    not transformed.  The adjoint's terminal step makes only its two implicit
+    solves, and its kernel contraction stays a spectrum, folded into the gamma1
+    solve.  ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
     passes, so a forward transform is one ``rfft`` (then one ``fft``) and
     an inverse one ``irfft`` (after one ``ifft``).  A pass transforms as many
     slices as its input has over the leading axes, so exact counts also pin
     that the time blocks of gradJ * m transform only the stored slices the
     steps read.  The numpy calls are pinned too: at 16^2 one block holds every
-    stored slice and each step's stack (its two right-hand sides, the two
-    components of gradJ * v, the adjoint's four fields) goes in one call; at a
-    budget of one slice per block every slice has its own call.
+    stored slice and each step's stacks go in one call each way (its two
+    right-hand sides, or the adjoint's four fields; its solved fields with the
+    forward's and tangent's kernel pair); at a budget of one slice per block
+    every slice has its own call.  Each step calls ``solve_implicit_diffusion``
+    by name twice at either budget, the count perfbench's phase cuts rely on.
     """
     p = make_params(grid16, T=0.01)
     rng = np.random.default_rng(36)
@@ -527,7 +533,7 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
     h = expand(smooth_random(rng, grid16), p.nt)
     pd = 0.8 * np.ones((1, *grid16.shape))
-    p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not per step
+    p.kernel._g_hat  # the cached kernel transforms are not per step
     passes = ("rfft", "fft", "irfft", "ifft")
     slices, calls = {}, {}
     for name in passes:
@@ -536,11 +542,19 @@ def test_fft_counts_per_step(grid16, monkeypatch):
             calls[_name] += 1
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
+    solves = []
+    for mod in (fwdmod, linmod, ctl):
+        def solve(*args, _fn=mod.solve_implicit_diffusion):
+            solves.append(None)
+            return _fn(*args)
+        monkeypatch.setattr(mod, "solve_implicit_diffusion", solve)
 
     def sweep(fn, *args):
         slices.update(dict.fromkeys(passes, 0))
         calls.update(dict.fromkeys(passes, 0))
+        solves.clear()
         out = fn(*args)
+        assert len(solves) == 2 * nt
         # Each real pass has its complex partner: the same 2-D transforms.
         for c in (slices, calls):
             assert c["fft"] == c["rfft"] and c["ifft"] == c["irfft"]
@@ -550,16 +564,12 @@ def test_fft_counts_per_step(grid16, monkeypatch):
 
     nt = p.nt
     assert nt == 10
-    fwd_slices = {"rfft2": 2 * nt + 1, "irfft2": 4 * nt}
-    tan_slices = {"rfft2": 3 * nt + 1, "irfft2": 6 * nt}
+    fwd_slices = {"rfft2": 2 * nt + 1, "irfft2": 4 * nt + 2}
+    tan_slices = {"rfft2": 3 * nt, "irfft2": 6 * nt}
     adj_slices = {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2}
-    # One stack call per step for the right-hand sides (and the adjoint's contraction
-    # fields), one for each gradJ * v pair, one per solve; one block for gradJ * m.
-    stacked = (
-        {"rfft2": nt + 1, "irfft2": 3 * nt},
-        {"rfft2": nt + 2, "irfft2": 3 * nt + 1},
-        {"rfft2": nt + 1, "irfft2": 2 * nt + 1},
-    )
+    # One stack call per step each way, one each way for the forward's seed pair or
+    # for the one block of gradJ * m.
+    stacked = ({"rfft2": nt + 1, "irfft2": nt + 1},) * 3
     one_slice = gridmod.TRANSFORM_FIELDS * 8 * grid16.nx * grid16.ny
     for budget, expected_calls in ((gridmod._BLOCK_BYTES, stacked), (one_slice, None)):
         monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)

@@ -209,7 +209,7 @@ def test_implicit_solve_is_exact_per_mode():
     f = np.cos(2 * np.pi * X)
     lam = -(2.0 / g.hx**2) * (1.0 - np.cos(2 * np.pi * g.hx))
     dt = 1e-3
-    out, _ = solve_implicit_diffusion(g, rfft2(f), dt)
+    out = irfft2(solve_implicit_diffusion(g, rfft2(f), dt), g.shape)
     assert np.max(np.abs(out - f / (1.0 - dt * lam))) < 1e-13
 
 
@@ -223,7 +223,7 @@ def test_implicit_solve_keeps_the_bits_of_the_division(nx, ny):
     for dt in (1e-4, 1e-3, 0.37):
         for f in (rng.standard_normal(g.shape), rng.standard_normal((3, ny, nx))):
             f.flat[1] = -0.0
-            u, _ = solve_implicit_diffusion(g, rfft2(f), dt)
+            u = irfft2(solve_implicit_diffusion(g, rfft2(f), dt), g.shape)
             expected = np.fft.irfft2(np.fft.rfft2(f) / (1.0 - dt * lam), s=g.shape)
             assert u.shape == f.shape and u.tobytes() == expected.tobytes()
 

@@ -24,15 +24,15 @@ from conftest import expand, full_laplacian_symbol, make_init, make_params, smoo
 
 
 def _step(m, phi, theta, p):
-    """step_state from real fields, seeding the spectrum of m: (m+, phi+)."""
-    m1, _, p1 = step_state(m, np.fft.rfft2(m), phi, theta, p)
+    """step_state from real fields, seeding gradJ * m: (m+, phi+)."""
+    m1, _, p1 = step_state(m, p.kernel.grad_conv(np.fft.rfft2(m)), phi, theta, p)
     return m1, p1
 
 
 def _lin(m, phi, f1, f2, h, p):
-    """step_linearized from real fields, seeding gradJ * m and the spectrum of f1: (phi1+, phi2+)."""
-    gm = p.kernel.grad_conv(np.fft.rfft2(m))
-    p1, _, p2 = step_linearized(m, phi, gm, f1, np.fft.rfft2(f1), f2, h, p)
+    """step_linearized from real fields, seeding gradJ * m and gradJ * f1: (phi1+, phi2+)."""
+    gm, g1 = (p.kernel.grad_conv(np.fft.rfft2(f)) for f in (m, f1))
+    p1, _, p2 = step_linearized(m, phi, gm, f1, g1, f2, h, p)
     return p1, p2
 
 
@@ -178,6 +178,7 @@ def test_taylor_orders_quadratic(grid16):
     init = make_init(grid16)
     out = taylor_test(solve_state(init, theta, p), h)
     assert all(1.9 <= o <= 2.1 for o in out["orders"])
+    assert out["read"] == [True] * 3
     assert out["order_gap"] == max(abs(o - 2.0) for o in out["orders"])
     # first-order quotient approaches the tangent norm
     assert out["first_order_quotients"][-1] == pytest.approx(out["tangent_norm"], rel=0.01)
@@ -188,7 +189,7 @@ def test_taylor_zero_direction(grid16):
     theta = np.zeros((p.nt, *grid16.shape))
     init = make_init(grid16)
     out = taylor_test(solve_state(init, theta, p), np.zeros_like(theta))
-    assert all(r == 0.0 for r in out["remainders"])
+    assert all(r == 0.0 for r in out["remainders"]) and out["read"] == [False] * 3
     assert out["order_gap"] == np.inf  # 0/0 orders fail the gate
 
 
