@@ -141,10 +141,10 @@ def taylor_test(base: Trajectory, h) -> dict:
     The ladder is :data:`EPS_LADDER`, doubled, at most :data:`LADDER_DOUBLINGS` times,
     while its smallest remainder is below :data:`FLOOR_FACTOR` round-off floors (the
     same norm of one ulp of the base state per cell); along an identically zero ``h``
-    it is not doubled.  The measure reads only the orders
-    whose two remainders reach that level; ``read`` flags them, one flag per order.  If none does while the top rung's change
-    |S(theta+eps h) - S(theta)| does, the tangent predicts every rung to round-off and
-    the measure is 0; if nothing moves, as along a zero direction, it is inf.
+    it is not doubled.  The measure reads only the orders whose two remainders reach
+    that level; ``read`` flags them, one flag per order.  If none does while the top
+    rung's change |S(theta+eps h) - S(theta)| does, the tangent predicts every rung to
+    round-off and the measure is 0; if nothing moves, as along a zero direction, it is inf.
     """
     th, params, g = base.theta, base.params, base.params.grid
     init = InitData(base.m[0], base.phi[0])
