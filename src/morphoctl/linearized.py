@@ -89,8 +89,10 @@ def step_linearized(
     )
 
     rhs1_hat, rhs2_hat = rfft2_each(g, rhs1, rhs2)
+    del c1, a2, a1, c2, rhs1, rhs2  # freed before the four fields are made, as in step_state
     p1_hat = solve_implicit_diffusion(g, rhs1_hat, dt)
     p2_hat = solve_implicit_diffusion(g, rhs2_hat, dt)
+    del rhs1_hat, rhs2_hat
     p1, p2, g1x, g1y = irfft2_each(g, p1_hat, p2_hat, *params.kernel.grad_hat(p1_hat))
     return p1, (g1x, g1y), p2
 
