@@ -19,10 +19,11 @@ spectrum of its field, so a sweep holding the spectrum spends no transform.
 ``grad_hat`` stays in the spectral domain: the forward and tangent sweeps
 inverse-transform its pair with the rest of a step's fields, in one call where a
 time block holds them.  ``grad_conv`` makes the pair's fields itself, in one call
-where :func:`morphoctl.grid.stack_len` pairs two fields and one call each
-otherwise; it seeds the forward sweep, and ``grad_conv_slices`` serves a stored
-history a time block per transform.  ``grad_conv_sum`` takes and returns spectra,
-so the adjoint adds its contraction to a spectrum it transforms anyway.
+where :func:`morphoctl.grid.stack_len` pairs two fields (through the stacked
+symbols ``_g_hat``, made only there) and one call each otherwise; it seeds the
+forward sweep, and ``grad_conv_slices`` serves a stored history a time block per
+transform.  ``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
+contraction to a spectrum it transforms anyway.
 """
 
 from __future__ import annotations
@@ -74,26 +75,25 @@ class Kernel:
         """j * f (discrete integral convolution)."""
         return irfft2(self._j_hat * rfft2(f), self.grid.shape)
 
-    def grad_hat(self, fh: np.ndarray) -> np.ndarray:
-        """The rfft2 spectra of both components of (grad j) * f, stacked, from f's spectrum ``fh``.
+    def grad_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rfft2 spectra of both components of (grad j) * f, from f's spectrum ``fh``.
 
-        One broadcast product of the stacked symbols with ``fh``, or with each slice of a
-        ``(k, ny, nx//2+1)`` stack of spectra; the bits of a product per component.
+        The forward and tangent steps inverse-transform them with their other fields.
         """
-        return (self._g_hat if fh.ndim == 2 else self._g_hat[:, None]) * fh
+        return self._gx_hat * fh, self._gy_hat * fh
 
     def grad_conv(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.
 
-        A caller holding only the field passes ``grid.rfft2(f)``.  A stack of spectra
-        gives two ``(k, ny, nx)`` stacks.  Where a block holds the pair, it is inverse-
-        transformed in one call, the same bits.
+        A caller holding only the field passes ``grid.rfft2(f)``.  A ``(k, ny, nx//2+1)``
+        stack of spectra gives two ``(k, ny, nx)`` stacks.  Where a block holds the pair,
+        its two products are one broadcast product and one inverse call, the same bits.
         """
-        pair = self.grad_hat(fh)
         if stack_len(self.grid, 2) == 2:
-            ax, ay = irfft2(pair, self.grid.shape)
+            g = self._g_hat if fh.ndim == 2 else self._g_hat[:, None]
+            ax, ay = irfft2(g * fh, self.grid.shape)
             return ax, ay
-        return irfft2(pair[0], self.grid.shape), irfft2(pair[1], self.grid.shape)
+        return irfft2(self._gx_hat * fh, self.grid.shape), irfft2(self._gy_hat * fh, self.grid.shape)
 
     def grad_conv_slices(self, stack: np.ndarray):
         """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block.
