@@ -166,8 +166,7 @@ def step_state(
         + dt * (params.alpha * (1.0 - phi) + theta_slice)
     )
     rhs_m_hat, rhs_p_hat = rfft2_each(g, rhs_m, rhs_p)
-    # Free what the step no longer reads before it makes its four fields: at 128^2 it
-    # then holds fewer fields at once than a step that made gradJ * m at its start.
+    # Free the working fields before the four fields are made, which bounds the step's peak.
     del cm, cp, rhs_m, rhs_p
     m1_hat = solve_implicit_diffusion(g, rhs_m_hat, dt)
     p1_hat = solve_implicit_diffusion(g, rhs_p_hat, dt)
