@@ -23,7 +23,7 @@ from .control import (
     stationarity_residual,
 )
 from .forward import InitData, ModelParams, Trajectory, solve_state, step_state
-from .grid import Grid, circ_conv, div, grad, laplacian, norms
+from .grid import Grid, div, grad, norms
 from .kernel import Kernel, build_kernel, kernel_report
 from .linearized import TangentTrajectory, solve_linearized, step_linearized, taylor_test
 
@@ -42,12 +42,10 @@ __all__ = [
     "Trajectory",
     "build_kernel",
     "build_problem",
-    "circ_conv",
     "cost",
     "div",
     "grad",
     "kernel_report",
-    "laplacian",
     "load_config",
     "norms",
     "pgd_optimize",

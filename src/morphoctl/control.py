@@ -26,11 +26,12 @@ genuinely differ.  At beta = 0 both solvers perform identical arithmetic.
 Both solvers run one shared backward sweep, ``_backward_sweep``: the zero
 terminal slice, the quadrature alignment above, the -alpha gamma2 reaction,
 the misfit source and the two symmetric implicit solves, in the time loop of
-``forward._march``.  Each solver supplies only its explicit drift terms.  The
-discrete solver hands its kernel contraction to the sweep, which folds it into
-the gamma1 solve's spectrum; a step then transforms 9 slices, its four fields
-in one call and gamma1, gamma2 back in one more on the grids where a time
-block holds them (``grid.stack_len``).
+``forward._march``, which carries (gamma1, gamma2) as one ``(2, ny, nx)`` stack.
+Each solver supplies only its explicit drift terms.  The discrete solver hands
+its kernel contraction's fields to the sweep, which folds the contraction into
+the gamma1 solve's spectrum; a step then transforms 9 slices, its four-field
+right-hand-side stack in one call and gamma1, gamma2 back in one more on the
+grids where a time block holds them (``grid.stack_len``).
 """
 
 from __future__ import annotations
@@ -150,25 +151,23 @@ def cost(traj: Trajectory, phi_d, delta: float) -> float:
     return misfit + reg
 
 
-def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
+def _backward_sweep(traj: Trajectory, phi_d, drift, flux=None) -> AdjointTrajectory:
     """March the adjoint pair from the zero terminal slice to index 0 by a backward ``_march``.
 
-    At state index n the explicit part applied to the incoming (g1, g2)
-    before the symmetric implicit solve is
+    The pair is the ``(2, ny, nx)`` stack u = [g1, g2].  At state index n the explicit
+    part applied to it before the symmetric implicit solve is
 
         p1 = g1 + dt (e1 - sum_i gradJ_i * v_i)
         p2 = g2 + dt (e2 - alpha g2 + phi_n - phi_d,n)
 
-    with (e1, e2, v) = drift(m, phi, d1, d2, adv1, adv2) the solver's drift
-    terms, where d1 = grad g1, d2 = grad g2, adv_k = Gm . d_k and
-    Gm = gradJ * m at the stored state; ``v`` is a pair (vx, vy), or empty for
-    no contraction.  The contraction is taken in the spectral domain: its
-    spectrum (:meth:`Kernel.grad_conv_sum`) is subtracted from the spectrum of the
-    rest of p1, which the solve transforms anyway, and p1, p2, vx and vy are
-    transformed together (:func:`morphoctl.grid.rfft2_each`), as are the two
-    solved spectra back (:func:`morphoctl.grid.irfft2_each`).  Slice nt - 1 is
-    driven by the misfit source alone, so the steps read Gm at m_{nt-1}..m_1,
-    made a time block at a time in that order.
+    with [e1, e2] = drift(m, phi, d, adv) the solver's drift terms, d = grad u (a
+    ``(2, 2, ny, nx)`` stack), adv = Gm[0] d[0] + Gm[1] d[1] and Gm = gradJ * m at the
+    stored state.  ``flux(m, phi, d, out)``, if given, writes [vx, vy] into ``out`` and
+    may overwrite d.  p1 without its contraction, p2, vx and vy are one stack and one
+    :func:`morphoctl.grid.rfft2_each` call; the contraction's spectrum
+    (:meth:`Kernel.grad_conv_sum`) is subtracted from p1's, and the solves write into the
+    stack's first two spectra.  Slice nt - 1 is driven by the misfit source alone, so the
+    steps read Gm at m_{nt-1}..m_1, made a time block at a time in that order.
     """
     p = traj.params
     g = p.grid
@@ -176,34 +175,38 @@ def _backward_sweep(traj: Trajectory, phi_d, drift) -> AdjointTrajectory:
     pd = control_array(phi_d, p)
     grad_m = p.kernel.grad_conv_slices(traj.m[p.nt - 1 : 0 : -1])
 
-    def explicit(n, g1, g2):
-        """(p1 without its contraction, p2, *v) at state index n.
-
-        The gradients and drift terms are freed on return, before the transforms, so
-        the step holds no more fields at once than it did with the contraction on the grid.
-        """
+    def explicit(n, u):
+        """The right-hand-side stack [p1 without its contraction, p2, *v] at state index n,
+        made after the drift terms; the working fields are freed before the transforms."""
         s_n = traj.phi[n] - pd[n - 1]
         if n == p.nt:
-            return np.zeros(g.shape), dt * s_n
-        gmx, gmy = next(grad_m)
-        d1 = grad(g, g1)
-        d2 = grad(g, g2)
-        adv1 = gmx * d1[0] + gmy * d1[1]
-        adv2 = gmx * d2[0] + gmy * d2[1]
-        e1, e2, v = drift(traj.m[n], traj.phi[n], d1, d2, adv1, adv2)
-        return g1 + dt * e1, g2 + dt * (e2 - p.alpha * g2 + s_n), *v
+            return np.array([np.zeros(g.shape), dt * s_n])
+        gm = next(grad_m)
+        m, phi = traj.m[n], traj.phi[n]
+        d = grad(g, u)
+        e = drift(m, phi, d, gm[0] * d[0] + gm[1] * d[1])
+        e[1] -= p.alpha * u[1]
+        e[1] += s_n
+        e *= dt
+        rhs = np.empty((2 if flux is None else 4, *g.shape))
+        np.add(u, e, out=rhs[:2])
+        del e
+        if flux is not None:
+            flux(m, phi, d, rhs[2:])
+        return rhs
 
-    def step(n, g1, _pair, g2):
-        p1_hat, p2_hat, *v_hat = rfft2_each(g, *explicit(n, g1, g2))
-        if v_hat:
-            p1_hat = p1_hat - dt * p.kernel.grad_conv_sum(*v_hat)
-        g1_hat = solve_implicit_diffusion(g, p1_hat, dt)
-        g2_hat = solve_implicit_diffusion(g, p2_hat, dt)
-        g1, g2 = irfft2_each(g, g1_hat, g2_hat)
-        return g1, None, g2
+    def step(n, u, _pair):
+        rhs_hat = rfft2_each(g, explicit(n, u))
+        p1_hat = rhs_hat[0]
+        if len(rhs_hat) == 4:
+            p1_hat = p1_hat - dt * p.kernel.grad_conv_sum(rhs_hat[2], rhs_hat[3])
+        solve_implicit_diffusion(g, p1_hat, dt, rhs_hat[0])
+        solve_implicit_diffusion(g, rhs_hat[1], dt, rhs_hat[1])
+        del p1_hat
+        return irfft2_each(g, rhs_hat[:2]), None
 
-    zero = np.zeros(g.shape)
-    g1, g2 = _store(p, _march(p, "adjoint blow-up", zero, None, zero, step, backward=True))
+    zero = np.zeros((2, *g.shape))
+    g1, g2 = _store(p, _march(p, "adjoint blow-up", zero, None, step, backward=True))
     return AdjointTrajectory(params=p, gamma1=g1, gamma2=g2, theta=traj.theta)
 
 
@@ -233,12 +236,17 @@ def solve_adjoint_discrete(traj: Trajectory, phi_d) -> AdjointTrajectory:
     params = traj.params
     b2 = 2.0 * params.beta
 
-    def drift(m, phi, d1, d2, adv1, adv2):
-        cm, cp = params.mobilities(m, phi)
-        e1 = -2.0 * b2 * m * adv1 + b2 * (1.0 - phi) * adv2
-        return e1, b2 * adv1 - b2 * m * adv2, (cm * d1[0] + cp * d2[0], cm * d1[1] + cp * d2[1])
+    def drift(m, phi, d, adv):
+        e = np.empty_like(adv)
+        np.add(-2.0 * b2 * m * adv[0], b2 * (1.0 - phi) * adv[1], out=e[0])
+        np.subtract(b2 * adv[0], b2 * m * adv[1], out=e[1])
+        return e
 
-    return _backward_sweep(traj, phi_d, drift)
+    def flux(m, phi, d, out):
+        d *= params.mobilities(m, phi)  # [[cm d_x g1, cp d_x g2], [cm d_y g1, cp d_y g2]]
+        np.add(d[:, 0], d[:, 1], out=out)
+
+    return _backward_sweep(traj, phi_d, drift, flux)
 
 
 def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
@@ -264,13 +272,15 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
     g = params.grid
     b2 = 2.0 * params.beta
 
-    def drift(m, phi, d1, d2, adv1, adv2):
+    def drift(m, phi, d, adv):
         cm, cp = params.mobilities(m, phi)
-        d1x, d1y, d2x, d2y = rfft2_each(g, *d1, *d2)
-        k1 = irfft2(params.kernel.grad_conv_sum(d1x, d1y), g.shape)
-        k2 = irfft2(params.kernel.grad_conv_sum(d2x, d2y), g.shape)
-        e1 = -2.0 * b2 * m * adv1 + cm * k1 + b2 * (1.0 - phi) * adv2 + cp * k2
-        return e1, -b2 * adv1 - b2 * m * adv2, ()
+        dh = rfft2_each(g, d.reshape(4, *g.shape))  # [d_x g1, d_x g2, d_y g1, d_y g2]
+        k1 = irfft2(params.kernel.grad_conv_sum(dh[0], dh[2]), g.shape)
+        k2 = irfft2(params.kernel.grad_conv_sum(dh[1], dh[3]), g.shape)
+        e = np.empty_like(adv)
+        np.add(-2.0 * b2 * m * adv[0] + cm * k1 + b2 * (1.0 - phi) * adv[1], cp * k2, out=e[0])
+        np.subtract(-b2 * adv[0], b2 * m * adv[1], out=e[1])
+        return e
 
     return _backward_sweep(traj, phi_d, drift)
 

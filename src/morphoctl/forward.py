@@ -19,17 +19,18 @@ obeys the exact discrete balance
 ``gradJ * m`` is made by the previous step, from the rfft2 spectrum its
 implicit solve made m from, so a step transforms no stored field; that
 spectrum equals ``rfft2(m)`` in exact arithmetic (see
-docs/discrete_adjoint.md).  A step transforms its two right-hand sides
-together (:func:`morphoctl.grid.rfft2_each`) and inverse-transforms m+, phi+
-and the pair gradJ * m+ together (:func:`morphoctl.grid.irfft2_each`): one
-call each way on the grids where a time block holds them.
+docs/discrete_adjoint.md).  The step carries (m, phi) as one ``(2, ny, nx)``
+stack: the two equations' mobilities, fluxes, divergence and right-hand sides
+are each one call on it, and it transforms its stacks one call each way on the
+grids where a time block holds them.
 
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
 the tangent and backward sweeps in the sibling modules differentiate and
 transpose this exact discrete map.  All three sweeps run one time loop,
-``_march``, which yields each slice and raises :class:`NonFinite` on blow-up;
-``_store`` keeps a march's histories, and :func:`state_steps` streams the state.
+``_march``, which carries a sweep's pair as a stack, yields the views of its two
+slices and raises :class:`NonFinite` on blow-up; ``_store`` keeps a march's
+histories, and :func:`state_steps` streams the state.
 """
 
 from __future__ import annotations
@@ -101,10 +102,14 @@ class ModelParams:
     def nt(self) -> int:
         return round(self.T / self.dt)
 
-    def mobilities(self, m: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Drift mobilities (2 beta (phi - m^2), 2 beta m (1 - phi)) of the m and phi equations."""
-        b2 = 2.0 * self.beta
-        return b2 * (phi - m * m), b2 * (m * (1.0 - phi))
+    def mobilities(self, m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """The m and phi equations' drift mobilities, [2 beta (phi - m^2), 2 beta m (1 - phi)]."""
+        c = np.empty((2, *m.shape))
+        np.subtract(phi, m * m, out=c[0])
+        np.subtract(1.0, phi, out=c[1])
+        c[1] *= m
+        c *= 2.0 * self.beta
+        return c
 
     def dt_stability_bound(self) -> float:
         h = min(self.grid.hx, self.grid.hy)
@@ -142,56 +147,54 @@ class Trajectory:
 
 
 def step_state(
-    m: np.ndarray,
-    grad_m: tuple[np.ndarray, np.ndarray],
-    phi: np.ndarray,
-    theta_slice: np.ndarray,
-    params: ModelParams,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """One IMEX Euler step of the state system.
+    u: np.ndarray, grad_m: np.ndarray, theta_slice: np.ndarray, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """One IMEX Euler step of the state ``u``, the ``(2, ny, nx)`` stack [m, phi].
 
-    ``grad_m`` is ``(gmx, gmy)``, gradJ * m: the previous step's, or
-    ``kernel.grad_conv(grid.rfft2(m))`` to start.  Returns ``(m1, grad_m1, phi1)``,
-    with ``grad_m1`` made from the spectrum the implicit solve made ``m1`` from,
-    which the next step takes instead of transforming ``m1`` again.
+    ``grad_m`` is [gmx, gmy], gradJ * m: the previous step's, or
+    ``kernel.grad_conv(grid.rfft2(m))`` to start.  Returns ``(u1, grad_m1)``, views of one
+    ``(4, ny, nx)`` stack, ``grad_m1`` made from the spectrum m1 was solved in, which the
+    next step takes instead of transforming m1 again.
     """
     g = params.grid
     dt = params.dt
-    gmx, gmy = grad_m
-    cm, cp = params.mobilities(m, phi)
-    rhs_m = m - dt * div(g, cm * gmx, cm * gmy)
-    rhs_p = (
-        phi
-        - dt * div(g, cp * gmx, cp * gmy)
-        + dt * (params.alpha * (1.0 - phi) + theta_slice)
-    )
-    rhs_m_hat, rhs_p_hat = rfft2_each(g, rhs_m, rhs_p)
-    # Free the working fields before the four fields are made, which bounds the step's peak.
-    del cm, cp, rhs_m, rhs_p
-    m1_hat = solve_implicit_diffusion(g, rhs_m_hat, dt)
-    p1_hat = solve_implicit_diffusion(g, rhs_p_hat, dt)
-    del rhs_m_hat, rhs_p_hat
-    m1, p1, gx1, gy1 = irfft2_each(g, m1_hat, p1_hat, *params.kernel.grad_hat(m1_hat))
-    return m1, (gx1, gy1), p1
+    m, phi = u
+    flux_x = params.mobilities(m, phi)  # the fluxes reuse it, which bounds the step's peak
+    flux_y = flux_x * grad_m[1]
+    flux_x *= grad_m[0]
+    rhs = div(g, flux_x, flux_y)
+    del flux_x, flux_y
+    rhs *= dt
+    np.subtract(u, rhs, out=rhs)
+    rhs[1] += dt * (params.alpha * (1.0 - phi) + theta_slice)
+    spec = np.empty((4, g.ny, g.nx // 2 + 1), complex)  # [m1, phi1, gradJ * m1] spectra
+    rfft2_each(g, rhs, spec[:2])
+    del rhs  # freed before the four fields are made
+    solve_implicit_diffusion(g, spec[0], dt, spec[0])
+    solve_implicit_diffusion(g, spec[1], dt, spec[1])
+    params.kernel.grad_hat(spec[0], spec[2:])
+    out = irfft2_each(g, spec)
+    return out[:2], out[2:]
 
 
-def _march(params: ModelParams, what: str, a0, grad0, b0, step, backward=False):
-    """Every sweep's time loop: yield ``(n, a_n, b_n)`` in march order, seeded (a0, b0) at index 0.
+def _march(params: ModelParams, what: str, u0, grad0, step, backward=False):
+    """Every sweep's time loop: yield ``(n, u_n[0], u_n[1])`` in march order, seeded u0 at index 0.
 
-    ``backward`` seeds index nt instead.  ``step(n, a, grad_a, b) -> (a', grad_a', b')`` makes
-    the slice after n, the kernel-gradient pair gradJ * a carried from ``grad0``.  A step that
-    is not finite raises NonFinite("<what> at step k"), k its later index, in place of
-    numpy's warnings.
+    ``u`` is the sweep's pair as one ``(2, ny, nx)`` stack; ``backward`` seeds index nt.
+    ``step(n, u, grad_u) -> (u', grad_u')`` makes a fresh stack for the slice after n, the
+    pair gradJ * u[0] carried from ``grad0``; no buffer is reused, so a consumer may keep
+    its slices.  A step that is not finite raises NonFinite("<what> at step k"), k its
+    later index, in place of numpy's warnings.
     """
     order = range(params.nt, -1, -1) if backward else range(params.nt + 1)
-    a, grad_a, b = a0, grad0, b0
-    yield order[0], a, b
+    u, grad_u = u0, grad0
+    yield order[0], u[0], u[1]
     for n, new in zip(order, order[1:]):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, grad_a, b = step(n, a, grad_a, b)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            u, grad_u = step(n, u, grad_u)
+        if not np.isfinite(u).all():
             raise NonFinite(f"{what} at step {max(n, new)}", step=max(n, new))
-        yield new, a, b
+        yield new, u[0], u[1]
 
 
 def _store(params: ModelParams, steps) -> tuple[np.ndarray, np.ndarray]:
@@ -229,11 +232,10 @@ def state_steps(init: InitData, theta, params: ModelParams):
     """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
-    m0 = np.asarray(init.m0, dtype=float)  # a float32 field would transform in float32
+    u0 = np.array([init.m0, init.phi0], dtype=float)  # a float32 field would transform in float32
     return _march(
-        params, "blow-up", m0, params.kernel.grad_conv(rfft2(m0)),
-        np.asarray(init.phi0, dtype=float),
-        lambda n, m, grad_m, phi: step_state(m, grad_m, phi, th[n], params),
+        params, "blow-up", u0, params.kernel.grad_conv(rfft2(u0[0])),
+        lambda n, u, grad_m: step_state(u, grad_m, th[n], params),
     )
 
 

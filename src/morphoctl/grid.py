@@ -36,18 +36,14 @@ Conventions used by every module in this package:
   and implicit diffusion steps are solved exactly in that basis, by
   multiplying with a cached ``1 / (1 - dt lam)``.
 * Every real 2-D transform in the package goes through :func:`rfft2` and
-  :func:`irfft2`.  They make the two 1-D passes numpy's ``rfftn``/``irfftn``
-  make (``rfft`` along x, then ``fft`` along y, and back), so they give its
-  bits, without its n-d argument handling: a fixed cost per call that is a
-  large share of a transform at the optimizer's 32².  One home also keeps
-  every transform countable in one place.  ``h_minus_1`` uses the complex
-  ``fft2``, which is not a real transform.
-* A step's independent fields (its right-hand sides or the adjoint's four
-  fields, its solved spectra and a kernel-gradient pair) are transformed in
-  stacks of as many as one time block holds (:func:`stack_len`,
-  :func:`rfft2_each`, :func:`irfft2_each`), and one call per field on larger
-  grids, where copying them into a stack costs more than the calls it saves.
-  The bits are the same either way.
+  :func:`irfft2`: numpy's ``rfftn``/``irfftn`` 1-D passes and bits, without
+  its n-d argument handling (see docs/discrete_adjoint.md), and countable in
+  one place.  ``h_minus_1`` uses the complex ``fft2``, not a real transform.
+* A sweep carries its pair as one ``(2, ny, nx)`` stack, and a step keeps its
+  independent fields in stacks too.  :func:`rfft2_each` and :func:`irfft2_each`
+  transform a stack in calls of :func:`stack_len` fields, each written into
+  its slice of the output stack: no field is copied, and the bits are a call
+  per field's.
 * The ``h_minus_1`` norm uses the same basis with the continuous
   wavenumber convention ``kappa = (2 pi ktilde_x / Lx, 2 pi ktilde_y / Ly)``
   (``ktilde`` the signed integer DFT frequency)::
@@ -59,8 +55,9 @@ Conventions used by every module in this package:
   equal.
 * Circular convolution folds the cell area in, so it is a discrete
   integral: ``out(p) = sum_q k(p - q) f(q) hx hy`` with periodic index
-  arithmetic.  :func:`circ_conv`'s direct sum is the definition; the tests
-  hold ``Kernel``'s FFT path, the package's only one, to it at 1e-12.
+  arithmetic.  The direct sum ``circ_conv`` in the tests' oracle module
+  (``tests/oracles.py``) is the definition; the tests hold ``Kernel``'s FFT
+  path, the package's only one, to it at 1e-12.
 """
 
 from __future__ import annotations
@@ -126,13 +123,13 @@ class Grid:
         return 1.0 / (1.0 + kapx[None, :] ** 2 + kapy[:, None] ** 2)
 
 
-def _centered(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Periodic centered difference (f[i+1] - f[i-1]) / (2h) along ``axis``.
+def _centered(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic centered difference (f[i+1] - f[i-1]) / (2h) along ``axis``, into ``out``.
 
     Slices the trailing axis (y, axis -2, through ``swapaxes`` views) into one
     output array, no rolled copies: the operations of the ``np.roll`` form, so its bits.
     """
-    out = np.empty(f.shape)
+    out = np.empty(f.shape) if out is None else out
     src, dst = (f, out) if axis == -1 else (f.swapaxes(-1, -2), out.swapaxes(-1, -2))
     np.subtract(src[..., 2:], src[..., :-2], out=dst[..., 1:-1])
     np.subtract(src[..., 1], src[..., -1], out=dst[..., 0])
@@ -141,9 +138,13 @@ def _centered(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def grad(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centered periodic gradient, (gx, gy)."""
-    return _centered(f, -1, grid.hx), _centered(f, -2, grid.hy)
+def grad(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Centered periodic gradient, the stack [gx, gy]: ``(2, *f.shape)``, so a stack's is
+    ``(2, k, ny, nx)``."""
+    out = np.empty((2, *f.shape))
+    _centered(f, -1, grid.hx, out[0])
+    _centered(f, -2, grid.hy, out[1])
+    return out
 
 
 def div(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -151,13 +152,6 @@ def div(grid: Grid, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     out = _centered(vx, -1, grid.hx)
     out += _centered(vy, -2, grid.hy)
     return out
-
-
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Periodic five-point Laplacian."""
-    lx = (np.roll(f, -1, axis=-1) + np.roll(f, 1, axis=-1) - 2.0 * f) / grid.hx**2
-    ly = (np.roll(f, -1, axis=-2) + np.roll(f, 1, axis=-2) - 2.0 * f) / grid.hy**2
-    return lx + ly
 
 
 @lru_cache(maxsize=16)
@@ -168,27 +162,29 @@ def _implicit_multiplier(grid: Grid, dt: float) -> np.ndarray:
     return 1.0 / (1.0 - dt * -(cx[None, :] + cy[:, None]))
 
 
-def rfft2(f: np.ndarray) -> np.ndarray:
-    """Real 2-D DFT over the trailing axes: ``np.fft.rfft2(f)``, bit for bit."""
-    return np.fft.fft(np.fft.rfft(f), axis=-2)
+def rfft2(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Real 2-D DFT over the trailing axes, into ``out``: ``np.fft.rfft2(f)``, bit for bit."""
+    return np.fft.fft(np.fft.rfft(f), axis=-2, out=out)
 
 
-def irfft2(fh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`rfft2` onto ``shape``: ``np.fft.irfft2(fh, s=shape)``, bit for bit."""
-    return np.fft.irfft(np.fft.ifft(fh, axis=-2), n=shape[-1])
+def irfft2(fh: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`rfft2` onto ``shape``, into ``out``: ``np.fft.irfft2(fh, s=shape)``,
+    bit for bit."""
+    return np.fft.irfft(np.fft.ifft(fh, axis=-2), n=shape[-1], out=out)
 
 
-def solve_implicit_diffusion(grid: Grid, rhs_hat: np.ndarray, dt: float) -> np.ndarray:
-    """The rfft2 spectrum of u solving (I - dt Lap_h) u = rhs, from ``rhs_hat = rfft2(rhs)``.
+def solve_implicit_diffusion(
+    grid: Grid, rhs_hat: np.ndarray, dt: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The rfft2 spectrum of u solving (I - dt Lap_h) u = rhs, from ``rhs_hat = rfft2(rhs)``,
+    into ``out``.
 
     Multiplies ``rhs_hat`` by a cached ``1 / (1 - dt lam)``: numpy's complex-by-real
-    division does the same, so ``irfft2`` of the result has its bits.  A step makes
-    ``u`` with the rest of its inverse transforms (:func:`irfft2_each`) and can carry
-    the spectrum, which equals ``rfft2(u)`` in exact arithmetic, to the next step.
-    Taking the spectrum lets a step transform its right-hand sides in one call
-    (:func:`rfft2_each`) and add a term to a spectrum before the solve.
+    division does the same, so ``irfft2`` of the result has its bits.  A step writes
+    ``u``'s spectrum into the stack it inverse-transforms (:func:`irfft2_each`) and can
+    carry it, which equals ``rfft2(u)`` in exact arithmetic, to the next step.
     """
-    return rhs_hat * _implicit_multiplier(grid, dt)
+    return np.multiply(rhs_hat, _implicit_multiplier(grid, dt), out=out)
 
 
 # Bytes of one time block, all series together: of one series, 32 slices at
@@ -220,36 +216,35 @@ def stack_len(grid: Grid, count: int) -> int:
 
     A call's stack holds at most the slices one time block holds when a slice holds
     ``TRANSFORM_FIELDS`` fields' worth (the blocks the sweeps transform gradJ * m in),
-    and the fewest such calls share the fields evenly.  At the default budget four
-    fields go in one call up to 73^2 and as two pairs up to 104^2, where numpy's fixed
-    cost per call is most of a transform.  From 128^2 each field has its own call,
-    which there costs less than copying the fields into a stack.
+    and the fewest such calls share the fields evenly: four fields in one call up to
+    73^2, two pairs up to 104^2 and a call per field from 128^2.
     """
     calls = -(-count // _block_len(grid, TRANSFORM_FIELDS))
     return -(-count // calls)
 
 
-def _each(grid: Grid, transform, fields) -> list[np.ndarray]:
-    """``transform`` of each of ``fields``, in order, over stacks of :func:`stack_len` fields.
-
-    ``np.array`` copies a stack's fields in about a third of ``np.stack``'s time at 32^2.
-    """
-    k = stack_len(grid, len(fields))
-    if k == 1:
-        return [transform(f) for f in fields]
-    return [out for a in range(0, len(fields), k) for out in transform(np.array(fields[a : a + k]))]
+def _each(grid: Grid, transform, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``transform`` of a stack's fields into the slices of ``out``, :func:`stack_len`
+    fields a call: one call on small grids, one per field on large ones, and no copy."""
+    k = stack_len(grid, len(stack))
+    for a in range(0, len(stack), k):
+        transform(stack[a : a + k], out=out[a : a + k])
+    return out
 
 
-def rfft2_each(grid: Grid, *fields: np.ndarray) -> list[np.ndarray]:
-    """The :func:`rfft2` spectra of ``fields``, in order, in stacks of :func:`stack_len`
-    fields a call; the bits of a call per field."""
-    return _each(grid, rfft2, fields)
+def rfft2_each(grid: Grid, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The :func:`rfft2` spectra of a ``(k, ny, nx)`` stack's fields, into the ``(k, ny,
+    nx//2+1)`` stack ``out``; the bits of a call per field."""
+    if out is None:
+        out = np.empty((len(stack), grid.ny, grid.nx // 2 + 1), complex)
+    return _each(grid, rfft2, stack, out)
 
 
-def irfft2_each(grid: Grid, *spectra: np.ndarray) -> list[np.ndarray]:
-    """The :func:`irfft2` fields of ``spectra`` on ``grid``, in order, in stacks of
-    :func:`stack_len` spectra a call; the bits of a call per spectrum."""
-    return _each(grid, lambda fh: irfft2(fh, grid.shape), spectra)
+def irfft2_each(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+    """The :func:`irfft2` fields of a stack of spectra on ``grid``, a ``(k, ny, nx)`` stack;
+    the bits of a call per spectrum."""
+    return _each(grid, lambda fh, out: irfft2(fh, grid.shape, out), spectra,
+                 np.empty((len(spectra), *grid.shape)))
 
 
 def time_values(grid: Grid, reduce, *series):
@@ -315,18 +310,3 @@ def norms(grid: Grid, f: np.ndarray) -> dict[str, float]:
 def periodic_reverse(f: np.ndarray) -> np.ndarray:
     """Index negation g[p] = f[-p mod n] along both axes."""
     return np.roll(f[::-1, ::-1], (1, 1), axis=(0, 1))
-
-
-def circ_conv(grid: Grid, k: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Circular convolution out(p) = sum_q k(p-q) f(q) hx hy, by direct summation.
-
-    ``k`` holds kernel samples with the zero offset at index (0, 0) and
-    negative offsets wrapped to the far end.  A test-only oracle: the
-    definition that ``Kernel``'s FFT convolutions must match.
-    """
-    grid.check(k, f)
-    out = np.zeros(grid.shape)
-    sy, sx = np.nonzero(k)
-    for j, i in zip(sy.tolist(), sx.tolist()):
-        out += k[j, i] * np.roll(f, (j, i), axis=(0, 1))
-    return out * grid.cell_area

@@ -2,10 +2,10 @@
 
 The kernel is sampled at periodic offsets with the zero offset stored at
 index (0, 0) and negative offsets wrapped to the far end of each axis,
-matching the layout expected by :func:`morphoctl.grid.circ_conv`.  The
-samples are normalized so the discrete integral of the scalar kernel is
-exactly 1, mirroring the unit-mass normalization of the continuum
-potential.
+matching the layout of the direct-sum oracle ``circ_conv`` in
+``tests/oracles.py``.  The samples are normalized so the discrete integral of
+the scalar kernel is exactly 1, mirroring the unit-mass normalization of the
+continuum potential.
 
 The gradient samples come from the closed-form derivative of the bump
 (not from differencing) and are antisymmetrized afterwards, so the odd
@@ -16,9 +16,9 @@ just accurate.
 ``Kernel`` holds the package's one FFT convolution, tested against
 ``circ_conv`` at 1e-12.  It works from the :func:`morphoctl.grid.rfft2`
 spectrum of its field, so a sweep holding the spectrum spends no transform.
-``grad_hat`` stays in the spectral domain: the forward and tangent sweeps
-inverse-transform its pair with the rest of a step's fields, in one call where a
-time block holds them.  ``grad_conv`` makes the pair's fields itself, in one call
+``grad_hat`` stays in the spectral domain and writes its pair into the step's
+spectra stack: the forward and tangent sweeps inverse-transform it with the rest
+of a step's fields, in one call where a time block holds them.  ``grad_conv`` makes the pair's fields itself, in one call
 where :func:`morphoctl.grid.stack_len` pairs two fields (through the stacked
 symbols ``_g_hat``, made only there) and one call each otherwise; it seeds the
 forward sweep, and ``grad_conv_slices`` serves a stored history a time block per
@@ -75,12 +75,12 @@ class Kernel:
         """j * f (discrete integral convolution)."""
         return irfft2(self._j_hat * rfft2(f), self.grid.shape)
 
-    def grad_hat(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rfft2 spectra of both components of (grad j) * f, from f's spectrum ``fh``.
-
-        The forward and tangent steps inverse-transform them with their other fields.
-        """
-        return self._gx_hat * fh, self._gy_hat * fh
+    def grad_hat(self, fh: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The rfft2 spectra of both components of (grad j) * f, from f's spectrum ``fh``,
+        into the ``(2, ny, nx//2+1)`` stack ``out``: a slice of a step's spectra stack."""
+        np.multiply(self._gx_hat, fh, out=out[0])
+        np.multiply(self._gy_hat, fh, out=out[1])
+        return out
 
     def grad_conv(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.

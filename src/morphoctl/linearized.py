@@ -57,44 +57,46 @@ def step_linearized(
     m_hat: np.ndarray,
     phi_hat: np.ndarray,
     grad_m: tuple[np.ndarray, np.ndarray],
-    phi1: np.ndarray,
-    grad_phi1: tuple[np.ndarray, np.ndarray],
-    phi2: np.ndarray,
+    u: np.ndarray,
+    grad_phi1: np.ndarray,
     h_slice: np.ndarray,
     params: ModelParams,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """One step of the exact discrete derivative at (m_hat, phi_hat).
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the exact discrete derivative at (m_hat, phi_hat) of ``u``, the
+    ``(2, ny, nx)`` stack [phi1, phi2].
 
-    ``grad_m`` is ``(gmx, gmy)``, gradJ * m_hat: the stored state has no
-    carried pair, so the sweep makes it for a time block of stored
-    slices at once (:meth:`morphoctl.kernel.Kernel.grad_conv_slices`).
-    ``grad_phi1`` is gradJ * phi1, carried like the state's ``grad_m`` in
-    :func:`morphoctl.forward.step_state`.  Returns ``(phi1+, gradJ * phi1+, phi2+)``.
+    ``grad_m`` is ``(gmx, gmy)``, gradJ * m_hat: the stored state has no carried pair, so
+    the sweep makes it for a time block of stored slices at once
+    (:meth:`morphoctl.kernel.Kernel.grad_conv_slices`).  ``grad_phi1`` is gradJ * phi1,
+    carried as in :func:`morphoctl.forward.step_state`.  Returns ``(u+, gradJ * phi1+)``.
     """
     g = params.grid
     dt = params.dt
-    b2 = 2.0 * params.beta
-    gmx, gmy = grad_m
-    g1x, g1y = grad_phi1
-
-    c1, a2 = params.mobilities(m_hat, phi_hat)      # both multiply gradJ * phi1
-    a1 = b2 * (phi2 - 2.0 * m_hat * phi1)          # multiplies gradJ * m_hat
-    rhs1 = phi1 - dt * div(g, a1 * gmx + c1 * g1x, a1 * gmy + c1 * g1y)
-
-    c2 = b2 * ((1.0 - phi_hat) * phi1 - m_hat * phi2)  # multiplies gradJ * m_hat
-    rhs2 = (
-        phi2
-        - dt * div(g, a2 * g1x + c2 * gmx, a2 * g1y + c2 * gmy)
-        + dt * (-params.alpha * phi2 + h_slice)
-    )
-
-    rhs1_hat, rhs2_hat = rfft2_each(g, rhs1, rhs2)
-    del c1, a2, a1, c2, rhs1, rhs2  # freed before the four fields are made, as in step_state
-    p1_hat = solve_implicit_diffusion(g, rhs1_hat, dt)
-    p2_hat = solve_implicit_diffusion(g, rhs2_hat, dt)
-    del rhs1_hat, rhs2_hat
-    p1, p2, g1x, g1y = irfft2_each(g, p1_hat, p2_hat, *params.kernel.grad_hat(p1_hat))
-    return p1, (g1x, g1y), p2
+    phi1, phi2 = u
+    c = params.mobilities(m_hat, phi_hat)  # [c1, a2], both multiply gradJ * phi1
+    a = np.empty_like(u)                   # [a1, c2], both multiply gradJ * m_hat
+    np.subtract(phi2, 2.0 * m_hat * phi1, out=a[0])
+    np.subtract((1.0 - phi_hat) * phi1, m_hat * phi2, out=a[1])
+    a *= 2.0 * params.beta
+    flux_x = a * grad_m[0]  # the fluxes reuse the coefficients' stacks, as in step_state
+    flux_x += c * grad_phi1[0]
+    a *= grad_m[1]
+    c *= grad_phi1[1]
+    a += c
+    del c
+    rhs = div(g, flux_x, a)
+    del flux_x, a
+    rhs *= dt
+    np.subtract(u, rhs, out=rhs)
+    rhs[1] += dt * (-params.alpha * phi2 + h_slice)
+    spec = np.empty((4, g.ny, g.nx // 2 + 1), complex)  # [phi1+, phi2+, gradJ * phi1+] spectra
+    rfft2_each(g, rhs, spec[:2])
+    del rhs  # freed before the four fields are made
+    solve_implicit_diffusion(g, spec[0], dt, spec[0])
+    solve_implicit_diffusion(g, spec[1], dt, spec[1])
+    params.kernel.grad_hat(spec[0], spec[2:])
+    out = irfft2_each(g, spec)
+    return out[:2], out[2:]
 
 
 def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
@@ -106,11 +108,11 @@ def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
     params = traj.params
     harr = control_array(h, params)
     grad_m = params.kernel.grad_conv_slices(traj.m[: params.nt])
-    zero = np.zeros(params.grid.shape)
+    zero = np.zeros((2, *params.grid.shape))
     phi1, phi2 = _store(params, _march(
-        params, "tangent blow-up", zero, (zero, zero), zero,
-        lambda n, phi1, grad_phi1, phi2: step_linearized(
-            traj.m[n], traj.phi[n], next(grad_m), phi1, grad_phi1, phi2, harr[n], params
+        params, "tangent blow-up", zero, zero,
+        lambda n, u, grad_phi1: step_linearized(
+            traj.m[n], traj.phi[n], next(grad_m), u, grad_phi1, harr[n], params
         ),
     ))
     return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)

@@ -29,7 +29,7 @@ from . import forward as fwd
 from . import linearized as lin
 from .config import Problem, RunConfig, build_problem, coarsened
 from .fieldio import write_csv
-from .grid import smooth_periodic
+from .grid import l2, smooth_periodic, time_values
 
 # Central-difference step of the gradient check.  Smaller steps meet the
 # cost's round-off: on configs/twin.cfg (J ~ 5e-9) 1e-5 errs by ~6e-6.
@@ -213,9 +213,15 @@ def gradient_check_table(
     delta = problem.cfg.delta
     rng = np.random.default_rng([problem.cfg.seed, 104])
     g = ctl.reduced_gradient(adj, delta)
+    pd = fwd.control_array(problem.phi_d, params)
 
     def cost_parts_at(t):
-        return ctl.cost_parts(fwd.solve_state(problem.init, t, params), problem.phi_d, delta)
+        """``cost_parts`` of the run at t, its state streamed: the same sums, no history."""
+        steps = fwd.state_steps(problem.init, t, params)
+        next(steps)  # the misfit starts at n = 1
+        misfit = sum(l2(params.grid, phi - pd[n - 1]) ** 2 for n, _, phi in steps)
+        reg = sum(v ** 2 for v in time_values(params.grid, l2, fwd.control_array(t, params)))
+        return 0.5 * misfit * params.dt, 0.5 * delta * reg * params.dt
 
     table = []
     for i in range(n_directions):

@@ -76,8 +76,8 @@ def halve_theta_in_step_state(monkeypatch):
     """Make ``forward.step_state`` take half its control slice: a defect of the state solve only."""
     step = forward.step_state
 
-    def halved(m, grad_m, phi, theta_slice, params):
-        return step(m, grad_m, phi, 0.5 * theta_slice, params)
+    def halved(u, grad_m, theta_slice, params):
+        return step(u, grad_m, 0.5 * theta_slice, params)
 
     monkeypatch.setattr(forward, "step_state", halved)
 

@@ -461,8 +461,9 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
     # The configured control's forward run and its discrete adjoint against the
     # verify target are solved once, and the rows that need them share them.
     # On the coarsened copy every solve is pgd_optimize's: the projection row
-    # reads the adjoint at the optimum from its result. The runs the Lipschitz
-    # and Taylor rows stream, stored by no solve_state, are never the configured one.
+    # reads the adjoint at the optimum from its result. The runs the Lipschitz,
+    # Taylor and gradcheck rows stream, stored by no solve_state, are never the
+    # configured one.
     from morphoctl import control, forward, linearized, verify
     from morphoctl.config import load_config
 
@@ -520,7 +521,8 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
 
     target = main_problem.phi_d
     assert sum(configured(t.params, t.theta) for t, _ in forwards) == 1
-    assert len(streamed) == 5 * 2 + 4  # five Lipschitz pairs and four Taylor rungs
+    # Five Lipschitz pairs, four Taylor rungs and two cost evaluations per gradcheck direction.
+    assert len(streamed) == 5 * 2 + 4 + 3 * 2
     assert not any(configured(params, theta) for params, theta in streamed)
     assert sum(configured(t.params, t.theta) and np.array_equal(pd, target)
                for t, pd, _ in adjoints) == 1

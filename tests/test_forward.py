@@ -98,7 +98,7 @@ def test_step_preserves_constants(grid16):
     m = np.full(grid16.shape, 0.3)
     phi = np.full(grid16.shape, 0.5)
     gm = p.kernel.grad_conv(np.fft.rfft2(m))
-    m1, _, p1 = step_state(m, gm, phi, np.zeros(grid16.shape), p)
+    (m1, p1), _ = step_state(np.array([m, phi]), gm, np.zeros(grid16.shape), p)
     assert np.max(np.abs(m1 - 0.3)) < 1e-12
     assert np.max(np.abs(p1 - (0.5 + p.dt * 0.7 * 0.5))) < 1e-12
 
@@ -110,7 +110,7 @@ def test_step_heat_eigenmode():
     m = np.cos(2 * np.pi * X)
     lam = (2.0 / g.hx**2) * (1.0 - np.cos(2 * np.pi * g.hx))
     gm = p.kernel.grad_conv(np.fft.rfft2(m))
-    m1, _, _ = step_state(m, gm, np.ones(g.shape), np.zeros(g.shape), p)
+    (m1, _), _ = step_state(np.array([m, np.ones(g.shape)]), gm, np.zeros(g.shape), p)
     assert np.max(np.abs(m1 - m / (1.0 + p.dt * lam))) < 1e-12
 
 
@@ -120,7 +120,7 @@ def test_step_conserves_mass_random_state(grid16):
     phi = 0.5 + 0.3 * smooth_random(rng, grid16, scale=1.0)
     m = 0.8 * phi * smooth_random(rng, grid16, scale=1.0)
     gm = p.kernel.grad_conv(np.fft.rfft2(m))
-    m1, _, _ = step_state(m, gm, phi, np.zeros(grid16.shape), p)
+    (m1, _), _ = step_state(np.array([m, phi]), gm, np.zeros(grid16.shape), p)
     before, after = integral(grid16, m), integral(grid16, m1)
     assert abs(after - before) < 1e-12 * max(1.0, abs(before))
 

@@ -25,15 +25,15 @@ from conftest import expand, full_laplacian_symbol, make_init, make_params, smoo
 
 def _step(m, phi, theta, p):
     """step_state from real fields, seeding gradJ * m: (m+, phi+)."""
-    m1, _, p1 = step_state(m, p.kernel.grad_conv(np.fft.rfft2(m)), phi, theta, p)
-    return m1, p1
+    u1, _ = step_state(np.array([m, phi]), p.kernel.grad_conv(np.fft.rfft2(m)), theta, p)
+    return u1[0], u1[1]
 
 
 def _lin(m, phi, f1, f2, h, p):
     """step_linearized from real fields, seeding gradJ * m and gradJ * f1: (phi1+, phi2+)."""
     gm, g1 = (p.kernel.grad_conv(np.fft.rfft2(f)) for f in (m, f1))
-    p1, _, p2 = step_linearized(m, phi, gm, f1, g1, f2, h, p)
-    return p1, p2
+    u1, _ = step_linearized(m, phi, gm, np.array([f1, f2]), g1, h, p)
+    return u1[0], u1[1]
 
 
 def _random_state(rng, grid):
