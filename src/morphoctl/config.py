@@ -22,6 +22,7 @@ seed is bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -32,7 +33,7 @@ import numpy as np
 from .control import ControlField, OptConfig
 from .errors import ParameterError, ParseError, ValidationError
 from .fieldio import read_snapshot
-from .forward import InitData, ModelParams, control_array, solve_state
+from .forward import InitData, ModelParams, control_array, state_steps
 from .grid import Grid, smooth_periodic
 from .kernel import build_kernel, smallest_radius
 
@@ -251,7 +252,10 @@ def build_problem(cfg: RunConfig, need_target: bool = False) -> Problem:
             except ValidationError as exc:
                 raise ValidationError("target.phi_d", exc.reason) from exc
             theta_star = control_array(star, params)
-            phi_d = solve_state(init, theta_star, params).phi[1:] if need_target else None
+            if need_target:  # phi_1..phi_nt of the run at theta_star, the one history stored
+                phi_d = np.empty((params.nt, *grid.shape))
+                for n, _, phi in itertools.islice(state_steps(init, theta_star, params), 1, None):
+                    phi_d[n - 1] = phi
         else:
             pd = realize_field(grid, cfg.phi_d_spec, cfg.seed, "target.phi_d")
             phi_d = control_array(pd, params) if need_target else None

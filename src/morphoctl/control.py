@@ -29,9 +29,10 @@ the misfit source and the two symmetric implicit solves, in the time loop of
 ``forward._march``, which carries (gamma1, gamma2) as one ``(2, ny, nx)`` stack.
 Each solver supplies only its explicit drift terms.  The discrete solver hands
 its kernel contraction's fields to the sweep, which folds the contraction into
-the gamma1 solve's spectrum; a step then transforms 9 slices, its four-field
+the gamma1 solve's spectrum; a step then transforms 6 slices, its four-field
 right-hand-side stack in one call and gamma1, gamma2 back in one more on the
-grids where a time block holds them (``grid.stack_len``).
+grids where a time block holds them (``grid.stack_len``), plus 3 for gradJ * m
+where the run did not keep the pairs its forward steps read.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .forward import (
 from .grid import (
     grad, inner, irfft2, irfft2_each, l2, rfft2_each, solve_implicit_diffusion, time_values,
 )
-from .linearized import solve_linearized
+from .linearized import tangent_steps
 
 # Smallest trial step of the line search; a search that shrinks below it fails.
 S_MIN = 1e-12
@@ -167,13 +168,14 @@ def _backward_sweep(traj: Trajectory, phi_d, drift, flux=None) -> AdjointTraject
     :func:`morphoctl.grid.rfft2_each` call; the contraction's spectrum
     (:meth:`Kernel.grad_conv_sum`) is subtracted from p1's, and the solves write into the
     stack's first two spectra.  Slice nt - 1 is driven by the misfit source alone, so the
-    steps read Gm at m_{nt-1}..m_1, made a time block at a time in that order.
+    steps read Gm at m_{nt-1}..m_1, in that order, from :meth:`Trajectory.grad_m_slices`,
+    the pairs the tangent reads, so duality stays exact whether the run kept them or not.
     """
     p = traj.params
     g = p.grid
     dt = p.dt
     pd = control_array(phi_d, p)
-    grad_m = p.kernel.grad_conv_slices(traj.m[p.nt - 1 : 0 : -1])
+    grad_m = traj.grad_m_slices(slice(p.nt - 1, 0, -1))
 
     def explicit(n, u):
         """The right-hand-side stack [p1 without its contraction, p2, *v] at state index n,
@@ -351,7 +353,9 @@ def _gauss_newton_trial(
 
         c = dt sum_{n=1..nt} |phi2_n|^2 + delta <d, d>,
 
-    and the model's minimizer along d is s_gn = <d, d> / c.  The returned
+    and the model's minimizer along d is s_gn = <d, d> / c.  The tangent is streamed
+    (:func:`morphoctl.linearized.tangent_steps`): the squares of |phi2_n| are summed
+    in time order as the march makes them, and no history is stored.  The returned
     trial is the smallest step of the backtracking grid step0 * shrink^k
     not below max(s_gn, S_MIN), reached by the same repeated products as
     the backtracking loop, so it has the bits that loop would reach.
@@ -377,11 +381,12 @@ def _gauss_newton_trial(
     if dd == 0.0:
         return opt.step0
     result.tangent_solves += 1
+    steps = tangent_steps(traj, d)
+    next(steps)  # the zero initial slice
     try:
-        phi2 = solve_linearized(traj, d).phi2
+        curv = sum(l2(p.grid, phi2) ** 2 for _, _, phi2 in steps) * p.dt + delta * dd
     except NonFinite:
         return opt.step0
-    curv = sum(v ** 2 for v in time_values(p.grid, l2, phi2[1:])) * p.dt + delta * dd
     if not (np.isfinite(curv) and curv > 0.0):
         return opt.step0
     floor = max(dd / curv, S_MIN)
@@ -420,6 +425,9 @@ def pgd_optimize(
     Returns the last accepted iterate with ``adjoint``, its discrete
     adjoint, which gave the last residual.  ``forward_solves`` counts
     every state solve, the initial one included; ``tangent_solves`` is 0 or 1.
+
+    One stored run is held at a time: the iterate's once its adjoint (and at iteration 0
+    the Gauss-Newton tangent) has read it, a rejected trial's before the next trial's solve.
     """
     tol = opt.resolved_tol(params)
     tmin, tmax = control0.theta_min, control0.theta_max
@@ -433,7 +441,8 @@ def pgd_optimize(
     theta_prev = g_prev = None
 
     for it in range(opt.max_iters + 1):
-        adj = result.adjoint = solve_adjoint_discrete(traj, phi_d)  # frees the old one before g
+        adj = result.adjoint = None  # the old adjoint is not held through the new sweep
+        adj = result.adjoint = solve_adjoint_discrete(traj, phi_d)
         g = reduced_gradient(adj, delta)
         res = stationarity_residual(theta, g, params, tmin, tmax)
 
@@ -455,6 +464,7 @@ def pgd_optimize(
             s = _gauss_newton_trial(traj, g, delta, control0, opt, result)
         else:
             s = _bb_step(theta - theta_prev, g - g_prev, params, opt)
+        traj = None  # read by its adjoint and, at iteration 0, the Gauss-Newton tangent
         flat = 4.0 * np.spacing(j_cur)  # a cost change round-off cannot resolve
         accepted = False
         while s >= S_MIN:
@@ -462,20 +472,21 @@ def pgd_optimize(
             move = control_space_time_norm(params, trial - theta)
             if move == 0.0:
                 break
-            traj_t = solve_state(init, trial, params)
+            traj = solve_state(init, trial, params)
             result.forward_solves += 1
-            m_t, r_t = cost_parts(traj_t, phi_d, delta)
+            m_t, r_t = cost_parts(traj, phi_d, delta)
             j_t = m_t + r_t
             if abs(j_t - j_cur) <= flat:
                 result.termination = "stalled"
                 return result
             if j_t <= j_cur - (opt.c1 / s) * move**2:
                 theta_prev, g_prev = theta, g
-                theta, traj = trial, traj_t
+                theta = trial
                 misfit, reg, j_cur = m_t, r_t, j_t
                 result.step_history.append(s)
                 accepted = True
                 break
+            traj = None  # the rejected trial's run, released before the next trial's
             s *= opt.shrink
         if not accepted:
             result.termination = "line_search_failed"

@@ -30,7 +30,9 @@ the tangent and backward sweeps in the sibling modules differentiate and
 transpose this exact discrete map.  All three sweeps run one time loop,
 ``_march``, which carries a sweep's pair as a stack, yields the views of its two
 slices and raises :class:`NonFinite` on blow-up; ``_store`` keeps a march's
-histories, and :func:`state_steps` streams the state.
+histories, and :func:`state_steps` streams the state.  A stored run also keeps the
+pairs gradJ * m its steps read when their bytes fit :data:`PAIR_BUDGET`, and the
+tangent and adjoint read those rather than transform m again.
 """
 
 from __future__ import annotations
@@ -136,14 +138,33 @@ class InitData:
             raise ValueError("initial data requires |phi0| <= 1 pointwise")
 
 
+# Bytes of kernel-gradient pairs a stored run keeps: 4 MiB keeps a 32^2 x 100-step run's
+# 1.6 MB and leaves out 64^2 x 500 (33 MB) and 128^2 x 200 (52 MB).
+PAIR_BUDGET = 4 << 20
+
+
+def pair_bytes(params: ModelParams) -> int:
+    """Bytes of the pairs gradJ * m_n, n = 0..nt-1, that the forward steps read."""
+    return 16 * params.nt * params.grid.nx * params.grid.ny
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Full time history of one forward solve (the backward sweeps need it all)."""
+    """Full time history of one forward solve (the backward sweeps need it all), with the
+    pairs gradJ * m_n its steps n = 0..nt-1 read where :func:`solve_state` kept them."""
 
     params: ModelParams
     m: np.ndarray      # (nt+1, ny, nx)
     phi: np.ndarray    # (nt+1, ny, nx)
     theta: np.ndarray  # (nt, ny, nx), slice n drives step n -> n+1
+    grad_m: np.ndarray | None = None  # (nt, 2, ny, nx), or None as in a run built by hand
+
+    def grad_m_slices(self, index: slice):
+        """gradJ * m_n, [gmx, gmy], for the states n < nt ``index`` picks, in its order: the
+        kept pairs, else made from m a time block at a time (``Kernel.grad_conv_slices``)."""
+        if self.grad_m is None:
+            return self.params.kernel.grad_conv_slices(self.m[index])
+        return iter(self.grad_m[index])
 
 
 def step_state(
@@ -199,7 +220,7 @@ def _march(params: ModelParams, what: str, u0, grad0, step, backward=False):
 
 
 def _store(params: ModelParams, steps) -> tuple[np.ndarray, np.ndarray]:
-    """A march's two (nt+1, ny, nx) histories: the one place a history is allocated."""
+    """A march's two (nt+1, ny, nx) histories: the one place a sweep stores them."""
     a = np.empty((params.nt + 1, *params.grid.shape))
     b = np.empty_like(a)
     for n, a_n, b_n in steps:
@@ -226,25 +247,32 @@ def control_array(theta, params: ModelParams) -> np.ndarray:
     return arr
 
 
-def state_steps(init: InitData, theta, params: ModelParams):
+def state_steps(init: InitData, theta, params: ModelParams, grad_m=None):
     """The state march's slices ``(n, m_n, phi_n)``, n = 0..nt; the set-up runs on the call.
 
-    gradJ * m is carried from step to step, so only the seed is transformed.
+    gradJ * m is carried from step to step, so only the seed is transformed.  Step n
+    copies the pair it reads into ``grad_m[n]``, an (nt, 2, ny, nx) array, if one is given.
     """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
     u0 = np.array([init.m0, init.phi0], dtype=float)  # a float32 field would transform in float32
-    return _march(
-        params, "blow-up", u0, params.kernel.grad_conv(rfft2(u0[0])),
-        lambda n, u, grad_m: step_state(u, grad_m, th[n], params),
-    )
+
+    def step(n, u, pair):
+        if grad_m is not None:
+            grad_m[n] = pair
+        return step_state(u, pair, th[n], params)
+
+    return _march(params, "blow-up", u0, params.kernel.grad_conv(rfft2(u0[0])), step)
 
 
 def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
-    """March the state nt steps, storing every intermediate field."""
+    """March the state nt steps, storing every intermediate field and, when their bytes
+    fit :data:`PAIR_BUDGET`, the pairs gradJ * m the steps read."""
     th = control_array(theta, params)
-    m, phi = _store(params, state_steps(init, th, params))
-    return Trajectory(params=params, m=m, phi=phi, theta=th)
+    keep = pair_bytes(params) <= PAIR_BUDGET
+    grad_m = np.empty((params.nt, 2, *params.grid.shape)) if keep else None
+    m, phi = _store(params, state_steps(init, th, params, grad_m))
+    return Trajectory(params=params, m=m, phi=phi, theta=th, grad_m=grad_m)
 
 
 # Test-only oracle with weak_residual, kept beside step_state so a scheme change edits both.

@@ -21,8 +21,8 @@ spectra stack: the forward and tangent sweeps inverse-transform it with the rest
 of a step's fields, in one call where a time block holds them.  ``grad_conv`` makes the pair's fields itself, in one call
 where :func:`morphoctl.grid.stack_len` pairs two fields (through the stacked
 symbols ``_g_hat``, made only there) and one call each otherwise; it seeds the
-forward sweep, and ``grad_conv_slices`` serves a stored history a time block per
-transform.  ``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
+forward sweep, and ``grad_conv_slices`` serves a stored run that kept no pairs a time
+block per transform.  ``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
 contraction to a spectrum it transforms anyway.
 """
 

@@ -65,10 +65,10 @@ def step_linearized(
     """One step of the exact discrete derivative at (m_hat, phi_hat) of ``u``, the
     ``(2, ny, nx)`` stack [phi1, phi2].
 
-    ``grad_m`` is ``(gmx, gmy)``, gradJ * m_hat: the stored state has no carried pair, so
-    the sweep makes it for a time block of stored slices at once
-    (:meth:`morphoctl.kernel.Kernel.grad_conv_slices`).  ``grad_phi1`` is gradJ * phi1,
-    carried as in :func:`morphoctl.forward.step_state`.  Returns ``(u+, gradJ * phi1+)``.
+    ``grad_m`` is ``[gmx, gmy]``, gradJ * m_hat: the pair the forward step read where the
+    run kept it, so the tangent is the derivative of the step that ran, else made from the
+    stored m.  ``grad_phi1`` is gradJ * phi1, carried as in
+    :func:`morphoctl.forward.step_state`.  Returns ``(u+, gradJ * phi1+)``.
     """
     g = params.grid
     dt = params.dt
@@ -99,23 +99,27 @@ def step_linearized(
     return out[:2], out[2:]
 
 
-def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
-    """March the tangent system along a stored forward trajectory, carrying gradJ * phi1.
-
-    Step n reads gradJ * m_n, made for m_0..m_{nt-1} a time block at a time.  The zero
-    initial slice has a zero pair, so nothing is transformed to seed it.
-    """
+def tangent_steps(traj: Trajectory, h):
+    """The tangent march's slices ``(n, phi1_n, phi2_n)``, n = 0..nt, along a stored run,
+    carrying gradJ * phi1 from the zero pair of the zero initial slice; the set-up runs on
+    the call.  Step n reads gradJ * m_n from :meth:`Trajectory.grad_m_slices`."""
     params = traj.params
     harr = control_array(h, params)
-    grad_m = params.kernel.grad_conv_slices(traj.m[: params.nt])
+    grad_m = traj.grad_m_slices(slice(0, params.nt))
     zero = np.zeros((2, *params.grid.shape))
-    phi1, phi2 = _store(params, _march(
+    return _march(
         params, "tangent blow-up", zero, zero,
         lambda n, u, grad_phi1: step_linearized(
             traj.m[n], traj.phi[n], next(grad_m), u, grad_phi1, harr[n], params
         ),
-    ))
-    return TangentTrajectory(params=params, phi1=phi1, phi2=phi2)
+    )
+
+
+def solve_linearized(traj: Trajectory, h) -> TangentTrajectory:
+    """March the tangent system along a stored forward trajectory, storing both histories
+    (:func:`tangent_steps`)."""
+    phi1, phi2 = _store(traj.params, tangent_steps(traj, h))
+    return TangentTrajectory(params=traj.params, phi1=phi1, phi2=phi2)
 
 
 def tangent_norm(tan: TangentTrajectory) -> float:

@@ -1,6 +1,11 @@
 """The sweeps' histories keep their bits: SHA-256 digests (first 16 hex digits) of the
-stored forward, tangent and adjoint histories, recorded before the sweeps carried each
-pair as one (2, ny, nx) stack.
+stored forward, tangent and adjoint histories.
+
+With a pair budget of 0 no run keeps its kernel-gradient pairs, the tangent and adjoint
+make gradJ * m from the stored m, and the digests are those recorded before the sweeps
+carried each pair as one (2, ny, nx) stack.  At the default budget both cases keep their
+pairs: the forward keeps its bits, and the tangent and adjoint, which read the pairs the
+forward steps read, have the digests recorded when the runs first kept them.
 
 At 16^2 a step transforms its stacks in one call each way; at 128^2 each field has its own
 call, written into a slice of the stack.  The digests are those of numpy 2.4's pocketfft
@@ -13,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from morphoctl import forward
 from morphoctl.control import solve_adjoint_discrete
 from morphoctl.forward import solve_state
 from morphoctl.grid import Grid, stack_len
@@ -32,10 +38,20 @@ DIGESTS = {
         "gamma1": "9abe0ac65d1442bb", "gamma2": "f4f1fd1ca798cfa2",
     },
 }
+# The tangent and adjoint digests with the pairs kept; m and phi are those above.
+KEPT_DIGESTS = {
+    (16, 10): {
+        "phi1": "b5580261a65cfe72", "phi2": "ea37c76f732651a8",
+        "gamma1": "6b29f5c84f6177ee", "gamma2": "d4a67c7e292994fb",
+    },
+    (128, 3): {
+        "phi1": "d669f24538c93dbb", "phi2": "74587d1cd0d4117b",
+        "gamma1": "14b2525dee04f198", "gamma2": "68036c9efabbba1d",
+    },
+}
 
 
-@pytest.mark.parametrize("n, nt", list(DIGESTS), ids=lambda v: str(v))
-def test_sweep_histories_keep_their_bits(n, nt):
+def _digests(n, nt):
     g = Grid(n, n, 1.0, 1.0)
     assert stack_len(g, 4) == (4 if n == 16 else 1)
     p = make_params(g, beta=1.5, alpha=0.7, T=nt * 1e-3)
@@ -49,4 +65,15 @@ def test_sweep_histories_keep_their_bits(n, nt):
     histories = dict(m=traj.m, phi=traj.phi, phi1=tan.phi1, phi2=tan.phi2,
                      gamma1=adj.gamma1, gamma2=adj.gamma2)
     digests = {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in histories.items()}
-    assert digests == DIGESTS[n, nt]
+    return traj.grad_m is not None, digests
+
+
+@pytest.mark.parametrize("n, nt", list(DIGESTS), ids=lambda v: str(v))
+def test_sweep_histories_keep_their_bits(n, nt, monkeypatch):
+    monkeypatch.setattr(forward, "PAIR_BUDGET", 0)
+    assert _digests(n, nt) == (False, DIGESTS[n, nt])
+
+
+@pytest.mark.parametrize("n, nt", list(DIGESTS), ids=lambda v: str(v))
+def test_kept_pairs_give_the_recorded_bits(n, nt):
+    assert _digests(n, nt) == (True, {**DIGESTS[n, nt], **KEPT_DIGESTS[n, nt]})

@@ -488,10 +488,10 @@ def test_verify_shares_its_base_run_and_adjoint(cfg_path, monkeypatch):
         return solved
 
     def watched(steps):
-        def stepped(init, theta, params):
+        def stepped(init, theta, params, *keep):
             if not storing[0]:
                 streamed.append((params, theta))
-            return steps(init, theta, params)
+            return steps(init, theta, params, *keep)
 
         return stepped
 
@@ -620,13 +620,13 @@ def test_twin_target_is_solved_only_by_a_command_that_reads_it(
     from morphoctl import config
 
     calls = []
-    solve = config.solve_state
+    steps = config.state_steps
 
     def counted(init, theta, params):
         calls.append(theta)
-        return solve(init, theta, params)
+        return steps(init, theta, params)
 
-    monkeypatch.setattr(config, "solve_state", counted)
+    monkeypatch.setattr(config, "state_steps", counted)
     path = tmp_path / "twin.cfg"
     path.write_text((CONFIGS / "twin.cfg").read_text().replace("time.T = 0.005", "time.T = 1e-3"))
     assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,28 @@ def _small_twin(grid16):
     return p, init, control0, phi_d
 
 
+# tracemalloc peak of the run in test_pgd_peak_memory_is_no_higher_with_kept_pairs before
+# stored runs kept their kernel-gradient pairs (numpy 2.4, x86-64; 1,406,824-1,407,032 bytes
+# over three runs in one process).
+PGD_PEAK_BEFORE_KEPT_PAIRS = 1_407_032
+
+
+def test_pgd_peak_memory_is_no_higher_with_kept_pairs(grid16):
+    # Each run keeps its pairs (164 KB against 84 KB per history here); pgd_optimize holds
+    # one run at a time and frees the old adjoint before the next sweep, so its peak holds.
+    p, init, control0, phi_d = _small_twin(grid16)
+    opt = OptConfig(max_iters=40, step0=1e7, tol=1e-9)
+    pgd_optimize(init, control0, phi_d, p, delta=1e-6, opt=opt)  # the kernel's cached transforms
+    tracemalloc.start()
+    try:
+        res = pgd_optimize(init, control0, phi_d, p, delta=1e-6, opt=opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.termination == "converged" and res.forward_solves == 5
+    assert peak <= PGD_PEAK_BEFORE_KEPT_PAIRS
+
+
 def test_pgd_bb_seed_needs_few_solves_per_iteration(grid16, monkeypatch):
     p, init, control0, phi_d = _small_twin(grid16)
     # Log the solves in call order: each adjoint solve opens an iteration.
@@ -345,9 +369,11 @@ def test_gauss_newton_first_trial_falls_back_on_tangent_blowup(grid16, monkeypat
     opt = OptConfig(max_iters=60, step0=1e5, tol=1e-14)
 
     def blowup(traj, h):
+        zero = np.zeros(traj.params.grid.shape)
+        yield 0, zero, zero
         raise NonFinite("tangent blow-up at step 1", step=1)
 
-    monkeypatch.setattr(ctl, "solve_linearized", blowup)
+    monkeypatch.setattr(ctl, "tangent_steps", blowup)
     res = pgd_optimize(init, control0, phi_d, p, delta=1e-3, opt=opt)
     monkeypatch.setattr(ctl, "_gauss_newton_trial", _step0_first_trial)
     ref = pgd_optimize(init, control0, phi_d, p, delta=1e-3, opt=opt)
@@ -507,15 +533,18 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
 
 
 def test_fft_counts_per_step(grid16, monkeypatch):
-    """Real 2-D transforms per step, counted in slices: forward 6, tangent 9, adjoint 9.
+    """Real 2-D transforms per step, counted in slices: forward 6, tangent 6, adjoint 6
+    when the run keeps its kernel-gradient pairs, and 6, 9, 9 at a pair budget of 0.
 
     The forward and tangent sweeps carry gradJ * m and gradJ * phi1 from one
     step to the next, made from the spectrum the step's implicit solve made, so
     the forward takes one rfft2 and one pair of irfft2 more to seed it and makes
     one unused pair at its last step; the tangent's zero seed is a zero pair,
-    not transformed.  The adjoint's terminal step makes only its two implicit
-    solves, and its kernel contraction stays a spectrum, folded into the gamma1
-    solve.  ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
+    not transformed.  A run that keeps the pairs its steps read hands them to the
+    tangent and adjoint; otherwise each makes gradJ * m from the stored m, one
+    rfft2 and two irfft2 slices per step.  The adjoint's terminal step makes only
+    its two implicit solves, and its kernel contraction stays a spectrum, folded
+    into the gamma1 solve.  ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
     passes, so a forward transform is one ``rfft`` (then one ``fft``) and
     an inverse one ``irfft`` (after one ``ifft``).  A pass transforms as many
     slices as its input has over the leading axes, so exact counts also pin
@@ -565,16 +594,23 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     nt = p.nt
     assert nt == 10
     fwd_slices = {"rfft2": 2 * nt + 1, "irfft2": 4 * nt + 2}
-    tan_slices = {"rfft2": 3 * nt, "irfft2": 6 * nt}
-    adj_slices = {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2}
-    # One stack call per step each way, one each way for the forward's seed pair or
-    # for the one block of gradJ * m.
-    stacked = ({"rfft2": nt + 1, "irfft2": nt + 1},) * 3
+    kept_slices = (fwd_slices, {"rfft2": 2 * nt, "irfft2": 4 * nt},
+                   {"rfft2": 4 * (nt - 1) + 2, "irfft2": 2 * (nt - 1) + 2})
+    made_slices = (fwd_slices, {"rfft2": 3 * nt, "irfft2": 6 * nt},
+                   {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2})
     one_slice = gridmod.TRANSFORM_FIELDS * 8 * grid16.nx * grid16.ny
-    for budget, expected_calls in ((gridmod._BLOCK_BYTES, stacked), (one_slice, None)):
-        monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
-        traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
-        _, tan, tan_calls = sweep(solve_linearized, traj, h)
-        _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
-        assert (fwd, tan, adj) == (fwd_slices, tan_slices, adj_slices)
-        assert (fwd_calls, tan_calls, adj_calls) == (expected_calls or (fwd, tan, adj))
+    blocks = gridmod._BLOCK_BYTES
+    for pair_budget, expected_slices in ((fwdmod.PAIR_BUDGET, kept_slices), (0, made_slices)):
+        monkeypatch.setattr(fwdmod, "PAIR_BUDGET", pair_budget)
+        # One stack call per step each way, one each way for the forward's seed pair or
+        # for the one block of gradJ * m.
+        made = nt + (0 if pair_budget else 1)
+        stacked = ({"rfft2": nt + 1, "irfft2": nt + 1},) + ({"rfft2": made, "irfft2": made},) * 2
+        for budget, expected_calls in ((blocks, stacked), (one_slice, None)):
+            monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
+            traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
+            assert (traj.grad_m is not None) == (pair_budget > 0)
+            _, tan, tan_calls = sweep(solve_linearized, traj, h)
+            _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
+            assert (fwd, tan, adj) == expected_slices
+            assert (fwd_calls, tan_calls, adj_calls) == (expected_calls or (fwd, tan, adj))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from morphoctl.config import build_problem, parse_config_text
+from morphoctl import forward
+from morphoctl.config import build_problem, load_config, parse_config_text
 from morphoctl.control import (
     control_inner,
     cost_parts,
@@ -25,12 +26,13 @@ from morphoctl.forward import (
     l2_h1_norm,
     lipschitz_probe,
     mass_series,
+    pair_bytes,
     phi_balance_defect,
     solve_state,
     step_state,
     weak_residual,
 )
-from morphoctl.grid import Grid, h1, integral, l2
+from morphoctl.grid import Grid, h1, integral, l2, rfft2
 from morphoctl.kernel import build_kernel
 from morphoctl.linearized import solve_linearized, tangent_norm
 
@@ -435,3 +437,59 @@ def test_trajectory_norm_helpers(grid16):
         phi_balance_defect(traj),
     ]
     assert [type(v) for v in values] == [float] * 7
+
+
+def test_kept_pairs_are_the_ones_the_steps_read(grid16):
+    # Index 0 is the seed, gradJ * m_0 from m_0's transform; index n >= 1 is, byte for
+    # byte, the pair step_state returned with state n.
+    p = make_params(grid16, T=0.01)
+    rng = np.random.default_rng(27)
+    init = make_init(grid16)
+    theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
+    traj = solve_state(init, theta, p)
+    assert traj.grad_m.shape == (p.nt, 2, *grid16.shape)
+    u, pair = np.array([init.m0, init.phi0]), p.kernel.grad_conv(rfft2(init.m0))
+    assert traj.grad_m[0].tobytes() == np.array(pair).tobytes()
+    for n in range(1, p.nt):
+        u, pair = step_state(u, pair, theta[n - 1], p)
+        assert traj.grad_m[n].tobytes() == pair.tobytes()
+        assert traj.m[n].tobytes() == u[0].tobytes()
+
+
+def test_pairs_are_kept_exactly_when_their_bytes_fit_the_budget(grid16, monkeypatch):
+    # The shipped twin (32^2 x 100 steps) keeps its pairs; the default run (64^2 x 500) does not.
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    twin, default = (build_problem(load_config(configs / name)).params
+                     for name in ("twin.cfg", "default.cfg"))
+    assert pair_bytes(twin) <= forward.PAIR_BUDGET < pair_bytes(default)
+    p = make_params(grid16, T=0.01)
+    nbytes = pair_bytes(p)
+    assert nbytes == p.nt * 2 * grid16.nx * grid16.ny * 8
+    for budget, kept in ((nbytes, True), (nbytes - 1, False)):
+        monkeypatch.setattr(forward, "PAIR_BUDGET", budget)
+        traj = solve_state(make_init(grid16), np.zeros(grid16.shape), p)
+        assert (traj.grad_m is not None) == kept
+        assert not kept or traj.grad_m.nbytes == nbytes
+
+
+def test_a_hand_built_run_has_its_pairs_made_from_m(grid16, monkeypatch):
+    p = make_params(grid16, T=0.01)
+    rng = np.random.default_rng(28)
+    init = make_init(grid16)
+    theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
+    h = expand(smooth_random(rng, grid16), p.nt)
+    traj = solve_state(init, theta, p)
+    hand = Trajectory(params=p, m=traj.m, phi=traj.phi, theta=traj.theta)
+    assert traj.grad_m is not None and hand.grad_m is None
+    made = [np.array(pair) for pair in hand.grad_m_slices(slice(0, p.nt))]
+    assert np.array_equal(made, [np.array(pair) for pair in p.kernel.grad_conv_slices(traj.m[:-1])])
+    # Its tangent and adjoint are those of a run whose pairs exceed the budget.
+    monkeypatch.setattr(forward, "PAIR_BUDGET", 0)
+    unkept = solve_state(init, theta, p)
+    assert unkept.grad_m is None
+    pd = 0.7 * np.ones(grid16.shape)
+    for sweep, names in ((lambda t: solve_linearized(t, h), ("phi1", "phi2")),
+                         (lambda t: solve_adjoint_discrete(t, pd), ("gamma1", "gamma2"))):
+        a, b = sweep(hand), sweep(unkept)
+        for name in names:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

@@ -1,11 +1,15 @@
 """The exactness identities, the Taylor gate and the gradient check on random admissible
 problems: odd and non-square grids, random model constants, kernel radii, horizons and
-time steps."""
+time steps.  About half the draws run at a pair budget of 0, so the tangent and adjoint
+make gradJ * m from the stored m; the rest keep the pairs the forward steps read."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphoctl import forward
 from morphoctl.control import (
     control_inner, cost_parts, duality_gap, reduced_gradient, solve_adjoint_discrete,
 )
@@ -19,7 +23,8 @@ from conftest import make_params, smooth_random
 
 @st.composite
 def problems(draw):
-    """(params, init, theta, h, phi_d), the fields drawn from a seeded numpy stream."""
+    """(params, init, theta, h, phi_d, pair_budget), the fields and the budget drawn from a
+    seeded numpy stream."""
     Lx, Ly = draw(st.floats(0.6, 1.6)), draw(st.floats(0.6, 1.6))
     # Each side needs 3 cells to fit below the largest radius, min(L) / 2: n > 6 L / min(L).
     nx = draw(st.integers(max(9, int(6 * Lx / min(Lx, Ly)) + 1), 25))
@@ -37,14 +42,17 @@ def problems(draw):
     theta = rng.uniform(0.0, 1.0, size=(nt, ny, nx))
     h = rng.standard_normal((nt, ny, nx))
     phi_d = rng.uniform(0.0, 1.0, size=(nt, ny, nx))
-    return params, InitData(m0=m0, phi0=phi0), theta, h, phi_d
+    pair_budget = 0 if rng.uniform() < 0.5 else forward.PAIR_BUDGET
+    return params, InitData(m0=m0, phi0=phi0), theta, h, phi_d, pair_budget
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(problem=problems())
 def test_mass_balance_and_duality_are_exact(problem):
-    params, init, theta, h, phi_d = problem
-    traj = solve_state(init, theta, params)
+    params, init, theta, h, phi_d, pair_budget = problem
+    with mock.patch.object(forward, "PAIR_BUDGET", pair_budget):
+        traj = solve_state(init, theta, params)
+    assert (traj.grad_m is not None) == (pair_budget > 0)
     masses = mass_series(traj)
     assert np.max(np.abs(masses - masses[0])) / max(1.0, abs(masses[0])) <= 1e-12
     assert phi_balance_defect(traj) <= 1e-12
