@@ -30,9 +30,8 @@ the misfit source and the two symmetric implicit solves, in the time loop of
 Each solver supplies only its explicit drift terms.  The discrete solver hands
 its kernel contraction's fields to the sweep, which folds the contraction into
 the gamma1 solve's spectrum; a step then transforms 6 slices, its four-field
-right-hand-side stack in one call and gamma1, gamma2 back in one more on the
-grids where a time block holds them (``grid.stack_len``), plus 3 for gradJ * m
-where the run did not keep the pairs its forward steps read.
+right-hand-side stack in one call and gamma1, gamma2 back in one more, plus 3 for
+gradJ * m where the run did not keep the pairs its forward steps read.
 """
 
 from __future__ import annotations
@@ -52,9 +51,7 @@ from .forward import (
     control_space_time_norm,
     solve_state,
 )
-from .grid import (
-    grad, inner, irfft2, irfft2_each, l2, rfft2_each, solve_implicit_diffusion, time_values,
-)
+from .grid import grad, inner, irfft2, l2, rfft2, solve_implicit_diffusion, time_values
 from .linearized import tangent_steps
 
 # Smallest trial step of the line search; a search that shrinks below it fails.
@@ -165,7 +162,7 @@ def _backward_sweep(traj: Trajectory, phi_d, drift, flux=None) -> AdjointTraject
     ``(2, 2, ny, nx)`` stack), adv = Gm[0] d[0] + Gm[1] d[1] and Gm = gradJ * m at the
     stored state.  ``flux(m, phi, d, out)``, if given, writes [vx, vy] into ``out`` and
     may overwrite d.  p1 without its contraction, p2, vx and vy are one stack and one
-    :func:`morphoctl.grid.rfft2_each` call; the contraction's spectrum
+    :func:`morphoctl.grid.rfft2` call; the contraction's spectrum
     (:meth:`Kernel.grad_conv_sum`) is subtracted from p1's, and the solves write into the
     stack's first two spectra.  Slice nt - 1 is driven by the misfit source alone, so the
     steps read Gm at m_{nt-1}..m_1, in that order, from :meth:`Trajectory.grad_m_slices`,
@@ -198,14 +195,14 @@ def _backward_sweep(traj: Trajectory, phi_d, drift, flux=None) -> AdjointTraject
         return rhs
 
     def step(n, u, _pair):
-        rhs_hat = rfft2_each(g, explicit(n, u))
+        rhs_hat = rfft2(explicit(n, u))
         p1_hat = rhs_hat[0]
         if len(rhs_hat) == 4:
             p1_hat = p1_hat - dt * p.kernel.grad_conv_sum(rhs_hat[2], rhs_hat[3])
         solve_implicit_diffusion(g, p1_hat, dt, rhs_hat[0])
         solve_implicit_diffusion(g, rhs_hat[1], dt, rhs_hat[1])
         del p1_hat
-        return irfft2_each(g, rhs_hat[:2]), None
+        return irfft2(rhs_hat[:2], g.shape), None
 
     zero = np.zeros((2, *g.shape))
     g1, g2 = _store(p, _march(p, "adjoint blow-up", zero, None, step, backward=True))
@@ -276,7 +273,7 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
 
     def drift(m, phi, d, adv):
         cm, cp = params.mobilities(m, phi)
-        dh = rfft2_each(g, d.reshape(4, *g.shape))  # [d_x g1, d_x g2, d_y g1, d_y g2]
+        dh = rfft2(d.reshape(4, *g.shape))  # [d_x g1, d_x g2, d_y g1, d_y g2]
         k1 = irfft2(params.kernel.grad_conv_sum(dh[0], dh[2]), g.shape)
         k2 = irfft2(params.kernel.grad_conv_sum(dh[1], dh[3]), g.shape)
         e = np.empty_like(adv)

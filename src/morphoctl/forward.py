@@ -21,8 +21,7 @@ implicit solve made m from, so a step transforms no stored field; that
 spectrum equals ``rfft2(m)`` in exact arithmetic (see
 docs/discrete_adjoint.md).  The step carries (m, phi) as one ``(2, ny, nx)``
 stack: the two equations' mobilities, fluxes, divergence and right-hand sides
-are each one call on it, and it transforms its stacks one call each way on the
-grids where a time block holds them.
+are each one call on it, and it transforms its stacks one call each way.
 
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
@@ -50,10 +49,9 @@ from .grid import (
     h_minus_1,
     inner,
     integral,
-    irfft2_each,
+    irfft2,
     l2,
     rfft2,
-    rfft2_each,
     solve_implicit_diffusion,
     time_values,
 )
@@ -190,12 +188,12 @@ def step_state(
     rhs *= dt
     np.subtract(u, rhs, out=rhs)
     rhs[1] += dt * (params.alpha * (1.0 - phi) + theta_slice)
-    rfft2_each(g, rhs, spec[:2])
+    rfft2(rhs, spec[:2])
     del rhs  # freed before the four fields are made
     solve_implicit_diffusion(g, spec[0], dt, spec[0])
     solve_implicit_diffusion(g, spec[1], dt, spec[1])
     params.kernel.grad_hat(spec[0], spec[2:])
-    out = irfft2_each(g, spec)
+    out = irfft2(spec, g.shape)
     return out[:2], out[2:]
 
 

@@ -38,12 +38,12 @@ Conventions used by every module in this package:
 * Every real 2-D transform in the package goes through :func:`rfft2` and
   :func:`irfft2`: numpy's ``rfftn``/``irfftn`` 1-D passes and bits, without
   its n-d argument handling (see docs/discrete_adjoint.md), and countable in
-  one place.  ``h_minus_1`` uses the complex ``fft2``, not a real transform.
+  one place.  ``h_minus_1`` uses the complex ``fft2``, not a real transform;
+  no other module names ``numpy.fft`` (``tests/test_transform_lint.py``).
 * A sweep carries its pair as one ``(2, ny, nx)`` stack, and a step keeps its
-  independent fields in stacks too.  :func:`rfft2_each` and :func:`irfft2_each`
-  transform a stack in calls of :func:`stack_len` fields, each written into
-  its slice of the output stack: no field is copied, and the bits are a call
-  per field's.
+  independent fields in stacks too, each transformed in one call each way at
+  every grid size: a pass transforms each field of a stack on its own, so the
+  bits are a call per field's.
 * The ``h_minus_1`` norm uses the same basis with the continuous
   wavenumber convention ``kappa = (2 pi ktilde_x / Lx, 2 pi ktilde_y / Ly)``
   (``ktilde`` the signed integer DFT frequency)::
@@ -167,10 +167,9 @@ def rfft2(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(np.fft.rfft(f), axis=-2, out=out)
 
 
-def irfft2(fh: np.ndarray, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`rfft2` onto ``shape``, into ``out``: ``np.fft.irfft2(fh, s=shape)``,
-    bit for bit."""
-    return np.fft.irfft(np.fft.ifft(fh, axis=-2), n=shape[-1], out=out)
+def irfft2(fh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of :func:`rfft2` onto ``shape``: ``np.fft.irfft2(fh, s=shape)``, bit for bit."""
+    return np.fft.irfft(np.fft.ifft(fh, axis=-2), n=shape[-1])
 
 
 def solve_implicit_diffusion(
@@ -181,7 +180,7 @@ def solve_implicit_diffusion(
 
     Multiplies ``rhs_hat`` by a cached ``1 / (1 - dt lam)``: numpy's complex-by-real
     division does the same, so ``irfft2`` of the result has its bits.  A step writes
-    ``u``'s spectrum into the stack it inverse-transforms (:func:`irfft2_each`) and can
+    ``u``'s spectrum into the stack it inverse-transforms (:func:`irfft2`) and can
     carry it, which equals ``rfft2(u)`` in exact arithmetic, to the next step.
     """
     return np.multiply(rhs_hat, _implicit_multiplier(grid, dt), out=out)
@@ -190,14 +189,6 @@ def solve_implicit_diffusion(
 # Bytes of one time block, all series together: of one series, 32 slices at
 # 64^2, 8 at 128^2 and a whole 100-step history at 32^2.
 _BLOCK_BYTES = 1 << 20
-# Fields' worth of bytes one transformed slice holds: itself, its spectrum, the
-# outputs and the transform temporaries.
-TRANSFORM_FIELDS = 6
-
-
-def _block_len(grid: Grid, per_slice: int) -> int:
-    """Slices in one time block when one slice holds ``per_slice`` fields' worth of bytes."""
-    return max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * per_slice))
 
 
 def time_blocks(grid: Grid, per_slice: int, *series):
@@ -206,45 +197,9 @@ def time_blocks(grid: Grid, per_slice: int, *series):
     Each block spans as many slices as fit ``_BLOCK_BYTES`` when one slice holds
     ``per_slice`` fields' worth of bytes, counting the series and what is made from them.
     """
-    k = _block_len(grid, per_slice)
+    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * per_slice))
     for a in range(0, len(series[0]), k):
         yield tuple(s[a : a + k] for s in series)
-
-
-def stack_len(grid: Grid, count: int) -> int:
-    """Fields per call when a step transforms ``count`` fields together.
-
-    A call's stack holds at most the slices one time block holds when a slice holds
-    ``TRANSFORM_FIELDS`` fields' worth (the blocks the sweeps transform gradJ * m in),
-    and the fewest such calls share the fields evenly: four fields in one call up to
-    73^2, two pairs up to 104^2 and a call per field from 128^2.
-    """
-    calls = -(-count // _block_len(grid, TRANSFORM_FIELDS))
-    return -(-count // calls)
-
-
-def _each(grid: Grid, transform, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``transform`` of a stack's fields into the slices of ``out``, :func:`stack_len`
-    fields a call: one call on small grids, one per field on large ones, and no copy."""
-    k = stack_len(grid, len(stack))
-    for a in range(0, len(stack), k):
-        transform(stack[a : a + k], out=out[a : a + k])
-    return out
-
-
-def rfft2_each(grid: Grid, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The :func:`rfft2` spectra of a ``(k, ny, nx)`` stack's fields, into the ``(k, ny,
-    nx//2+1)`` stack ``out``; the bits of a call per field."""
-    if out is None:
-        out = np.empty((len(stack), grid.ny, grid.nx // 2 + 1), complex)
-    return _each(grid, rfft2, stack, out)
-
-
-def irfft2_each(grid: Grid, spectra: np.ndarray) -> np.ndarray:
-    """The :func:`irfft2` fields of a stack of spectra on ``grid``, a ``(k, ny, nx)`` stack;
-    the bits of a call per spectrum."""
-    return _each(grid, lambda fh, out: irfft2(fh, grid.shape, out), spectra,
-                 np.empty((len(spectra), *grid.shape)))
 
 
 def time_values(grid: Grid, reduce, *series):

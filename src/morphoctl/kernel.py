@@ -17,12 +17,10 @@ just accurate.
 ``circ_conv`` at 1e-12.  It works from the :func:`morphoctl.grid.rfft2`
 spectrum of its field, so a sweep holding the spectrum spends no transform.
 ``grad_hat`` stays in the spectral domain and writes its pair into the step's
-spectra stack: the forward and tangent sweeps inverse-transform it with the rest
-of a step's fields, in one call where a time block holds them.  ``grad_conv`` makes the pair's fields itself, in one call
-where :func:`morphoctl.grid.stack_len` pairs two fields (through the stacked
-symbols ``_g_hat``, made only there) and one call each otherwise; it seeds the
-forward sweep, and ``grad_conv_slices`` serves a stored run that kept no pairs a time
-block per transform.  ``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
+spectra stack, which the forward and tangent sweeps inverse-transform in one call.
+``grad_conv`` makes the pair's fields in one inverse call; it seeds the forward
+sweep, and ``grad_conv_slices`` serves a stored run that kept no pairs a time block
+per transform.  ``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
 contraction to a spectrum it transforms anyway.
 """
 
@@ -34,9 +32,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
-from .grid import (
-    TRANSFORM_FIELDS, Grid, integral, irfft2, periodic_reverse, rfft2, stack_len, time_blocks,
-)
+from .grid import Grid, integral, irfft2, periodic_reverse, rfft2, time_blocks
+
+# Fields' worth of bytes one slice of a grad_conv_slices block holds: itself, its
+# spectrum, the two outputs and the transform temporaries.
+TRANSFORM_FIELDS = 6
 
 
 def _signed_offsets(n: int, h: float) -> np.ndarray:
@@ -66,41 +66,34 @@ class Kernel:
     def _gy_hat(self) -> np.ndarray:
         return rfft2(self.gjy) * self.grid.cell_area
 
-    @cached_property
-    def _g_hat(self) -> np.ndarray:
-        """The stack of ``_gx_hat`` and ``_gy_hat``, made from them with no transform of its own."""
-        return np.stack([self._gx_hat, self._gy_hat])
-
     def conv_j(self, f: np.ndarray) -> np.ndarray:
         """j * f (discrete integral convolution)."""
-        return irfft2(self._j_hat * rfft2(f), self.grid.shape)
+        fh = rfft2(f)  # named: an elided temporary is multiplied in place, with other bits
+        return irfft2(self._j_hat * fh, self.grid.shape)
 
     def grad_hat(self, fh: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rfft2 spectra of both components of (grad j) * f, from f's spectrum ``fh``,
-        into the ``(2, ny, nx//2+1)`` stack ``out``: a slice of a step's spectra stack."""
+        into the ``(2, *fh.shape)`` stack ``out``: in a sweep step, a slice of its spectra
+        stack."""
         np.multiply(self._gx_hat, fh, out=out[0])
         np.multiply(self._gy_hat, fh, out=out[1])
         return out
 
-    def grad_conv(self, fh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both components of (grad j) * f, from f's rfft2 spectrum ``fh``.
+    def grad_conv(self, fh: np.ndarray) -> np.ndarray:
+        """The stack [ax, ay] of both components of (grad j) * f, from f's rfft2 spectrum
+        ``fh``, in one inverse call.
 
         A caller holding only the field passes ``grid.rfft2(f)``.  A ``(k, ny, nx//2+1)``
-        stack of spectra gives two ``(k, ny, nx)`` stacks.  Where a block holds the pair,
-        its two products are one broadcast product and one inverse call, the same bits.
+        stack of spectra gives a ``(2, k, ny, nx)`` stack.
         """
-        if stack_len(self.grid, 2) == 2:
-            g = self._g_hat if fh.ndim == 2 else self._g_hat[:, None]
-            ax, ay = irfft2(g * fh, self.grid.shape)
-            return ax, ay
-        return irfft2(self._gx_hat * fh, self.grid.shape), irfft2(self._gy_hat * fh, self.grid.shape)
+        return irfft2(self.grad_hat(fh, np.empty((2, *fh.shape), complex)), self.grid.shape)
 
     def grad_conv_slices(self, stack: np.ndarray):
-        """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block.
+        """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block,
+        a slice counted as :data:`TRANSFORM_FIELDS` fields.
 
-        A slice of a block holds about six fields' worth: itself, its spectrum, the
-        two outputs and the transform temporaries.  The stack contract of
-        :mod:`morphoctl.grid` makes each pair bit-identical to a slice's own call.
+        The stack contract of :mod:`morphoctl.grid` makes each pair bit-identical to a
+        slice's own call.
         """
         for (block,) in time_blocks(self.grid, TRANSFORM_FIELDS, stack):
             yield from zip(*self.grad_conv(rfft2(block)))

@@ -34,7 +34,7 @@ from .forward import (
     l2_h1_norm,
     state_steps,
 )
-from .grid import div, irfft2_each, l2, rfft2_each, solve_implicit_diffusion, time_values
+from .grid import div, irfft2, l2, rfft2, solve_implicit_diffusion, time_values
 
 # Perturbation sizes of the Taylor test, halving from 1e-1: three orders from four rungs.
 EPS_LADDER = (1e-1, 5e-2, 2.5e-2, 1.25e-2)
@@ -90,12 +90,12 @@ def step_linearized(
     np.subtract(u, rhs, out=rhs)
     rhs[1] += dt * (-params.alpha * phi2 + h_slice)
     spec = np.empty((4, g.ny, g.nx // 2 + 1), complex)  # [phi1+, phi2+, gradJ * phi1+] spectra
-    rfft2_each(g, rhs, spec[:2])
+    rfft2(rhs, spec[:2])
     del rhs  # freed before the four fields are made
     solve_implicit_diffusion(g, spec[0], dt, spec[0])
     solve_implicit_diffusion(g, spec[1], dt, spec[1])
     params.kernel.grad_hat(spec[0], spec[2:])
-    out = irfft2_each(g, spec)
+    out = irfft2(spec, g.shape)
     return out[:2], out[2:]
 
 

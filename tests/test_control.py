@@ -24,6 +24,7 @@ from morphoctl.control import (
 from morphoctl.errors import DeltaZero, NonFinite, ParameterError, ShapeMismatch
 from morphoctl.forward import InitData, solve_state
 import morphoctl.grid as gridmod
+import morphoctl.kernel as kernelmod
 import morphoctl.linearized as linmod
 from morphoctl.grid import Grid, l2
 from morphoctl.linearized import solve_linearized
@@ -549,11 +550,12 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     an inverse one ``irfft`` (after one ``ifft``).  A pass transforms as many
     slices as its input has over the leading axes, so exact counts also pin
     that the time blocks of gradJ * m transform only the stored slices the
-    steps read.  The numpy calls are pinned too: at 16^2 one block holds every
-    stored slice and each step's stacks go in one call each way (its two
-    right-hand sides, or the adjoint's four fields; its solved fields with the
-    forward's and tangent's kernel pair); at a budget of one slice per block
-    every slice has its own call.  Each step calls ``solve_implicit_diffusion``
+    steps read.  The numpy calls are pinned too: each step's stacks go in one
+    call each way (its two right-hand sides, or the adjoint's four fields; its
+    solved fields with the forward's and tangent's kernel pair) at every block
+    budget, and the blocks of gradJ * m are one call each way: one block holds
+    every stored slice at 16^2, and each stored slice is its own block at a
+    budget of one slice per block.  Each step calls ``solve_implicit_diffusion``
     by name twice at either budget, the count perfbench's phase cuts rely on.
     """
     p = make_params(grid16, T=0.01)
@@ -562,7 +564,7 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     theta = expand(0.3 + 0.1 * smooth_random(rng, grid16), p.nt)
     h = expand(smooth_random(rng, grid16), p.nt)
     pd = 0.8 * np.ones((1, *grid16.shape))
-    p.kernel._g_hat  # the cached kernel transforms are not per step
+    p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not per step
     passes = ("rfft", "fft", "irfft", "ifft")
     slices, calls = {}, {}
     for name in passes:
@@ -598,19 +600,22 @@ def test_fft_counts_per_step(grid16, monkeypatch):
                    {"rfft2": 4 * (nt - 1) + 2, "irfft2": 2 * (nt - 1) + 2})
     made_slices = (fwd_slices, {"rfft2": 3 * nt, "irfft2": 6 * nt},
                    {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2})
-    one_slice = gridmod.TRANSFORM_FIELDS * 8 * grid16.nx * grid16.ny
+    one_slice = kernelmod.TRANSFORM_FIELDS * 8 * grid16.nx * grid16.ny
     blocks = gridmod._BLOCK_BYTES
     for pair_budget, expected_slices in ((fwdmod.PAIR_BUDGET, kept_slices), (0, made_slices)):
         monkeypatch.setattr(fwdmod, "PAIR_BUDGET", pair_budget)
-        # One stack call per step each way, one each way for the forward's seed pair or
-        # for the one block of gradJ * m.
-        made = nt + (0 if pair_budget else 1)
-        stacked = ({"rfft2": nt + 1, "irfft2": nt + 1},) + ({"rfft2": made, "irfft2": made},) * 2
-        for budget, expected_calls in ((blocks, stacked), (one_slice, None)):
+        for budget, n_blocks in ((blocks, lambda k: 1), (one_slice, lambda k: k)):
             monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
+            # One stack call per step each way, one each way for the forward's seed pair
+            # and for each block of the gradJ * m the tangent (nt slices) and the adjoint
+            # (nt - 1) make.
+            made = (0, 0) if pair_budget else (n_blocks(nt), n_blocks(nt - 1))
+            expected_calls = ({"rfft2": nt + 1, "irfft2": nt + 1},) + tuple(
+                {"rfft2": nt + b, "irfft2": nt + b} for b in made
+            )
             traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
             assert (traj.grad_m is not None) == (pair_budget > 0)
             _, tan, tan_calls = sweep(solve_linearized, traj, h)
             _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
             assert (fwd, tan, adj) == expected_slices
-            assert (fwd_calls, tan_calls, adj_calls) == (expected_calls or (fwd, tan, adj))
+            assert (fwd_calls, tan_calls, adj_calls) == expected_calls

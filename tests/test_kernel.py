@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from morphoctl.errors import SupportTooLarge, SupportUnresolved
-import morphoctl.grid as gridmod
-from morphoctl.grid import Grid, irfft2_each, periodic_reverse, rfft2, rfft2_each, stack_len
+from morphoctl.grid import Grid, irfft2, periodic_reverse, rfft2
 from morphoctl.kernel import _signed_offsets, build_kernel, kernel_report
 
 from oracles import circ_conv
@@ -171,22 +170,20 @@ def test_normalization_invariant_under_refinement():
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
 
 
-@pytest.mark.parametrize("nx, ny", [(128, 128), (201, 183)])
+@pytest.mark.parametrize("nx, ny", [(128, 128), (201, 183), (256, 256)])
 @pytest.mark.parametrize("count", [2, 4])
 def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, monkeypatch):
-    # Where a time block holds a step's stack, its fields are transformed in one call each
-    # way and the kernel pair is one broadcast product; every byte must be the per-field
-    # form's.  Past 256 KiB numpy elides a temporary operand and multiplies in place, which
-    # for a complex product can give other bits; both sizes hold stacks past that, and at
-    # 201 x 183 one spectrum is past it too.  So every spectrum has a name before it is
-    # multiplied, here as in the sweeps.
+    # A step's stack is transformed in one call each way at every grid size, and the
+    # kernel pair is one product per component; every byte must be the per-field form's.
+    # Past 256 KiB numpy elides a temporary operand and multiplies in place, which for a
+    # complex product can give other bits; every size holds stacks past that, and at
+    # 201 x 183 and 256 x 256 one spectrum is past it too.  So every spectrum has a name
+    # before it is multiplied, here as in the sweeps and in conv_j.
     g = Grid(nx, ny, 1.0, 1.3)
     k = build_kernel(g, 0.1)
     fields = np.random.default_rng(nx + count).standard_normal((count, ny, nx))
     per_field = [np.fft.rfft2(f) for f in fields]
-    monkeypatch.setattr(gridmod, "_BLOCK_BYTES", count * gridmod.TRANSFORM_FIELDS * 8 * nx * ny)
-    assert stack_len(g, count) == count
-    k._g_hat  # the cached kernel transforms are not the stack's calls
+    k._j_hat, k._gx_hat, k._gy_hat  # the cached kernel transforms are not the stack's calls
     calls = []
     for name in ("rfft", "irfft"):
         def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
@@ -194,7 +191,7 @@ def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, 
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
 
-    stacked = rfft2_each(g, fields)
+    stacked = rfft2(fields)
     assert calls == ["rfft"] and len(stacked) == count
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, per_field))
 
@@ -209,15 +206,17 @@ def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, 
     k.grad_hat(stacked[0], spectra[count - 2 :])
     refs = [*per_field[: count - 2], *per_field_pair(per_field[0])]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(spectra, refs))
-    back = irfft2_each(g, spectra)
+    back = irfft2(spectra, g.shape)
     assert calls == ["rfft", "irfft"] and len(back) == count
     assert all(a.tobytes() == np.fft.irfft2(b, s=g.shape).tobytes() for a, b in zip(back, refs))
 
     def per_field_conv(fh):
         return [np.fft.irfft2(gh, s=g.shape) for gh in per_field_pair(fh)]
 
+    calls.clear()
     for fh, ref in zip(stacked, per_field):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(k.grad_conv(fh), per_field_conv(ref)))
+    assert calls == ["irfft"] * count  # one inverse call per pair
     # A block of spectra, as grad_conv_slices passes: each slice's pair keeps its bytes.
     block = k.grad_conv(rfft2(fields))
     for i, ref in enumerate(per_field):
@@ -225,3 +224,6 @@ def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, 
     # The adjoint's contraction from views of the stack, against separate spectra.
     contraction = k.grad_conv_sum(stacked[0], stacked[1])
     assert contraction.tobytes() == (k._gx_hat * per_field[0] + k._gy_hat * per_field[1]).tobytes()
+    # j * f from f's named spectrum.
+    ref = np.fft.irfft2(k._j_hat * per_field[0], s=g.shape)
+    assert k.conv_j(fields[0]).tobytes() == ref.tobytes()
