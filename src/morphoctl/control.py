@@ -164,15 +164,14 @@ def _backward_sweep(traj: Trajectory, phi_d, drift, flux=None) -> AdjointTraject
     may overwrite d.  p1 without its contraction, p2, vx and vy are one stack and one
     :func:`morphoctl.grid.rfft2` call; the contraction's spectrum
     (:meth:`Kernel.grad_conv_sum`) is subtracted from p1's, and the solves write into the
-    stack's first two spectra.  Slice nt - 1 is driven by the misfit source alone, so the
-    steps read Gm at m_{nt-1}..m_1, in that order, from :meth:`Trajectory.grad_m_slices`,
-    the pairs the tangent reads, so duality stays exact whether the run kept them or not.
+    stack's first two spectra.  Slice nt - 1 is driven by the misfit source alone; the
+    step at state index n < nt reads Gm from :meth:`Trajectory.grad_m_at`, the pair the
+    tangent reads, so duality stays exact whether the run kept the pairs or not.
     """
     p = traj.params
     g = p.grid
     dt = p.dt
     pd = control_array(phi_d, p)
-    grad_m = traj.grad_m_slices(slice(p.nt - 1, 0, -1))
 
     def explicit(n, u):
         """The right-hand-side stack [p1 without its contraction, p2, *v] at state index n,
@@ -180,7 +179,7 @@ def _backward_sweep(traj: Trajectory, phi_d, drift, flux=None) -> AdjointTraject
         s_n = traj.phi[n] - pd[n - 1]
         if n == p.nt:
             return np.array([np.zeros(g.shape), dt * s_n])
-        gm = next(grad_m)
+        gm = traj.grad_m_at(n)
         m, phi = traj.m[n], traj.phi[n]
         d = grad(g, u)
         e = drift(m, phi, d, gm[0] * d[0] + gm[1] * d[1])
@@ -273,9 +272,8 @@ def solve_adjoint_continuous(traj: Trajectory, phi_d) -> AdjointTrajectory:
 
     def drift(m, phi, d, adv):
         cm, cp = params.mobilities(m, phi)
-        dh = rfft2(d.reshape(4, *g.shape))  # [d_x g1, d_x g2, d_y g1, d_y g2]
-        k1 = irfft2(params.kernel.grad_conv_sum(dh[0], dh[2]), g.shape)
-        k2 = irfft2(params.kernel.grad_conv_sum(dh[1], dh[3]), g.shape)
+        # rfft2(d) is [[d_x g1, d_x g2], [d_y g1, d_y g2]]: one contraction per adjoint field.
+        k1, k2 = irfft2(params.kernel.grad_conv_sum(*rfft2(d)), g.shape)
         e = np.empty_like(adv)
         np.add(-2.0 * b2 * m * adv[0] + cm * k1 + b2 * (1.0 - phi) * adv[1], cp * k2, out=e[0])
         np.subtract(-b2 * adv[0], b2 * m * adv[1], out=e[1])

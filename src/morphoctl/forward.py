@@ -157,12 +157,11 @@ class Trajectory:
     theta: np.ndarray  # (nt, ny, nx), slice n drives step n -> n+1
     grad_m: np.ndarray | None = None  # (nt, 2, ny, nx), or None as in a run built by hand
 
-    def grad_m_slices(self, index: slice):
-        """gradJ * m_n, [gmx, gmy], for the states n < nt ``index`` picks, in its order: the
-        kept pairs, else made from m a time block at a time (``Kernel.grad_conv_slices``)."""
+    def grad_m_at(self, n: int) -> np.ndarray:
+        """gradJ * m_n, [gmx, gmy], at a state n < nt: the kept pair, else made from m_n."""
         if self.grad_m is None:
-            return self.params.kernel.grad_conv_slices(self.m[index])
-        return iter(self.grad_m[index])
+            return self.params.kernel.grad_conv(rfft2(self.m[n]))
+        return self.grad_m[n]
 
 
 def step_state(

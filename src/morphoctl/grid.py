@@ -18,8 +18,7 @@ Conventions used by every module in this package:
   :func:`time_values`, one block of at most ``_BLOCK_BYTES`` at a time:
   memory bounded by the block, and by the stack contract above the same
   bits for any block size.  Callers square (``v ** 2``) and sum those
-  Python floats in time order.  The sweeps' transforms of the stored
-  state are cut by the same :func:`time_blocks`.
+  Python floats in time order.
 * The discrete pairing is ``<f, g> = hx hy sum(f g)`` and all norms derive
   from it.  ``h1`` uses the sum convention ``|f|_L2 + |grad f|_L2``.
 * Differential operators are centered second-order differences with
@@ -191,26 +190,16 @@ def solve_implicit_diffusion(
 _BLOCK_BYTES = 1 << 20
 
 
-def time_blocks(grid: Grid, per_slice: int, *series):
-    """Yield tuples of blocks of consecutive slices of ``series``, stacks of one length, in order.
-
-    Each block spans as many slices as fit ``_BLOCK_BYTES`` when one slice holds
-    ``per_slice`` fields' worth of bytes, counting the series and what is made from them.
-    """
-    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * per_slice))
-    for a in range(0, len(series[0]), k):
-        yield tuple(s[a : a + k] for s in series)
-
-
 def time_values(grid: Grid, reduce, *series):
     """Yield ``reduce(grid, *blocks)``'s per-slice values as Python floats, in time order.
 
-    ``series`` are stacks of one length, cut by :func:`time_blocks` into blocks that
-    together hold at most ``_BLOCK_BYTES``.  ``reduce`` returns one value per slice, or
-    a tuple of such arrays, yielded as tuples.
+    ``series`` are stacks of one length, cut into blocks of consecutive slices that
+    together hold at most ``_BLOCK_BYTES`` (at least one slice each).  ``reduce`` returns
+    one value per slice, or a tuple of such arrays, yielded as tuples.
     """
-    for blocks in time_blocks(grid, len(series), *series):
-        out = reduce(grid, *blocks)
+    k = max(1, _BLOCK_BYTES // (8 * grid.nx * grid.ny * len(series)))
+    for a in range(0, len(series[0]), k):
+        out = reduce(grid, *(s[a : a + k] for s in series))
         yield from zip(*(v.tolist() for v in out)) if isinstance(out, tuple) else out.tolist()
 
 
@@ -258,7 +247,7 @@ def h_minus_1(grid: Grid, f: np.ndarray) -> float | np.ndarray:
 
 
 def norms(grid: Grid, f: np.ndarray) -> dict[str, float]:
-    """All three field norms used by the monitoring reports."""
+    """The three field norms of ``f`` by name, for the package's callers; no report uses it."""
     return {"l2": l2(grid, f), "h1": h1(grid, f), "h_minus_1": h_minus_1(grid, f)}
 
 

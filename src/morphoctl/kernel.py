@@ -19,8 +19,8 @@ spectrum of its field, so a sweep holding the spectrum spends no transform.
 ``grad_hat`` stays in the spectral domain and writes its pair into the step's
 spectra stack, which the forward and tangent sweeps inverse-transform in one call.
 ``grad_conv`` makes the pair's fields in one inverse call; it seeds the forward
-sweep, and ``grad_conv_slices`` serves a stored run that kept no pairs a time block
-per transform.  ``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
+sweep and makes the pair at a stored state of a run that kept none.
+``grad_conv_sum`` takes and returns spectra, so the adjoint adds its
 contraction to a spectrum it transforms anyway.
 """
 
@@ -32,11 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SupportTooLarge, SupportUnresolved
-from .grid import Grid, integral, irfft2, periodic_reverse, rfft2, time_blocks
-
-# Fields' worth of bytes one slice of a grad_conv_slices block holds: itself, its
-# spectrum, the two outputs and the transform temporaries.
-TRANSFORM_FIELDS = 6
+from .grid import Grid, integral, irfft2, periodic_reverse, rfft2
 
 
 def _signed_offsets(n: int, h: float) -> np.ndarray:
@@ -87,16 +83,6 @@ class Kernel:
         stack of spectra gives a ``(2, k, ny, nx)`` stack.
         """
         return irfft2(self.grad_hat(fh, np.empty((2, *fh.shape), complex)), self.grid.shape)
-
-    def grad_conv_slices(self, stack: np.ndarray):
-        """Yield ``grad_conv`` of each slice of ``stack`` in order, one rfft2 per time block,
-        a slice counted as :data:`TRANSFORM_FIELDS` fields.
-
-        The stack contract of :mod:`morphoctl.grid` makes each pair bit-identical to a
-        slice's own call.
-        """
-        for (block,) in time_blocks(self.grid, TRANSFORM_FIELDS, stack):
-            yield from zip(*self.grad_conv(rfft2(block)))
 
     def grad_conv_sum(self, vxh: np.ndarray, vyh: np.ndarray) -> np.ndarray:
         """The rfft2 spectrum of sum_i (d_i j) * v_i, from those of v_x and v_y.

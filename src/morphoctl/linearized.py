@@ -102,15 +102,14 @@ def step_linearized(
 def tangent_steps(traj: Trajectory, h):
     """The tangent march's slices ``(n, phi1_n, phi2_n)``, n = 0..nt, along a stored run,
     carrying gradJ * phi1 from the zero pair of the zero initial slice; the set-up runs on
-    the call.  Step n reads gradJ * m_n from :meth:`Trajectory.grad_m_slices`."""
+    the call.  Step n reads gradJ * m_n by index, :meth:`Trajectory.grad_m_at`."""
     params = traj.params
     harr = control_array(h, params)
-    grad_m = traj.grad_m_slices(slice(0, params.nt))
     zero = np.zeros((2, *params.grid.shape))
     return _march(
         params, "tangent blow-up", zero, zero,
         lambda n, u, grad_phi1: step_linearized(
-            traj.m[n], traj.phi[n], next(grad_m), u, grad_phi1, harr[n], params
+            traj.m[n], traj.phi[n], traj.grad_m_at(n), u, grad_phi1, harr[n], params
         ),
     )
 

@@ -23,8 +23,6 @@ from morphoctl.control import (
 )
 from morphoctl.errors import DeltaZero, NonFinite, ParameterError, ShapeMismatch
 from morphoctl.forward import InitData, solve_state
-import morphoctl.grid as gridmod
-import morphoctl.kernel as kernelmod
 import morphoctl.linearized as linmod
 from morphoctl.grid import Grid, l2
 from morphoctl.linearized import solve_linearized
@@ -535,28 +533,30 @@ def test_mutation_flag_breaks_gradient(grid16, monkeypatch):
 
 def test_fft_counts_per_step(grid16, monkeypatch):
     """Real 2-D transforms per step, counted in slices: forward 6, tangent 6, adjoint 6
-    when the run keeps its kernel-gradient pairs, and 6, 9, 9 at a pair budget of 0.
+    and continuous adjoint 10 when the run keeps its kernel-gradient pairs, and 6, 9, 9
+    and 13 at a pair budget of 0.
 
     The forward and tangent sweeps carry gradJ * m and gradJ * phi1 from one
     step to the next, made from the spectrum the step's implicit solve made, so
     the forward takes one rfft2 and one pair of irfft2 more to seed it and makes
     one unused pair at its last step; the tangent's zero seed is a zero pair,
     not transformed.  A run that keeps the pairs its steps read hands them to the
-    tangent and adjoint; otherwise each makes gradJ * m from the stored m, one
-    rfft2 and two irfft2 slices per step.  The adjoint's terminal step makes only
-    its two implicit solves, and its kernel contraction stays a spectrum, folded
-    into the gamma1 solve.  ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
+    tangent and adjoints; otherwise each makes gradJ * m from the stored m, one
+    rfft2 and two irfft2 slices per step.  The adjoints' terminal step makes only
+    its two implicit solves; the discrete adjoint's kernel contraction stays a
+    spectrum, folded into the gamma1 solve, while the continuous one transforms its
+    four gradient fields and inverse-transforms its two contractions.
+    ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
     passes, so a forward transform is one ``rfft`` (then one ``fft``) and
     an inverse one ``irfft`` (after one ``ifft``).  A pass transforms as many
     slices as its input has over the leading axes, so exact counts also pin
-    that the time blocks of gradJ * m transform only the stored slices the
-    steps read.  The numpy calls are pinned too: each step's stacks go in one
-    call each way (its two right-hand sides, or the adjoint's four fields; its
-    solved fields with the forward's and tangent's kernel pair) at every block
-    budget, and the blocks of gradJ * m are one call each way: one block holds
-    every stored slice at 16^2, and each stored slice is its own block at a
-    budget of one slice per block.  Each step calls ``solve_implicit_diffusion``
-    by name twice at either budget, the count perfbench's phase cuts rely on.
+    that gradJ * m is made only at the stored states the steps read.  The numpy
+    calls are pinned too: each step's stacks go in one call each way (its two
+    right-hand sides, or the discrete adjoint's four fields; its solved fields with
+    the forward's and tangent's kernel pair; the continuous adjoint's gradient fields
+    and its contractions), and gradJ * m at a stored state is one call each way.
+    Each step calls ``solve_implicit_diffusion`` by name twice at either budget, the
+    count perfbench's phase cuts rely on.
     """
     p = make_params(grid16, T=0.01)
     rng = np.random.default_rng(36)
@@ -597,25 +597,27 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     assert nt == 10
     fwd_slices = {"rfft2": 2 * nt + 1, "irfft2": 4 * nt + 2}
     kept_slices = (fwd_slices, {"rfft2": 2 * nt, "irfft2": 4 * nt},
-                   {"rfft2": 4 * (nt - 1) + 2, "irfft2": 2 * (nt - 1) + 2})
+                   {"rfft2": 4 * (nt - 1) + 2, "irfft2": 2 * (nt - 1) + 2},
+                   {"rfft2": 6 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2})
     made_slices = (fwd_slices, {"rfft2": 3 * nt, "irfft2": 6 * nt},
-                   {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2})
-    one_slice = kernelmod.TRANSFORM_FIELDS * 8 * grid16.nx * grid16.ny
-    blocks = gridmod._BLOCK_BYTES
+                   {"rfft2": 5 * (nt - 1) + 2, "irfft2": 4 * (nt - 1) + 2},
+                   {"rfft2": 7 * (nt - 1) + 2, "irfft2": 6 * (nt - 1) + 2})
     for pair_budget, expected_slices in ((fwdmod.PAIR_BUDGET, kept_slices), (0, made_slices)):
         monkeypatch.setattr(fwdmod, "PAIR_BUDGET", pair_budget)
-        for budget, n_blocks in ((blocks, lambda k: 1), (one_slice, lambda k: k)):
-            monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
-            # One stack call per step each way, one each way for the forward's seed pair
-            # and for each block of the gradJ * m the tangent (nt slices) and the adjoint
-            # (nt - 1) make.
-            made = (0, 0) if pair_budget else (n_blocks(nt), n_blocks(nt - 1))
-            expected_calls = ({"rfft2": nt + 1, "irfft2": nt + 1},) + tuple(
-                {"rfft2": nt + b, "irfft2": nt + b} for b in made
-            )
-            traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
-            assert (traj.grad_m is not None) == (pair_budget > 0)
-            _, tan, tan_calls = sweep(solve_linearized, traj, h)
-            _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
-            assert (fwd, tan, adj) == expected_slices
-            assert (fwd_calls, tan_calls, adj_calls) == expected_calls
+        # One stack call per step each way, one each way for the forward's seed pair, one
+        # each way per step for the continuous adjoint's contractions, and one each way for
+        # each gradJ * m the tangent (nt) and the adjoints (nt - 1) make.
+        made = (0, 0) if pair_budget else (nt, nt - 1)
+        expected_calls = (
+            {"rfft2": nt + 1, "irfft2": nt + 1},
+            {"rfft2": nt + made[0], "irfft2": nt + made[0]},
+            {"rfft2": nt + made[1], "irfft2": nt + made[1]},
+            {"rfft2": 2 * nt - 1 + made[1], "irfft2": 2 * nt - 1 + made[1]},
+        )
+        traj, fwd, fwd_calls = sweep(solve_state, init, theta, p)
+        assert (traj.grad_m is not None) == (pair_budget > 0)
+        _, tan, tan_calls = sweep(solve_linearized, traj, h)
+        _, adj, adj_calls = sweep(solve_adjoint_discrete, traj, pd)
+        _, cont, cont_calls = sweep(solve_adjoint_continuous, traj, pd)
+        assert (fwd, tan, adj, cont) == expected_slices
+        assert (fwd_calls, tan_calls, adj_calls, cont_calls) == expected_calls

@@ -481,8 +481,11 @@ def test_a_hand_built_run_has_its_pairs_made_from_m(grid16, monkeypatch):
     traj = solve_state(init, theta, p)
     hand = Trajectory(params=p, m=traj.m, phi=traj.phi, theta=traj.theta)
     assert traj.grad_m is not None and hand.grad_m is None
-    made = [np.array(pair) for pair in hand.grad_m_slices(slice(0, p.nt))]
-    assert np.array_equal(made, [np.array(pair) for pair in p.kernel.grad_conv_slices(traj.m[:-1])])
+    for n in range(p.nt):
+        made = p.kernel.grad_conv(rfft2(traj.m[n]))
+        assert hand.grad_m_at(n).tobytes() == made.tobytes()
+        kept = traj.grad_m_at(n)  # the kept pair itself, not a copy
+        assert np.shares_memory(kept, traj.grad_m[n]) and kept.tobytes() == traj.grad_m[n].tobytes()
     # Its tangent and adjoint are those of a run whose pairs exceed the budget.
     monkeypatch.setattr(forward, "PAIR_BUDGET", 0)
     unkept = solve_state(init, theta, p)

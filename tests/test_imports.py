@@ -1,5 +1,5 @@
 """Every name a module of ``src/``, ``tests/`` or ``scripts/`` imports is used in that module,
-and every function and module-level constant ``src/`` defines is referenced somewhere."""
+and every function, method and module-level constant ``src/`` defines is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -38,14 +38,28 @@ def test_every_imported_name_is_used(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
-def test_every_module_function_is_referenced():
-    # A helper that loses its last caller fails here; a name or attribute anywhere counts.
-    used = {node.id if isinstance(node, ast.Name) else node.attr
+def referenced_names():
+    """Every name and attribute read or written anywhere a reference counts."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
             for tree in parsed(*REFERRING) for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_module_function_is_referenced():
+    # A helper that loses its last caller fails here; a name or attribute anywhere counts.
     defined = {node.name for tree in parsed("src/morphoctl") for node in tree.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
-    assert sorted(defined - used) == []
+    assert sorted(defined - referenced_names()) == []
+
+
+def test_every_class_method_is_referenced():
+    # A method that loses its last caller fails here, properties included; dunders are
+    # called by Python itself.
+    defined = {f"{cls.name}.{node.name}" for tree in parsed("src/morphoctl") for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    used = referenced_names()
+    assert sorted(name for name in defined if name.split(".")[1] not in used) == []
 
 
 def test_every_module_constant_is_read():

@@ -217,10 +217,10 @@ def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, 
     for fh, ref in zip(stacked, per_field):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(k.grad_conv(fh), per_field_conv(ref)))
     assert calls == ["irfft"] * count  # one inverse call per pair
-    # A block of spectra, as grad_conv_slices passes: each slice's pair keeps its bytes.
-    block = k.grad_conv(rfft2(fields))
+    # A stack of spectra gives a stack of pairs: each slice's pair keeps its bytes.
+    pair_stack = k.grad_conv(rfft2(fields))
     for i, ref in enumerate(per_field):
-        assert all(a[i].tobytes() == b.tobytes() for a, b in zip(block, per_field_conv(ref)))
+        assert all(a[i].tobytes() == b.tobytes() for a, b in zip(pair_stack, per_field_conv(ref)))
     # The adjoint's contraction from views of the stack, against separate spectra.
     contraction = k.grad_conv_sum(stacked[0], stacked[1])
     assert contraction.tobytes() == (k._gx_hat * per_field[0] + k._gy_hat * per_field[1]).tobytes()

@@ -89,7 +89,7 @@ def every_reduction(monkeypatch):
         "tangent_norm": tangent_norm(tan),
         "taylor_test": taylor_test(traj, h),
         "phi_balance_defect": phi_balance_defect(traj),
-        # The sweeps take gradJ * m from time blocks of the stored state.
+        # The sweeps read gradJ * m by state index, so no block size reaches them.
         "tangent": (tan.phi1.tobytes(), tan.phi2.tobytes()),
         "adjoint_discrete": (adj.gamma1.tobytes(), adj.gamma2.tobytes()),
         "adjoint_continuous": (adj_c.gamma1.tobytes(), adj_c.gamma2.tobytes()),
@@ -109,7 +109,7 @@ def test_block_size_cannot_change_a_bit(monkeypatch):
 
 def test_space_time_reductions_hold_a_few_blocks():
     # A 64^2, 400-step history is 12.5 MiB; a block is 1 MiB over all its series.
-    # A sweep holds its two output histories, a block of gradJ * m and a step's
+    # A sweep holds its two output histories, a step's pair gradJ * m and its
     # temporaries: the histories' bytes are not counted against it.
     g = Grid(64, 64, 1.0, 1.0)
     p = make_params(g, T=0.4, dt=1e-3)
