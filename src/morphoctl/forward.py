@@ -252,7 +252,7 @@ def state_steps(init: InitData, theta, params: ModelParams, grad_m=None):
     """
     th = control_array(theta, params)
     params.grid.check(init.m0, init.phi0)
-    u0 = np.array([init.m0, init.phi0], dtype=float)  # a float32 field would transform in float32
+    u0 = np.array([init.m0, init.phi0], dtype=float)  # float64 in every product, not only in rfft2
 
     def step(n, u, pair):
         if grad_m is not None:

@@ -35,10 +35,11 @@ Conventions used by every module in this package:
   and implicit diffusion steps are solved exactly in that basis, by
   multiplying with a cached ``1 / (1 - dt lam)``.
 * Every real 2-D transform in the package goes through :func:`rfft2` and
-  :func:`irfft2`: numpy's ``rfftn``/``irfftn`` 1-D passes and bits, without
-  its n-d argument handling (see docs/discrete_adjoint.md), and countable in
-  one place.  ``h_minus_1`` uses the complex ``fft2``, not a real transform;
-  no other module names ``numpy.fft`` (``tests/test_transform_lint.py``).
+  :func:`irfft2`: they call the 1-D pocketfft gufuncs ``numpy.fft`` calls, with
+  its normalization, so numpy's bits of the float64 field without its per-call
+  argument handling (see docs/discrete_adjoint.md), countable in one place.
+  ``h_minus_1`` uses the complex ``fft2``; no other module names ``numpy.fft``
+  or its gufuncs' private module (``tests/test_transform_lint.py``).
 * A sweep carries its pair as one ``(2, ny, nx)`` stack, and a step keeps its
   independent fields in stacks too, each transformed in one call each way at
   every grid size: a pass transforms each field of a stack on its own, so the
@@ -65,6 +66,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import GridMismatch, ParameterError
 
@@ -162,13 +164,21 @@ def _implicit_multiplier(grid: Grid, dt: float) -> np.ndarray:
 
 
 def rfft2(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Real 2-D DFT over the trailing axes, into ``out``: ``np.fft.rfft2(f)``, bit for bit."""
-    return np.fft.fft(np.fft.rfft(f), axis=-2, out=out)
+    """``np.fft.rfft2`` of the float64 field over the trailing axes, into ``out``, bit for bit."""
+    half = np.empty((*f.shape[:-1], f.shape[-1] // 2 + 1), complex)
+    rfft = _pfu.rfft_n_odd if f.shape[-1] % 2 else _pfu.rfft_n_even
+    rfft(f, 1, axes=[(-1,), (), (-1,)], out=half)
+    out = np.empty(half.shape, complex) if out is None else out
+    return _pfu.fft(half, 1, axes=[(-2,), (), (-2,)], out=out)
 
 
 def irfft2(fh: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`rfft2` onto ``shape``: ``np.fft.irfft2(fh, s=shape)``, bit for bit."""
-    return np.fft.irfft(np.fft.ifft(fh, axis=-2), n=shape[-1])
+    """Inverse of :func:`rfft2` onto ``shape``: ``np.fft.irfft2(fh, s=shape)``, bit for bit,
+    each pass scaled by numpy's ``1.0 / n``."""
+    col = np.empty(fh.shape, complex)
+    _pfu.ifft(fh, 1.0 / fh.shape[-2], axes=[(-2,), (), (-2,)], out=col)
+    out = np.empty((*fh.shape[:-1], shape[-1]))
+    return _pfu.irfft(col, 1.0 / shape[-1], axes=[(-1,), (), (-1,)], out=out)
 
 
 def solve_implicit_diffusion(

@@ -1,8 +1,10 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import morphoctl.grid as gridmod
 from morphoctl import control, forward, linearized
 from morphoctl.forward import InitData, ModelParams
 from morphoctl.grid import Grid, smooth_periodic
@@ -23,6 +25,30 @@ def full_laplacian_symbol(grid):
     cx = (2.0 / grid.hx**2) * (1.0 - np.cos(2.0 * np.pi * kx / grid.nx))
     cy = (2.0 / grid.hy**2) * (1.0 - np.cos(2.0 * np.pi * ky / grid.ny))
     return -(cx[None, :] + cy[:, None])
+
+
+def record_transform_passes(monkeypatch):
+    """Log each 1-D pass ``grid.rfft2``/``grid.irfft2`` make, as ``(name, slices)``.
+
+    The passes are numpy's pocketfft gufuncs, which grid looks up on its ``_pfu`` handle
+    at call time; the handle is replaced by one that logs before it calls.  ``name`` is
+    ``rfft`` (even or odd length), ``fft``, ``ifft`` or ``irfft``, and ``slices`` the
+    number of 1-D slices over the input's leading axes.  Calls of ``numpy.fft`` outside
+    grid are not logged.
+    """
+    log = []
+
+    def logged(name, fn):
+        def call(a, *args, **kwargs):
+            log.append((name, int(np.prod(np.shape(a)[:-2]))))
+            return fn(a, *args, **kwargs)
+        return call
+
+    gufuncs = ("rfft_n_even", "rfft_n_odd", "fft", "ifft", "irfft")
+    monkeypatch.setattr(gridmod, "_pfu", SimpleNamespace(**{
+        attr: logged(attr.split("_n_")[0], getattr(gridmod._pfu, attr)) for attr in gufuncs
+    }))
+    return log
 
 
 def expand(field, nt):

@@ -33,6 +33,7 @@ from conftest import (
     full_laplacian_symbol,
     make_init,
     make_params,
+    record_transform_passes,
     smooth_random,
 )
 
@@ -547,10 +548,11 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     spectrum, folded into the gamma1 solve, while the continuous one transforms its
     four gradient fields and inverse-transforms its two contractions.
     ``grid.rfft2``/``grid.irfft2`` make each 2-D transform as two 1-D
-    passes, so a forward transform is one ``rfft`` (then one ``fft``) and
-    an inverse one ``irfft`` (after one ``ifft``).  A pass transforms as many
-    slices as its input has over the leading axes, so exact counts also pin
-    that gradJ * m is made only at the stored states the steps read.  The numpy
+    passes, numpy's pocketfft gufuncs, counted where grid calls them: a forward
+    transform is one ``rfft`` (then one ``fft``) and an inverse one ``irfft``
+    (after one ``ifft``).  A pass transforms as many slices as its input has
+    over the leading axes, so exact counts also pin that gradJ * m is made only
+    at the stored states the steps read.  The gufunc
     calls are pinned too: each step's stacks go in one call each way (its two
     right-hand sides, or the discrete adjoint's four fields; its solved fields with
     the forward's and tangent's kernel pair; the continuous adjoint's gradient fields
@@ -566,13 +568,7 @@ def test_fft_counts_per_step(grid16, monkeypatch):
     pd = 0.8 * np.ones((1, *grid16.shape))
     p.kernel._gx_hat, p.kernel._gy_hat  # the cached kernel transforms are not per step
     passes = ("rfft", "fft", "irfft", "ifft")
-    slices, calls = {}, {}
-    for name in passes:
-        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            slices[_name] += int(np.prod(np.shape(a)[:-2]))
-            calls[_name] += 1
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    log = record_transform_passes(monkeypatch)
     solves = []
     for mod in (fwdmod, linmod, ctl):
         def solve(*args, _fn=mod.solve_implicit_diffusion):
@@ -581,11 +577,12 @@ def test_fft_counts_per_step(grid16, monkeypatch):
         monkeypatch.setattr(mod, "solve_implicit_diffusion", solve)
 
     def sweep(fn, *args):
-        slices.update(dict.fromkeys(passes, 0))
-        calls.update(dict.fromkeys(passes, 0))
+        log.clear()
         solves.clear()
         out = fn(*args)
         assert len(solves) == 2 * nt
+        slices = {name: sum(k for n, k in log if n == name) for name in passes}
+        calls = {name: sum(n == name for n, _ in log) for name in passes}
         # Each real pass has its complex partner: the same 2-D transforms.
         for c in (slices, calls):
             assert c["fft"] == c["rfft"] and c["ifft"] == c["irfft"]

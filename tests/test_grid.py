@@ -230,14 +230,24 @@ def test_implicit_solve_keeps_the_bits_of_the_division(nx, ny):
 @pytest.mark.parametrize("ny", [4, 5, 9, 16, 33])
 @pytest.mark.parametrize("nx", [4, 7, 12, 31, 32])
 def test_real_transforms_keep_numpys_bits(nx, ny):
-    # grid.rfft2/irfft2 make numpy's two 1-D passes directly, so their bytes
-    # are numpy's rfft2/irfft2(s=), on odd, even and non-square grids and stacks.
+    # grid.rfft2/irfft2 call the 1-D pocketfft gufuncs numpy.fft calls, with its
+    # normalization, so their bytes are numpy's rfft2/irfft2(s=) of the float64 field,
+    # on odd, even and non-square grids and stacks.
     rng = np.random.default_rng(100 * ny + nx)
     for f in (rng.standard_normal((ny, nx)), rng.standard_normal((3, ny, nx))):
         fh, np_fh = rfft2(f), np.fft.rfft2(f)
         assert fh.shape == np_fh.shape and fh.tobytes() == np_fh.tobytes()
         back, np_back = irfft2(np_fh, (ny, nx)), np.fft.irfft2(np_fh, s=(ny, nx))
         assert back.shape == np_back.shape and back.tobytes() == np_back.tobytes()
+    # Into the first two slices of a step's spectra stack, as the forward and tangent
+    # steps write their right-hand sides: the view comes back with numpy's bytes.
+    f, spec = rng.standard_normal((2, ny, nx)), np.zeros((4, ny, nx // 2 + 1), complex)
+    fh = rfft2(f, out=spec[:2])
+    assert fh.base is spec and spec[:2].tobytes() == np.fft.rfft2(f).tobytes()
+    assert not spec[2:].any()
+    # A float32 field is transformed as float64 (numpy's own rfft2 would stay float32).
+    f32 = f.astype(np.float32)
+    assert rfft2(f32).tobytes() == np.fft.rfft2(f32.astype(float)).tobytes()
 
 
 def test_real_2d_transforms_have_one_home():

@@ -5,6 +5,7 @@ from morphoctl.errors import SupportTooLarge, SupportUnresolved
 from morphoctl.grid import Grid, irfft2, periodic_reverse, rfft2
 from morphoctl.kernel import _signed_offsets, build_kernel, kernel_report
 
+from conftest import record_transform_passes
 from oracles import circ_conv
 
 
@@ -184,15 +185,13 @@ def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, 
     fields = np.random.default_rng(nx + count).standard_normal((count, ny, nx))
     per_field = [np.fft.rfft2(f) for f in fields]
     k._j_hat, k._gx_hat, k._gy_hat  # the cached kernel transforms are not the stack's calls
-    calls = []
-    for name in ("rfft", "irfft"):
-        def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    log = record_transform_passes(monkeypatch)
+
+    def calls():  # the real passes grid called: one per 2-D call each way
+        return [name for name, _ in log if name in ("rfft", "irfft")]
 
     stacked = rfft2(fields)
-    assert calls == ["rfft"] and len(stacked) == count
+    assert calls() == ["rfft"] and len(stacked) == count
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stacked, per_field))
 
     def per_field_pair(fh):
@@ -207,16 +206,16 @@ def test_stacked_transforms_and_products_keep_the_per_field_bits(nx, ny, count, 
     refs = [*per_field[: count - 2], *per_field_pair(per_field[0])]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(spectra, refs))
     back = irfft2(spectra, g.shape)
-    assert calls == ["rfft", "irfft"] and len(back) == count
+    assert calls() == ["rfft", "irfft"] and len(back) == count
     assert all(a.tobytes() == np.fft.irfft2(b, s=g.shape).tobytes() for a, b in zip(back, refs))
 
     def per_field_conv(fh):
         return [np.fft.irfft2(gh, s=g.shape) for gh in per_field_pair(fh)]
 
-    calls.clear()
+    log.clear()
     for fh, ref in zip(stacked, per_field):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(k.grad_conv(fh), per_field_conv(ref)))
-    assert calls == ["irfft"] * count  # one inverse call per pair
+    assert calls() == ["irfft"] * count  # one inverse call per pair
     # A stack of spectra gives a stack of pairs: each slice's pair keeps its bytes.
     pair_stack = k.grad_conv(rfft2(fields))
     for i, ref in enumerate(per_field):
