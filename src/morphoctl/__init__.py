@@ -23,7 +23,7 @@ from .control import (
     stationarity_residual,
 )
 from .forward import InitData, ModelParams, Trajectory, solve_state, step_state
-from .grid import Grid, div, grad, norms
+from .grid import Grid, div, grad
 from .kernel import Kernel, build_kernel, kernel_report
 from .linearized import TangentTrajectory, solve_linearized, step_linearized, taylor_test
 
@@ -47,7 +47,6 @@ __all__ = [
     "grad",
     "kernel_report",
     "load_config",
-    "norms",
     "pgd_optimize",
     "project_admissible",
     "reduced_gradient",

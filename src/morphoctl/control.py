@@ -29,9 +29,7 @@ the misfit source and the two symmetric implicit solves, in the time loop of
 ``forward._march``, which carries (gamma1, gamma2) as one ``(2, ny, nx)`` stack.
 Each solver supplies only its explicit drift terms.  The discrete solver hands
 its kernel contraction's fields to the sweep, which folds the contraction into
-the gamma1 solve's spectrum; a step then transforms 6 slices, its four-field
-right-hand-side stack in one call and gamma1, gamma2 back in one more, plus 3 for
-gradJ * m where the run did not keep the pairs its forward steps read.
+the gamma1 solve's spectrum (docs/discrete_adjoint.md counts a step's transforms).
 """
 
 from __future__ import annotations

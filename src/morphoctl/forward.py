@@ -20,8 +20,7 @@ obeys the exact discrete balance
 implicit solve made m from, so a step transforms no stored field; that
 spectrum equals ``rfft2(m)`` in exact arithmetic (see
 docs/discrete_adjoint.md).  The step carries (m, phi) as one ``(2, ny, nx)``
-stack: the two equations' mobilities, fluxes, divergence and right-hand sides
-are each one call on it, and it transforms its stacks one call each way.
+stack.
 
 Because each step is linear in the current state apart from pointwise
 polynomial coefficients, the step has an exact, closed-form derivative;
@@ -44,10 +43,7 @@ from .errors import DegenerateProbe, NonFinite, ParameterError, ShapeMismatch
 from .grid import (
     Grid,
     div,
-    grad,
     h1,
-    h_minus_1,
-    inner,
     integral,
     irfft2,
     l2,
@@ -272,90 +268,10 @@ def solve_state(init: InitData, theta, params: ModelParams) -> Trajectory:
     return Trajectory(params=params, m=m, phi=phi, theta=th, grad_m=grad_m)
 
 
-# Test-only oracle with weak_residual, kept beside step_state so a scheme change edits both.
-def _fwd_diff(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided differences; their pairing composes to the 5-point Laplacian."""
-    fx = (np.roll(f, -1, axis=-1) - f) / grid.hx
-    fy = (np.roll(f, -1, axis=-2) - f) / grid.hy
-    return fx, fy
-
-
-def weak_residual(traj: Trajectory, psi: np.ndarray, eta: np.ndarray) -> dict[str, float]:
-    """Accumulated defect of the trajectory in the discrete weak form.
-
-    For each step the scheme satisfies, exactly,
-
-        <(m+ - m)/dt, psi> + <grad m+, grad psi> - <F_m(m, phi), grad psi> = 0
-
-    (and the phi analogue with the reaction and control terms), so a
-    trajectory produced by :func:`solve_state` returns zero to round-off
-    while any perturbed history does not.  Each term pairs through the
-    gradient adjoint to its operator in the scheme: the diffusion pairing
-    uses one-sided differences (whose composition is the five-point
-    Laplacian), the drift pairing the centered gradient (the transpose of
-    the centered divergence).
-    """
-    p = traj.params
-    g = p.grid
-    psx, psy = grad(g, psi)
-    etx, ety = grad(g, eta)
-    psx_f, psy_f = _fwd_diff(g, psi)
-    etx_f, ety_f = _fwd_diff(g, eta)
-    res_m = 0.0
-    res_p = 0.0
-    for n in range(p.nt):
-        m, phi = traj.m[n], traj.phi[n]
-        m1, p1 = traj.m[n + 1], traj.phi[n + 1]
-        gmx, gmy = p.kernel.grad_conv(rfft2(m))
-        cm, cp = p.mobilities(m, phi)
-        g1x, g1y = _fwd_diff(g, m1)
-        g2x, g2y = _fwd_diff(g, p1)
-        rm = (
-            inner(g, (m1 - m) / p.dt, psi)
-            + inner(g, g1x, psx_f) + inner(g, g1y, psy_f)
-            - inner(g, cm * gmx, psx) - inner(g, cm * gmy, psy)
-        )
-        rp = (
-            inner(g, (p1 - phi) / p.dt, eta)
-            + inner(g, g2x, etx_f) + inner(g, g2y, ety_f)
-            - inner(g, cp * gmx, etx) - inner(g, cp * gmy, ety)
-            - inner(g, p.alpha * (1.0 - phi) + traj.theta[n], eta)
-        )
-        res_m += abs(rm) * p.dt
-        res_p += abs(rp) * p.dt
-    return {"res_m": res_m, "res_phi": res_p}
-
-
 def control_space_time_norm(params: ModelParams, series: np.ndarray) -> float:
     """L2(S x Omega) norm of a control-aligned series, quadrature over n = 0..nt-1."""
     values = time_values(params.grid, l2, series[: params.nt])
     return float(np.sqrt(sum(v ** 2 for v in values) * params.dt))
-
-
-def l2_h1_norm(params: ModelParams, series: np.ndarray) -> float:
-    """L2(S; H1) trajectory norm, quadrature over n = 1..nt."""
-    values = time_values(params.grid, h1, series[1 : params.nt + 1])
-    return float(np.sqrt(sum(v ** 2 for v in values) * params.dt))
-
-
-def dt_h_minus_1_norm(params: ModelParams, series: np.ndarray) -> float:
-    """L2(S; H^-1) norm of the backward time difference quotient, formed a block at a time."""
-    values = time_values(
-        params.grid, lambda g, new, old: h_minus_1(g, (new - old) / params.dt),
-        series[1 : params.nt + 1], series[: params.nt],
-    )
-    return float(np.sqrt(sum(v ** 2 for v in values) * params.dt))
-
-
-def apriori_norms(traj: Trajectory) -> dict[str, float]:
-    """The norms appearing in the a priori energy report."""
-    p = traj.params
-    return {
-        "m_L2H1": l2_h1_norm(p, traj.m),
-        "phi_L2H1": l2_h1_norm(p, traj.phi),
-        "dtm_L2Hm1": dt_h_minus_1_norm(p, traj.m),
-        "dtphi_L2Hm1": dt_h_minus_1_norm(p, traj.phi),
-    }
 
 
 def lipschitz_probe(init: InitData, theta1, theta2, params: ModelParams) -> float:

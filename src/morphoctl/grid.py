@@ -1,4 +1,4 @@
-"""Periodic uniform grid, discrete operators, circular convolution, norms.
+"""Periodic uniform grid, discrete operators, the transform seam, pairing and norms.
 
 Conventions used by every module in this package:
 
@@ -34,25 +34,14 @@ Conventions used by every module in this package:
 
   and implicit diffusion steps are solved exactly in that basis, by
   multiplying with a cached ``1 / (1 - dt lam)``.
-* Every real 2-D transform in the package goes through :func:`rfft2` and
+* Every transform in the package goes through :func:`rfft2` and
   :func:`irfft2`: they call the 1-D pocketfft gufuncs ``numpy.fft`` calls, with
   its normalization, so numpy's bits of the float64 field without its per-call
   argument handling (see docs/discrete_adjoint.md), countable in one place.
-  ``h_minus_1`` uses the complex ``fft2``; no other module names ``numpy.fft``
-  or its gufuncs' private module (``tests/test_transform_lint.py``).
-* A sweep carries its pair as one ``(2, ny, nx)`` stack, and a step keeps its
-  independent fields in stacks too, each transformed in one call each way at
-  every grid size: a pass transforms each field of a stack on its own, so the
-  bits are a call per field's.
-* The ``h_minus_1`` norm uses the same basis with the continuous
-  wavenumber convention ``kappa = (2 pi ktilde_x / Lx, 2 pi ktilde_y / Ly)``
-  (``ktilde`` the signed integer DFT frequency)::
-
-      |f|_{H^-1}^2 = (hx hy / (nx ny)) sum_k |fhat_k|^2 / (1 + |kappa_k|^2)
-
-  where ``fhat = fft2(f)``.  The zero mode then reproduces the plain L2
-  norm of the mean, so a constant on the unit square has all three norms
-  equal.
+  No other module names ``numpy.fft`` or its gufuncs' private module
+  (``tests/test_transform_lint.py``).
+* A pass transforms each field of a ``(k, ny, nx)`` stack on its own, so a
+  stack's bits are a call per field's.
 * Circular convolution folds the cell area in, so it is a discrete
   integral: ``out(p) = sum_q k(p - q) f(q) hx hy`` with periodic index
   arithmetic.  The direct sum ``circ_conv`` in the tests' oracle module
@@ -63,7 +52,7 @@ Conventions used by every module in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pfu
@@ -116,12 +105,6 @@ class Grid:
                 raise GridMismatch(
                     f"field shape {f.shape} does not match grid shape {self.shape}"
                 )
-
-    @cached_property
-    def _hminus1_mult(self) -> np.ndarray:
-        kapx = 2.0 * np.pi * np.fft.fftfreq(self.nx) * self.nx / self.Lx
-        kapy = 2.0 * np.pi * np.fft.fftfreq(self.ny) * self.ny / self.Ly
-        return 1.0 / (1.0 + kapx[None, :] ** 2 + kapy[:, None] ** 2)
 
 
 def _centered(f: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -247,18 +230,6 @@ def h1(grid: Grid, f: np.ndarray) -> float | np.ndarray:
     """H1 norm with the sum convention |f|_L2 + |grad f|_L2."""
     gx, gy = grad(grid, f)
     return _per_slice(l2(grid, f) + np.sqrt(inner(grid, gx, gx) + inner(grid, gy, gy)))
-
-
-def h_minus_1(grid: Grid, f: np.ndarray) -> float | np.ndarray:
-    """Dual-space norm via the DFT multiplier (1 + |kappa|^2)^(-1/2)."""
-    fh = np.fft.fft2(f)
-    total = np.sum((fh.real**2 + fh.imag**2) * grid._hminus1_mult, axis=(-2, -1))
-    return _per_slice(np.sqrt(grid.cell_area / (grid.nx * grid.ny) * total))
-
-
-def norms(grid: Grid, f: np.ndarray) -> dict[str, float]:
-    """The three field norms of ``f`` by name, for the package's callers; no report uses it."""
-    return {"l2": l2(grid, f), "h1": h1(grid, f), "h_minus_1": h_minus_1(grid, f)}
 
 
 def periodic_reverse(f: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .forward import (
     _march,
     _store,
     control_array,
-    l2_h1_norm,
     state_steps,
 )
 from .grid import div, irfft2, l2, rfft2, solve_implicit_diffusion, time_values
@@ -126,11 +125,6 @@ def tangent_norm(tan: TangentTrajectory) -> float:
     p = tan.params
     rows = time_values(p.grid, lambda g, a, b: (l2(g, a), l2(g, b)), tan.phi1[1:], tan.phi2[1:])
     return float(np.sqrt(sum(a ** 2 + b ** 2 for a, b in rows) * p.dt))
-
-
-def tangent_stability_norm(tan: TangentTrajectory) -> float:
-    """|phi1|_{L2(S;H1)} + |phi2|_{L2(S;H1)}, the stability-estimate quantity."""
-    return l2_h1_norm(tan.params, tan.phi1) + l2_h1_norm(tan.params, tan.phi2)
 
 
 def taylor_test(base: Trajectory, h) -> dict:

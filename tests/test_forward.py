@@ -20,23 +20,21 @@ from morphoctl.forward import (
     InitData,
     ModelParams,
     Trajectory,
-    apriori_norms,
     bounds_check,
     control_space_time_norm,
-    l2_h1_norm,
     lipschitz_probe,
     mass_series,
     pair_bytes,
     phi_balance_defect,
     solve_state,
     step_state,
-    weak_residual,
 )
 from morphoctl.grid import Grid, h1, integral, l2, rfft2
 from morphoctl.kernel import build_kernel
 from morphoctl.linearized import solve_linearized, tangent_norm
 
 from conftest import expand, full_laplacian_symbol, make_init, make_params, smooth_random
+from oracles import apriori_norms, l2_h1_norm, weak_residual
 
 
 def test_model_params_validation(grid16):

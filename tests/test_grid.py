@@ -12,12 +12,10 @@ from morphoctl.grid import (
     div,
     grad,
     h1,
-    h_minus_1,
     inner,
     integral,
     irfft2,
     l2,
-    norms,
     periodic_reverse,
     rfft2,
     solve_implicit_diffusion,
@@ -25,7 +23,7 @@ from morphoctl.grid import (
 )
 
 from conftest import full_laplacian_symbol, smooth_random
-from oracles import circ_conv, laplacian
+from oracles import circ_conv, h_minus_1, laplacian
 
 
 def test_grid_validates_size_and_lengths():
@@ -185,21 +183,18 @@ def test_conv_symmetry_transfer(seed):
 
 def test_norms_zero_and_constant():
     g = Grid(16, 16, 1.0, 1.0)
-    z = norms(g, np.zeros(g.shape))
-    assert z == {"l2": 0.0, "h1": 0.0, "h_minus_1": 0.0}
-    one = norms(g, np.ones(g.shape))
-    assert one["l2"] == pytest.approx(1.0, abs=1e-14)
-    assert one["h1"] == pytest.approx(1.0, abs=1e-14)
-    assert one["h_minus_1"] == pytest.approx(1.0, abs=1e-14)
+    norms = (l2, h1, h_minus_1)
+    assert [norm(g, np.zeros(g.shape)) for norm in norms] == [0.0, 0.0, 0.0]
+    for norm in norms:
+        assert norm(g, np.ones(g.shape)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_h_minus_1_single_mode_multiplier():
     g = Grid(64, 64, 1.0, 1.0)
     X, _ = g.cell_centers()
     f = np.cos(2 * np.pi * X)
-    n = norms(g, f)
-    expected = n["l2"] / np.sqrt(1.0 + 4.0 * np.pi**2)
-    assert n["h_minus_1"] == pytest.approx(expected, rel=0.01)
+    expected = l2(g, f) / np.sqrt(1.0 + 4.0 * np.pi**2)
+    assert h_minus_1(g, f) == pytest.approx(expected, rel=0.01)
 
 
 def test_implicit_solve_is_exact_per_mode():

@@ -1,10 +1,13 @@
 """Every name a module of ``src/``, ``tests/`` or ``scripts/`` imports is used in that module,
-and every function, method and module-level constant ``src/`` defines is referenced somewhere."""
+every function, method and module-level constant ``src/`` defines is referenced somewhere,
+and every function and method is reached from outside ``tests/``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import morphoctl
 
 ROOT = Path(__file__).resolve().parent.parent
 # The package's __init__ imports names only to re-export them.
@@ -38,28 +41,47 @@ def test_every_imported_name_is_used(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
-def referenced_names():
-    """Every name and attribute read or written anywhere a reference counts."""
+def referenced_names(*dirs):
+    """Every name and attribute read or written in ``dirs``, by default wherever a
+    reference counts."""
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in parsed(*REFERRING) for node in ast.walk(tree)
+            for tree in parsed(*(dirs or REFERRING)) for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def module_functions():
+    return {node.name for tree in parsed("src/morphoctl") for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+
+
+def class_methods():
+    """``Class.method`` of each method src/ defines, properties included; dunders are
+    called by Python itself."""
+    return {f"{cls.name}.{node.name}" for tree in parsed("src/morphoctl") for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
 
 
 def test_every_module_function_is_referenced():
     # A helper that loses its last caller fails here; a name or attribute anywhere counts.
-    defined = {node.name for tree in parsed("src/morphoctl") for node in tree.body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
-    assert sorted(defined - referenced_names()) == []
+    assert sorted(module_functions() - referenced_names()) == []
 
 
 def test_every_class_method_is_referenced():
-    # A method that loses its last caller fails here, properties included; dunders are
-    # called by Python itself.
-    defined = {f"{cls.name}.{node.name}" for tree in parsed("src/morphoctl") for cls in tree.body
-               if isinstance(cls, ast.ClassDef) for node in cls.body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    # A method that loses its last caller fails here.
     used = referenced_names()
-    assert sorted(name for name in defined if name.split(".")[1] not in used) == []
+    assert sorted(name for name in class_methods() if name.split(".")[1] not in used) == []
+
+
+def test_no_function_only_the_tests_reach():
+    # A function only tests/ call is an oracle, and lives in tests/oracles.py.  A reference
+    # counts from src/, scripts/, the package's exports and perfbench/, whose tracer also
+    # names methods by string.
+    reached = referenced_names("src/morphoctl", "scripts", "perfbench") | set(morphoctl.__all__)
+    reached |= {node.value for tree in parsed("perfbench") for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    defined = module_functions() | class_methods()
+    assert sorted(name for name in defined if name.split(".")[-1] not in reached) == []
 
 
 def test_every_module_constant_is_read():

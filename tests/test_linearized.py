@@ -10,17 +10,17 @@ from morphoctl.forward import (
     step_state,
 )
 import morphoctl.linearized as lin
-from morphoctl.grid import Grid, h1, l2
+from morphoctl.grid import Grid, l2
 from morphoctl.linearized import (
     EPS_LADDER,
     solve_linearized,
     step_linearized,
     tangent_norm,
-    tangent_stability_norm,
     taylor_test,
 )
 
 from conftest import expand, full_laplacian_symbol, make_init, make_params, smooth_random
+from oracles import l2_h1_norm, tangent_stability_norm
 
 
 def _step(m, phi, theta, p):
@@ -228,21 +228,18 @@ def test_space_time_norms_slice_by_slice_keep_the_stacked_bits():
     theta = expand(0.3 + 0.1 * smooth_random(rng, g), p.nt)
     h = expand(smooth_random(rng, g), p.nt)
 
-    # Stacked oracles: whole-history per-slice values, squared and summed in time order.
+    # Stacked oracles (pair and oracles.l2_h1_norm): whole-history per-slice values,
+    # squared and summed in time order.
     def pair(a, b):
         sq = [x ** 2 + y ** 2 for x, y in zip(l2(g, a).tolist(), l2(g, b).tolist())]
         return float(np.sqrt(sum(sq) * p.dt))
 
-    def l2h1(series):
-        return float(np.sqrt(sum(v ** 2 for v in h1(g, series[1:]).tolist()) * p.dt))
-
     base = solve_state(init, theta, p)
     tan = solve_linearized(base, h)
     assert tangent_norm(tan) == pair(tan.phi1[1:], tan.phi2[1:])
-    assert tangent_stability_norm(tan) == l2h1(tan.phi1) + l2h1(tan.phi2)
 
     other = solve_state(init, theta + 0.05 * h, p)
-    stacked = l2h1(base.m - other.m) + l2h1(base.phi - other.phi)
+    stacked = l2_h1_norm(p, base.m - other.m) + l2_h1_norm(p, base.phi - other.phi)
     denom = control_space_time_norm(p, theta - (theta + 0.05 * h))
     assert lipschitz_probe(init, theta, theta + 0.05 * h, p) == stacked / denom
 

@@ -24,8 +24,6 @@ from morphoctl.forward import (
     Trajectory,
     bounds_check,
     control_space_time_norm,
-    dt_h_minus_1_norm,
-    l2_h1_norm,
     lipschitz_probe,
     phi_balance_defect,
     solve_state,
@@ -82,8 +80,6 @@ def every_reduction(monkeypatch):
         "gauss_newton": (step, seen),
         "pgd": (res.cost_history, res.stationarity_history, res.theta_opt.tobytes()),
         "control_space_time_norm": control_space_time_norm(p, h),
-        "l2_h1_norm": (l2_h1_norm(p, traj.m), l2_h1_norm(p, traj.phi)),
-        "dt_h_minus_1_norm": (dt_h_minus_1_norm(p, traj.m), dt_h_minus_1_norm(p, traj.phi)),
         "lipschitz_probe": lipschitz_probe(init, theta, theta + 0.05 * h, p),
         "bounds_check": bounds_check(traj),
         "tangent_norm": tangent_norm(tan),
@@ -123,7 +119,6 @@ def test_space_time_reductions_hold_a_few_blocks():
     for name, call, histories in [
         ("cost_parts", lambda: cost_parts(traj, m[1:], 1e-3), ()),
         ("control_space_time_norm", lambda: control_space_time_norm(p, theta), ()),
-        ("dt_h_minus_1_norm", lambda: dt_h_minus_1_norm(p, m), ()),
         ("duality_gap", lambda: duality_gap(traj, m, adj, theta, phi[:-1]), ()),
         ("phi_balance_defect", lambda: phi_balance_defect(traj), ()),
         ("solve_linearized", lambda: solve_linearized(traj, theta), ("phi1", "phi2")),

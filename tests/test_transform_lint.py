@@ -1,7 +1,8 @@
 """Every transform in the package goes through ``grid.py``: no other module of
 ``src/morphoctl`` names ``numpy.fft``, so the FFT counts of the sweeps are counted in
 one place.  grid calls numpy's private ``numpy.fft._pocketfft_umath`` gufuncs, imported
-on one line, so a rename in numpy breaks that line alone."""
+on one line, so a rename in numpy breaks that line alone; that line is grid's only use
+of ``numpy.fft``, so ``rfft2``/``irfft2`` are the package's one transform path."""
 
 import ast
 from pathlib import Path
@@ -12,10 +13,17 @@ SRC = Path(morphoctl.__file__).parent
 
 
 def _fft_uses(tree: ast.AST) -> list[int]:
-    """Line numbers of ``<name>.fft`` attributes and of imports from or of ``numpy.fft``."""
+    """Line numbers of ``<numpy>.fft`` attributes, on any name numpy is imported as, and of
+    imports from or of ``numpy.fft``; a gufunc named ``fft`` on another module is none."""
+    numpy_names = {
+        alias.asname or "numpy" for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy" or alias.name.startswith("numpy.") and not alias.asname
+    }
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "fft" and isinstance(node.value, ast.Name):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module and (
             node.module.startswith("numpy.fft")
@@ -57,6 +65,8 @@ def test_pocketfft_is_imported_on_one_line_of_grid():
     }
     assert len(names) >= 11
     assert {name: len(lines) for name, lines in names.items() if lines} == {"grid.py": 1}
+    # ... and that line is grid's only use of numpy.fft.
+    assert _fft_uses(ast.parse((SRC / "grid.py").read_text())) == names["grid.py"]
 
 
 def test_the_lint_finds_each_form_of_use():
@@ -65,7 +75,8 @@ def test_the_lint_finds_each_form_of_use():
         "from numpy.fft import rfft\nx = np.fft.rfft2(y)\n"
         "from numpy.fft import _pocketfft_umath as pfu\n"
         "import numpy.fft._pocketfft_umath\ny = numpy.fft._pocketfft_umath.fft\n"
+        "z = pfu.fft(x)\nimport numpy as xp\nw = xp.fft.fft2(x)\n"
     )
-    assert _fft_uses(ast.parse(src)) == [2, 3, 4, 5, 6, 7, 8]
+    assert _fft_uses(ast.parse(src)) == [2, 3, 4, 5, 6, 7, 8, 11]
     assert _pocketfft_names(ast.parse(src)) == [6, 7, 8]
     assert _fft_uses(ast.parse((SRC / "grid.py").read_text()))  # grid.py itself does
